@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import os
-import re
 import socket
 import socketserver
 import subprocess
@@ -28,6 +27,7 @@ from .model import (
     CheckState,
     MalformedLine,
     Perfdata,
+    _segment,
     parse_check_line,
     serialize_agent_payload,
     worst_state,
@@ -50,10 +50,6 @@ _STATE_FLAGS = "*~#!%$@^+&-"
 BUILTIN_CHECKS = ("power", "node_state", "login", "dns", "memory")
 
 _MAX_RECTIFIERS = 1024  # sanity bound when probing numbered rectifier files
-
-
-class ResolutionError(OSError):
-    """Name resolution failed."""
 
 
 class DataSource(ABC):
@@ -362,11 +358,6 @@ def check_memory(
     return CheckResult(state, "memory", perf, f"{used_pct:.1f}% memory used")
 
 
-def _segment(text: str) -> str:
-    """Sanitize a token for use inside perfdata keys / series paths."""
-    return re.sub(r"[^A-Za-z0-9_-]", "_", text) or "x"
-
-
 def _failed(name: str, reason: str) -> CheckResult:
     return CheckResult(CheckState.UNKNOWN, f"_check_failed_{_segment(name)}", [], reason[:200])
 
@@ -579,10 +570,3 @@ class AgentServer(socketserver.TCPServer):
     @property
     def address(self) -> tuple[str, int]:
         return self.server_address
-
-
-def serve_poll(bind: tuple[str, int], payload_fn) -> None:
-    """Serve polls forever (returns only on shutdown())."""
-    with AgentServer(bind, payload_fn) as srv:
-        log.info("agent listening on %s:%d", srv.address[0], srv.address[1])
-        srv.serve_forever()

@@ -86,7 +86,6 @@ def _hosts_from(sections) -> list[HostConfig]:
             address=sec.require("address"),
             poll_interval_s=sec.get_int("poll_interval_s", 60),
             connect_timeout_s=sec.get_float("connect_timeout_s", 5.0),
-            services_expected=sec.get_list("services_expected"),
         )
         try:
             cfg.endpoint()

@@ -90,6 +90,7 @@ _CODES = {"0": CheckState.OK, "1": CheckState.WARN, "2": CheckState.CRIT, "3": C
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 _SERIES_RE = re.compile(r"^[A-Za-z0-9_-]+(\.[A-Za-z0-9_-]+)*$")
+_NON_SEGMENT_RE = re.compile(r"[^A-Za-z0-9_-]")
 _SECTION_RE = re.compile(r"^<<<([A-Za-z0-9_]*)>>>$")
 
 
@@ -152,6 +153,11 @@ class MetricSample:
 
 def valid_series(name: str) -> bool:
     return bool(_SERIES_RE.match(name))
+
+
+def _segment(text: str) -> str:
+    """Sanitize a token for use as one segment of a series name or perfdata key."""
+    return _NON_SEGMENT_RE.sub("_", text) or "x"
 
 
 def _fmt_num(v: float) -> str:

@@ -372,10 +372,3 @@ class ApiServer(ThreadingHTTPServer):
     @property
     def address(self) -> tuple[str, int]:
         return self.server_address[0], self.server_address[1]
-
-
-def serve_api(store: Store, cfg: ReportConfig | None, bind: tuple[str, int]) -> None:
-    """Serve the API forever (returns only on shutdown())."""
-    with ApiServer(bind, store, cfg) as srv:
-        log.info("api listening on %s:%d", srv.address[0], srv.address[1])
-        srv.serve_forever()

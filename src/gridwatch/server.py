@@ -1,9 +1,10 @@
 """Central poller: polls agents, tracks service state, forwards metrics.
 
-One poll is a TCP connect to the agent, a full read to EOF, a parse, and a
-transactional apply: service records updated, every perfdata value queued
-for the series store as ``<prefix>.<host>.<service>.<key>``, one
-notification per state transition, and cluster services re-evaluated.
+One poll is a fetch of the agent's payload bytes (by default a TCP connect
+and a read to EOF, bounded in time and size), a parse, and a transactional
+apply: service records updated, every perfdata value queued for the series
+store as ``<prefix>.<host>.<service>.<key>``, one notification per state
+transition, and cluster services re-evaluated.
 Cluster services republish the freshest non-stale member's result under
 the cluster name, so a service survives individual host outages.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import socket
 import threading
 import time
@@ -28,6 +28,7 @@ from .model import (
     CheckState,
     EmptyPayload,
     MetricSample,
+    _segment,
     parse_agent_payload,
 )
 from .tsdb import Store, TooOld
@@ -40,12 +41,9 @@ DEFAULT_STALENESS_FACTOR = 2.0
 DEFAULT_BUFFER_CAPACITY = 10_000
 DEFAULT_HISTORY_LIMIT = 256
 DEFAULT_PREFIX = "hpc"
-
-_SEG_RE = re.compile(r"[^A-Za-z0-9_-]")
-
-
-def _segment(text: str) -> str:
-    return _SEG_RE.sub("_", text) or "x"
+# Far above any real payload (the demo's largest, the admin host's, is
+# about 1.2 KB); a larger one is a misbehaving agent.
+MAX_PAYLOAD_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,13 +54,37 @@ class HostConfig:
     address: str  # "host:port"
     poll_interval_s: int = DEFAULT_POLL_INTERVAL_S
     connect_timeout_s: float = 5.0
-    services_expected: tuple[str, ...] = ()
 
     def endpoint(self) -> tuple[str, int]:
         host, sep, port = self.address.rpartition(":")
         if not sep or not host:
             raise ValueError(f"bad address {self.address!r} for host {self.name} (want host:port)")
         return host, int(port)
+
+
+def tcp_fetch(cfg: HostConfig) -> bytes:
+    """Read one payload from the agent at ``cfg.address``: connect, read to EOF.
+
+    The whole poll, connect included, must finish within
+    ``cfg.connect_timeout_s`` and send at most MAX_PAYLOAD_BYTES; breaking
+    either limit raises OSError. A bad address raises ValueError.
+    """
+    deadline = time.monotonic() + cfg.connect_timeout_s
+    with socket.create_connection(cfg.endpoint(), timeout=cfg.connect_timeout_s) as sock:
+        chunks = []
+        size = 0
+        while True:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"poll took longer than {cfg.connect_timeout_s} s")
+            sock.settimeout(left)
+            block = sock.recv(65536)
+            if not block:
+                return b"".join(chunks)
+            size += len(block)
+            if size > MAX_PAYLOAD_BYTES:
+                raise OSError(f"payload larger than {MAX_PAYLOAD_BYTES} bytes")
+            chunks.append(block)
 
 
 @dataclass(frozen=True)
@@ -243,7 +265,10 @@ class MonitoringServer:
         staleness_factor: float = DEFAULT_STALENESS_FACTOR,
         history_limit: int = DEFAULT_HISTORY_LIMIT,
         buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
+        fetch=tcp_fetch,
     ):
+        """``fetch(cfg) -> bytes`` reads one host's payload; it signals an
+        unreachable host with OSError (or ValueError for a bad address)."""
         self.hosts = {h.name: h for h in hosts}
         self.clusters = tuple(clusters)
         self.sinks = tuple(sinks)
@@ -253,6 +278,7 @@ class MonitoringServer:
         self.parallelism = parallelism
         self.staleness_factor = staleness_factor
         self.history_limit = history_limit
+        self.fetch = fetch
         self.buffer = MetricBuffer(buffer_capacity)
         self.sink_failures: Counter = Counter()
         self._records: dict[tuple[str, str], ServiceRecord] = {}
@@ -265,24 +291,13 @@ class MonitoringServer:
     # -- polling ---------------------------------------------------------
 
     def poll_host(self, cfg: HostConfig) -> "AgentPayload | HostDown":
-        """One poll transaction: connect, read to EOF, parse."""
+        """One poll transaction: fetch the payload bytes, then parse them."""
         try:
-            endpoint = cfg.endpoint()
-        except ValueError as exc:
-            return HostDown(cfg.name, str(exc))
-        try:
-            with socket.create_connection(endpoint, timeout=cfg.connect_timeout_s) as sock:
-                sock.settimeout(cfg.connect_timeout_s)
-                chunks = []
-                while True:
-                    block = sock.recv(65536)
-                    if not block:
-                        break
-                    chunks.append(block)
-        except OSError as exc:
+            raw = self.fetch(cfg)
+        except (OSError, ValueError) as exc:
             return HostDown(cfg.name, str(exc) or type(exc).__name__)
         try:
-            return parse_agent_payload(b"".join(chunks))
+            return parse_agent_payload(raw)
         except EmptyPayload:
             return HostDown(cfg.name, "empty payload")
 
@@ -478,10 +493,3 @@ class MonitoringServer:
         finally:
             pool.shutdown(wait=True)
             self.flush_metrics()
-
-
-def run_scheduler(hosts, clusters, sinks, store, *, stop: threading.Event | None = None, **kwargs) -> MonitoringServer:
-    """Convenience wrapper: build a MonitoringServer and run its loop."""
-    server = MonitoringServer(hosts, clusters, sinks, store, **kwargs)
-    server.run(stop if stop is not None else threading.Event())
-    return server

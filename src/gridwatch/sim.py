@@ -4,9 +4,10 @@ The simulator fabricates everything the real agents would read from a
 machine room — rectifier telemetry files, scheduler node-state output,
 login probes, name resolution, meminfo — as pure functions of
 ``(scenario, tick)``. Running a scenario wires real agents to those fake
-sources, stands up real poll listeners on loopback, and drives the real
-monitoring server with an injected clock, so days of operation replay in
-seconds while exercising the production code paths end to end.
+sources and drives the real monitoring server with an injected clock; the
+server's poll fetches each agent's payload in process instead of over TCP,
+so days of operation replay quickly while every other production code path
+(checks, serialization, parse, apply, store) runs end to end.
 
 Determinism contract: identical (scenario, tick) yields identical bytes
 from every source, and two runs of the same scenario produce identical
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import __version__
-from .agent import DEFAULT_CEC_ROOT, Agent, AgentConfig, AgentServer, DataSource
+from .agent import DEFAULT_CEC_ROOT, Agent, AgentConfig, DataSource
 from .config import ConfigError, Section, all_named, first, load_config
 from .report import ApiServer, ReportConfig
 from .server import ClusterServiceConfig, HostConfig, MemorySink, MonitoringServer, Notification
@@ -583,7 +584,7 @@ def _agent_configs(scenario: Scenario, stack: StackConfig) -> list[tuple[str, Ag
 
 def _gated_payload_fn(scenario: Scenario, clock: SimClock, host: str, agent: Agent):
     """During a LOGIN_OUTAGE covering the host, the whole box is dark: its
-    poll port stops answering with data, exactly like a crashed machine."""
+    poll fails with a connection error, exactly like a crashed machine's."""
 
     def payload_fn() -> str:
         if host in _outage_hosts(scenario, clock.current_tick()):
@@ -614,45 +615,33 @@ def run(
     collector = MemorySink()
     poll_interval_s = stack.poll_every_ticks * scenario.tick_s
 
-    listeners: list[AgentServer] = []
-    threads: list[threading.Thread] = []
+    payload_fns = {}
     hosts: list[HostConfig] = []
-    api = None
-    try:
-        for name, agent_cfg in _agent_configs(scenario, stack):
-            agent = Agent(agent_cfg, sources, clock=clock.time, version=f"sim-{__version__}")
-            listener = AgentServer(("127.0.0.1", 0), _gated_payload_fn(scenario, clock, name, agent))
-            thread = threading.Thread(
-                target=listener.serve_forever,
-                kwargs={"poll_interval": 0.05},
-                name=f"sim-agent-{name}",
-                daemon=True,
-            )
-            thread.start()
-            listeners.append(listener)
-            threads.append(thread)
-            hosts.append(
-                HostConfig(
-                    name=name,
-                    address=f"127.0.0.1:{listener.address[1]}",
-                    poll_interval_s=poll_interval_s,
-                    connect_timeout_s=5.0,
-                )
-            )
+    for name, agent_cfg in _agent_configs(scenario, stack):
+        agent = Agent(agent_cfg, sources, clock=clock.time, version=f"sim-{__version__}")
+        payload_fns[name] = _gated_payload_fn(scenario, clock, name, agent)
+        # The address is never dialled: polls go through fetch below.
+        hosts.append(HostConfig(name=name, address="in-process", poll_interval_s=poll_interval_s))
 
-        login_names = scenario.shape.login_names()
-        clusters = (
-            ClusterServiceConfig("login_cluster", login_names, "login"),
-            ClusterServiceConfig("node_cluster", login_names, "node_state"),
-        )
-        monitor = MonitoringServer(
-            hosts,
-            clusters=clusters,
-            sinks=(collector, *sinks),
-            store=store,
-            prefix=stack.prefix,
-            clock=clock.time,
-        )
+    def fetch(cfg: HostConfig) -> bytes:
+        return payload_fns[cfg.name]().encode("utf-8")
+
+    login_names = scenario.shape.login_names()
+    clusters = (
+        ClusterServiceConfig("login_cluster", login_names, "login"),
+        ClusterServiceConfig("node_cluster", login_names, "node_state"),
+    )
+    monitor = MonitoringServer(
+        hosts,
+        clusters=clusters,
+        sinks=(collector, *sinks),
+        store=store,
+        prefix=stack.prefix,
+        clock=clock.time,
+        fetch=fetch,
+    )
+    api = api_thread = None
+    try:
         if stack.api_bind is not None:
             api = ApiServer(stack.api_bind, store, report_config(stack, scenario))
             api_thread = threading.Thread(
@@ -660,7 +649,6 @@ def run(
                 name="sim-api", daemon=True,
             )
             api_thread.start()
-            threads.append(api_thread)
 
         for tick in range(0, scenario.duration_ticks, stack.poll_every_ticks):
             clock.set_tick(tick)
@@ -670,14 +658,10 @@ def run(
                 on_tick(tick, monitor)
         monitor.flush_metrics()
     finally:
-        for listener in listeners:
-            listener.shutdown()
-            listener.server_close()
-        if api is not None:
+        if api_thread is not None:
             api.shutdown()
             api.server_close()
-        for thread in threads:
-            thread.join(timeout=5.0)
+            api_thread.join(timeout=5.0)
         store.flush()
 
     summary = RunSummary(

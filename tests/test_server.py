@@ -4,6 +4,7 @@ import http.server
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from gridwatch.server import (
     ClusterServiceConfig,
     FileSink,
     HostConfig,
+    MAX_PAYLOAD_BYTES,
     HostDown,
     MemorySink,
     MetricBuffer,
@@ -236,6 +238,64 @@ def test_poll_host_down_on_empty_payload():
 def test_poll_host_down_on_bad_address():
     got = make_server().poll_host(HostConfig("h1", "noport"))
     assert isinstance(got, HostDown)
+
+
+def test_poll_host_bounds_the_whole_poll_of_a_dripping_agent():
+    text = payload_text(123, ["0 a - ok"]).encode()
+
+    def drip(listener):
+        conn, _ = listener.accept()
+        with conn:
+            try:
+                for i in range(len(text)):
+                    conn.sendall(text[i:i + 1])
+                    time.sleep(0.2)
+            except OSError:
+                pass  # the poller hung up
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        thread = threading.Thread(target=drip, args=(listener,), daemon=True)
+        thread.start()
+        cfg = HostConfig("h1", "127.0.0.1:%d" % listener.getsockname()[1], connect_timeout_s=0.5)
+        started = time.monotonic()
+        got = make_server().poll_host(cfg)
+        took = time.monotonic() - started
+        thread.join(timeout=len(text) * 0.2 + 5.0)
+    assert isinstance(got, HostDown) and got.reason
+    assert took < 1.5
+    assert not thread.is_alive()
+
+
+def test_poll_host_down_on_payload_over_the_cap():
+    head = payload_text(123, ["0 a - "])
+    text = payload_text(123, ["0 a - " + "x" * (MAX_PAYLOAD_BYTES + 1 - len(head))])
+    assert len(text.encode()) == MAX_PAYLOAD_BYTES + 1
+    with serving(AgentServer(("127.0.0.1", 0), lambda: text)) as agent:
+        got = make_server().poll_host(HostConfig("h1", "127.0.0.1:%d" % agent.address[1]))
+    assert isinstance(got, HostDown) and str(MAX_PAYLOAD_BYTES) in got.reason
+
+
+@pytest.mark.parametrize(
+    "fetched, reason",
+    [
+        (payload_text(123, ["0 a - ok"]).encode(), None),
+        (ConnectionAbortedError("h1 is down"), "h1 is down"),
+        (b"", "empty payload"),
+    ],
+    ids=["payload", "connection-aborted", "empty"],
+)
+def test_poll_host_parses_what_the_injected_fetch_returns(fetched, reason):
+    def fetch(cfg):
+        assert cfg.name == "h1"
+        if isinstance(fetched, Exception):
+            raise fetched
+        return fetched
+
+    got = make_server(fetch=fetch).poll_host(HostConfig("h1", "in-process"))
+    if reason is None:
+        assert got.host_time == 123 and [r.service for r in got.results] == ["a"]
+    else:
+        assert got == HostDown("h1", reason)
 
 
 def test_process_host_marks_services_stale_when_down():

@@ -1,6 +1,8 @@
 """Deterministic cluster simulator: scenarios, physics, and full-stack runs."""
 
 import json
+import socket
+import threading
 import urllib.request
 from pathlib import Path
 
@@ -393,6 +395,27 @@ def test_total_login_outage_interrupts_cluster_series():
     _, points = result.store.read("hpc.login_cluster.login.login_up", *result.window)
     gap = [t for t, v in points if v is None]
     assert gap, "outage must leave a hole in the cluster login series"
+
+
+def test_run_without_api_opens_no_socket_and_starts_no_thread(monkeypatch):
+    opened = []
+
+    def no_socket(*args, **kwargs):
+        opened.append(args)
+        raise AssertionError("the simulator opened a socket")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    before = threading.active_count()
+    counts = []
+    outage = Event(EventKind.LOGIN_OUTAGE, 48, 96, hosts=("login1",))
+    result = run(
+        tiny(duration_ticks=144, events=[outage]),
+        FAST_STACK,
+        on_tick=lambda tick, monitor: counts.append(threading.active_count()),
+    )
+    assert result.summary.hosts_down == 4
+    assert opened == []
+    assert counts and set(counts) == {before}
 
 
 def test_api_serves_health_during_run():
