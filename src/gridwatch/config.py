@@ -1,8 +1,10 @@
 """Sectioned key-value config files, shared by agent, server, sim and CLI.
 
 The format is deliberately dumb: `[section]` headers, `key = value` lines,
-`#` comments and blank lines. Sections may repeat (e.g. one `[host]` block
-per polled host); order is preserved.
+`#` comments and blank lines. A comment takes a whole line, or ends one at a
+`#` that follows whitespace; a `#` inside a value, as in `a=1#frag`, is kept.
+Sections may repeat (e.g. one `[host]` block per polled host); order is
+preserved.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ class ConfigError(ValueError):
 
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_-]+)\]$")
+_INLINE_COMMENT_RE = re.compile(r"\s#.*")
 
 
 @dataclass
@@ -79,7 +82,7 @@ def parse_config(text: str) -> list[Section]:
     sections: list[Section] = []
     current: Section | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+        line = _INLINE_COMMENT_RE.sub("", raw).strip()
         if not line or line.startswith("#"):
             continue
         m = _SECTION_RE.match(line)

@@ -61,13 +61,6 @@ class CheckState(Enum):
     CRIT = 2
     UNKNOWN = 3
 
-    @classmethod
-    def from_code(cls, code: int) -> "CheckState":
-        try:
-            return cls(code)
-        except ValueError:
-            raise MalformedLine(f"bad state code {code!r}") from None
-
     @property
     def severity(self) -> int:
         """Rank used for worst-of aggregation: OK < WARN < UNKNOWN < CRIT.

@@ -2,7 +2,7 @@
 
 One poll is a fetch of the agent's payload bytes (by default a TCP connect
 and a read to EOF, bounded in time and size), a parse, and a transactional
-apply: service records updated, every perfdata value queued for the series
+apply: service records updated, every perfdata value written to the series
 store as ``<prefix>.<host>.<service>.<key>``, one notification per state
 transition, and cluster services re-evaluated.
 Cluster services republish the freshest non-stale member's result under
@@ -31,14 +31,13 @@ from .model import (
     _segment,
     parse_agent_payload,
 )
-from .tsdb import Store, TooOld
+from .tsdb import Store
 
 log = logging.getLogger(__name__)
 
 DEFAULT_POLL_INTERVAL_S = 60
 DEFAULT_PARALLELISM = 8
 DEFAULT_STALENESS_FACTOR = 2.0
-DEFAULT_BUFFER_CAPACITY = 10_000
 DEFAULT_HISTORY_LIMIT = 256
 DEFAULT_PREFIX = "hpc"
 # Far above any real payload (the demo's largest, the admin host's, is
@@ -204,51 +203,6 @@ def dispatch(notification: Notification, sinks, failures: Counter | None = None)
     return failed
 
 
-class MetricBuffer:
-    """Bounded FIFO between the poller and the store.
-
-    Overflow drops the oldest sample and counts it; a transient store
-    error leaves the remaining samples queued for the next flush, while
-    samples the store permanently refuses are dropped and counted.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_BUFFER_CAPACITY):
-        self.capacity = capacity
-        self._q: deque[MetricSample] = deque()
-        self._lock = threading.Lock()
-        self.dropped = 0
-        self.rejected = 0
-
-    def __len__(self):
-        return len(self._q)
-
-    def push(self, sample: MetricSample) -> None:
-        with self._lock:
-            if len(self._q) >= self.capacity:
-                self._q.popleft()
-                self.dropped += 1
-            self._q.append(sample)
-
-    def flush(self, store: Store) -> int:
-        written = 0
-        with self._lock:
-            while self._q:
-                sample = self._q[0]
-                try:
-                    store.write(sample)
-                except (TooOld, ValueError) as exc:
-                    self.rejected += 1
-                    log.warning("store refused %s: %s", sample.series, exc)
-                    self._q.popleft()
-                    continue
-                except Exception as exc:
-                    log.warning("store write failed, will retry: %s", exc)
-                    break
-                self._q.popleft()
-                written += 1
-        return written
-
-
 class MonitoringServer:
     """Holds the service-record table and drives polls end to end."""
 
@@ -264,7 +218,6 @@ class MonitoringServer:
         parallelism: int = DEFAULT_PARALLELISM,
         staleness_factor: float = DEFAULT_STALENESS_FACTOR,
         history_limit: int = DEFAULT_HISTORY_LIMIT,
-        buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
         fetch=tcp_fetch,
     ):
         """``fetch(cfg) -> bytes`` reads one host's payload; it signals an
@@ -279,14 +232,13 @@ class MonitoringServer:
         self.staleness_factor = staleness_factor
         self.history_limit = history_limit
         self.fetch = fetch
-        self.buffer = MetricBuffer(buffer_capacity)
         self.sink_failures: Counter = Counter()
         self._records: dict[tuple[str, str], ServiceRecord] = {}
         self._cluster_records: dict[tuple[str, str], ServiceRecord] = {}
         self._lock = threading.RLock()
         self._poll_counts: Counter = Counter()
         self._host_down_counts: Counter = Counter()
-        self._reported_drops = 0
+        self.samples_rejected = 0
 
     # -- polling ---------------------------------------------------------
 
@@ -302,15 +254,18 @@ class MonitoringServer:
             return HostDown(cfg.name, "empty payload")
 
     def apply_payload(self, payload: AgentPayload, host: str) -> list[Notification]:
-        """Apply one payload: update records, queue metrics, emit transitions."""
+        """Apply one payload: update records, write metrics, emit transitions."""
         now = self.clock()
         notifications: list[Notification] = []
+        samples: list[MetricSample] = []
         with self._lock:
             for result in payload.results:
-                notifications.extend(self._apply_result(self._records, host, result, now))
+                notifications.extend(self._apply_result(self._records, host, result, now, samples))
+        self.flush_metrics(samples)
         return notifications
 
-    def _apply_result(self, table, host, result, now) -> list[Notification]:
+    def _apply_result(self, table, host, result, now, samples) -> list[Notification]:
+        """Update one record; append its perfdata to ``samples``."""
         key = (host, result.service)
         record = table.get(key)
         old = record.last_result.state if record is not None else None
@@ -333,7 +288,7 @@ class MonitoringServer:
             series = ".".join(
                 (self.prefix, _segment(host), _segment(result.service), _segment(perf.key))
             )
-            self.buffer.push(MetricSample(series, int(now), perf.value))
+            samples.append(MetricSample(series, int(now), perf.value))
         if old is not None and old != result.state:
             return [Notification(int(now), host, result.service, old, result.state, result.summary)]
         return []
@@ -385,8 +340,11 @@ class MonitoringServer:
         """Re-evaluate one cluster service and record it under the cluster name."""
         result = self.cluster_state(cluster)
         now = self.clock()
+        samples: list[MetricSample] = []
         with self._lock:
-            return self._apply_result(self._cluster_records, cluster.name, result, now)
+            notifications = self._apply_result(self._cluster_records, cluster.name, result, now, samples)
+        self.flush_metrics(samples)
+        return notifications
 
     # -- the full poll transaction ----------------------------------------
 
@@ -405,26 +363,24 @@ class MonitoringServer:
         for cluster in self.clusters:
             if cfg.name in cluster.member_hosts:
                 notifications.extend(self.evaluate_cluster(cluster))
-        self.flush_metrics()
         for n in notifications:
             dispatch(n, self.sinks, self.sink_failures)
         return notifications
 
-    def flush_metrics(self) -> int:
-        written = self.buffer.flush(self.store)
-        if self.buffer.dropped > self._reported_drops:
-            self._reported_drops = self.buffer.dropped
+    def flush_metrics(self, samples: list[MetricSample]) -> None:
+        """Write ``samples`` to the store in order; a sample the store
+        refuses is logged and counted in ``samples_rejected``, and the
+        rest are still written."""
+        rejected = 0
+        for sample in samples:
             try:
-                self.store.write(
-                    MetricSample(
-                        f"{self.prefix}.monitor.buffer_dropped",
-                        int(self.clock()),
-                        float(self.buffer.dropped),
-                    )
-                )
-            except Exception as exc:  # the counter metric must never break a poll
-                log.debug("could not record drop counter: %s", exc)
-        return written
+                self.store.write(sample)
+            except ValueError as exc:  # TooOld, NonFiniteValue or a bad name
+                rejected += 1
+                log.warning("store refused %s: %s", sample.series, exc)
+        if rejected:
+            with self._lock:
+                self.samples_rejected += rejected
 
     @property
     def poll_counts(self) -> dict[str, int]:
@@ -458,7 +414,6 @@ class MonitoringServer:
 
         Polls run on a bounded worker pool; a host whose poll is still in
         flight is skipped, so one stuck host can never stall the others.
-        Pending metric writes are flushed before returning.
         """
         if not self.hosts:
             raise ValueError("no hosts configured")
@@ -492,4 +447,3 @@ class MonitoringServer:
                 sleep(quantum)
         finally:
             pool.shutdown(wait=True)
-            self.flush_metrics()

@@ -656,7 +656,6 @@ def run(
                 monitor.process_host(host_cfg)
             if on_tick is not None:
                 on_tick(tick, monitor)
-        monitor.flush_metrics()
     finally:
         if api_thread is not None:
             api.shutdown()

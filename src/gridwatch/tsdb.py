@@ -289,8 +289,6 @@ class Store:
             self._get_or_create(series, retention)
 
     def write(self, sample: MetricSample) -> None:
-        if not valid_series(sample.series):
-            raise ValueError(f"bad series path {sample.series!r}")
         v = float(sample.v)
         if not math.isfinite(v):
             raise NonFiniteValue(f"refusing {sample.v!r} for {sample.series}")

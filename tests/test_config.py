@@ -1,8 +1,17 @@
 """Config parsing: sections, typed getters, line-numbered errors."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from gridwatch import cli
+from gridwatch.agent import agent_config_from_sections
 from gridwatch.config import ConfigError, all_named, first, load_config, parse_config
+from gridwatch.sim import EventKind, scenario_from_sections
+from gridwatch.tsdb import parse_retention
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SAMPLE = """\
 # a comment
@@ -109,6 +118,36 @@ def test_empty_key_is_an_error():
 def test_values_may_contain_equals_and_hash():
     sec = parse_config("[s]\nurl = http://u:p@h/?a=1#frag\n")[0]
     assert sec.get("url") == "http://u:p@h/?a=1#frag"
+
+
+def test_comment_after_whitespace_ends_a_value_or_header():
+    sections = parse_config("[s]   # note\na = 1 # why\nb = x\t# tab\nc = 1#frag\n")
+    assert [sec.name for sec in sections] == ["s"]
+    assert sections[0].values == {"a": "1", "b": "x", "c": "1#frag"}
+
+
+def test_every_readme_ini_block_loads():
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 3
+    agent, server, scenario = (parse_config(b) for b in blocks)
+
+    cfg = agent_config_from_sections(agent)
+    assert cfg.check_dir == "/etc/gridwatch/local"
+    assert len(cfg.checks) == 5 and (cfg.down_warn, cfg.down_crit) == (10, 100)
+
+    server_sec = first(server, "server")
+    parse_retention(server_sec.get("retention"))
+    assert cli._parse_bind(server_sec.get("api_bind")) == ("127.0.0.1", 8080)
+    hosts = cli._hosts_from(server)
+    assert [h.name for h in hosts] == ["login1", "login2"]
+    assert [c.name for c in cli._clusters_from(server, hosts)] == ["login_cluster"]
+    assert len(cli._sinks_from(server)) == 2
+    assert cli._report_cfg_from(server).threshold_nodes == 481
+
+    sc = scenario_from_sections(scenario)
+    assert sc.shape.partitions == ("standard",)
+    assert [e.kind for e in sc.events] == [EventKind.POWER_DIP]
+    assert (sc.events[0].to_tick, sc.events[0].cabinets) == (88036, ())
 
 
 def test_blank_and_comment_lines_do_not_shift_line_numbers():

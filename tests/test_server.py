@@ -3,6 +3,7 @@
 import http.server
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -23,7 +24,6 @@ from gridwatch.server import (
     MAX_PAYLOAD_BYTES,
     HostDown,
     MemorySink,
-    MetricBuffer,
     MonitoringServer,
     Notification,
     WebhookSink,
@@ -66,8 +66,10 @@ def test_apply_payload_queues_one_metric_per_perf_value():
     )
     notifications = srv.apply_payload(p, "h1")
     assert notifications == []  # first sighting is not a transition
-    assert len(srv.buffer) == 3
-    assert srv.flush_metrics() == 3
+    assert srv.store.list_series() == [
+        "hpc.h1.memory.mem_used_pct", "hpc.h1.power.cab_x1000", "hpc.h1.power.system",
+    ]
+    assert srv.store.read("hpc.h1.power.cab_x1000", 999_990, 1_000_010)[1][1] == (1_000_000, 2.0)
     assert srv.store.read("hpc.h1.power.system", 999_990, 1_000_010)[1][1] == (1_000_000, 4.0)
     assert srv.store.read("hpc.h1.memory.mem_used_pct", 999_990, 1_000_010)[1][1][1] == 31.0
 
@@ -75,7 +77,6 @@ def test_apply_payload_queues_one_metric_per_perf_value():
 def test_series_names_are_sanitized():
     srv = make_server()
     srv.apply_payload(payload(result(CheckState.OK, "weird/svc:1", [Perfdata("k", 1.0)])), "host.one")
-    srv.flush_metrics()
     assert srv.store.list_series() == ["hpc.host_one.weird_svc_1.k"]
 
 
@@ -194,7 +195,6 @@ def test_evaluate_cluster_republishes_under_cluster_name():
     clock, srv, cluster = cluster_fixture()
     srv.apply_payload(payload(result(CheckState.OK, "login", [Perfdata("login_up", 1.0)])), "m1")
     assert srv.evaluate_cluster(cluster) == []
-    srv.flush_metrics()
     assert "hpc.login_cluster.login.login_up" in srv.store.list_series()
     # A member flap surfaces as a cluster transition too.
     clock.sleep(10)
@@ -367,42 +367,46 @@ def test_failing_webhook_does_not_block_other_sinks(tmp_path):
     assert failures[f"webhook:{url}"] == 1
 
 
-# -- the metric buffer -----------------------------------------------------------
+# -- refused samples ------------------------------------------------------------
 
 
-def test_metric_buffer_overflow_drops_oldest():
-    buf = MetricBuffer(capacity=3)
-    for k in range(5):
-        buf.push(MetricSample("a.b", 1000 + 10 * k, float(k)))
-    assert len(buf) == 3
-    assert buf.dropped == 2
-    store = Store(default_retention="10s:1h")
-    assert buf.flush(store) == 3
-    assert store.read("a.b", 1000, 1050)[1] == [
-        (1000, None), (1010, None), (1020, 2.0), (1030, 3.0), (1040, 4.0),
-    ]
-
-
-def test_metric_buffer_counts_permanently_refused_samples():
-    buf = MetricBuffer()
-    buf.push(MetricSample("a.b", 100_000, 1.0))
-    buf.push(MetricSample("a.b", 10, 2.0))  # older than finest coverage
-    buf.push(MetricSample("a.b", 100_010, 3.0))
-    store = Store(default_retention="10s:1h")
-    assert buf.flush(store) == 2
-    assert buf.rejected == 1
-    assert len(buf) == 0
-
-
-def test_buffer_drop_counter_is_published_as_metric():
+def test_refused_samples_are_counted_and_the_poll_goes_on():
     clock = FakeTime(1_000_000.0)
-    srv = make_server(clock=clock.time, buffer_capacity=2)
-    p = payload(result(CheckState.OK, "s", [Perfdata(f"k{i}", float(i)) for i in range(5)]))
-    srv.apply_payload(p, "h1")
-    srv.flush_metrics()
-    assert srv.buffer.dropped == 3
-    _, points = srv.store.read("hpc.monitor.buffer_dropped", 999_990, 1_000_010)
-    assert (1_000_000, 3.0) in points
+    srv = make_server(clock=clock.time)
+    # The series already holds a point two hours ahead, so a write at the
+    # poll's time is older than the 1 h finest coverage.
+    srv.store.write(MetricSample("hpc.h1.s.old", 1_007_200, 0.0))
+    p = payload(result(CheckState.OK, "s", [
+        Perfdata("a", 1.0), Perfdata("old", 2.0), Perfdata("nan", float("nan")), Perfdata("b", 3.0),
+    ]))
+    assert srv.apply_payload(p, "h1") == []
+    assert srv.samples_rejected == 2
+    for key, value in (("a", 1.0), ("b", 3.0)):
+        assert srv.store.read(f"hpc.h1.s.{key}", 999_990, 1_000_010)[1][1] == (1_000_000, value)
+    assert srv.store.list_series() == ["hpc.h1.s.a", "hpc.h1.s.b", "hpc.h1.s.old"]
+
+
+def test_rejected_count_survives_concurrent_polls():
+    srv = make_server(clock=FakeTime(1_000_000.0).time)
+    p = payload(result(CheckState.OK, "s", [Perfdata("nan", float("nan")), Perfdata("v", 1.0)]))
+
+    def poll_many():
+        for _ in range(200):
+            srv.apply_payload(p, "h1")
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=poll_many) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert srv.samples_rejected == 800
+    assert srv.store.write_count == 800
 
 
 # -- the scheduler ----------------------------------------------------------------
@@ -441,7 +445,6 @@ def test_scheduler_polls_on_cadence_and_survives_a_dead_host():
         assert 10 <= got <= 11, f"{name} polled {got} times in 10 fake minutes"
     assert srv.host_down_counts.get("dead") == counts["dead"]
     assert all(srv.host_down_counts.get(f"live{i}", 0) == 0 for i in range(3))
-    assert len(srv.buffer) == 0  # flushed on the way out
     assert srv.store.write_count > 0
 
 
