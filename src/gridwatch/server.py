@@ -217,7 +217,6 @@ class MonitoringServer:
         clock=time.time,
         parallelism: int = DEFAULT_PARALLELISM,
         staleness_factor: float = DEFAULT_STALENESS_FACTOR,
-        history_limit: int = DEFAULT_HISTORY_LIMIT,
         fetch=tcp_fetch,
     ):
         """``fetch(cfg) -> bytes`` reads one host's payload; it signals an
@@ -230,7 +229,6 @@ class MonitoringServer:
         self.clock = clock
         self.parallelism = parallelism
         self.staleness_factor = staleness_factor
-        self.history_limit = history_limit
         self.fetch = fetch
         self.sink_failures: Counter = Counter()
         self._records: dict[tuple[str, str], ServiceRecord] = {}
@@ -275,7 +273,6 @@ class MonitoringServer:
                 service=result.service,
                 last_result=result,
                 last_seen_t=now,
-                state_history=deque(maxlen=self.history_limit),
             )
             table[key] = record
         record.last_result = result

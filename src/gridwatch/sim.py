@@ -487,9 +487,6 @@ class StackConfig:
     retention: str = "1m:14d,10m:90d,1h:2y"
     store_root: str | None = None
     api_bind: tuple[str, int] | None = None
-    node_threshold: float | None = None  # default: 94% of configured nodes
-    staleness_s: float = 600.0
-    gaps_as_down: bool = True
     down_warn: int = 10
     down_crit: int = 100
 
@@ -541,15 +538,12 @@ def scenario_window(scenario: Scenario) -> tuple[int, int]:
 
 def report_config(stack: StackConfig, scenario: Scenario) -> ReportConfig:
     partition = scenario.shape.partitions[0]
-    threshold = stack.node_threshold
-    if threshold is None:
-        threshold = round(0.94 * scenario.shape.nodes)
     return ReportConfig(
         node_series=f"{stack.prefix}.node_cluster.node_state.avail_{partition}",
         login_series=f"{stack.prefix}.login_cluster.login.login_up",
-        threshold_nodes=threshold,
-        staleness_s=stack.staleness_s,
-        gaps_as_down=stack.gaps_as_down,
+        threshold_nodes=round(0.94 * scenario.shape.nodes),
+        staleness_s=600.0,
+        gaps_as_down=True,
     )
 
 

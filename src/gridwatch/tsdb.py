@@ -13,9 +13,12 @@ Writes older than the finest archive's coverage are refused (TooOld): by
 then the finest data needed to re-aggregate the coarser slots is gone.
 
 Persistence is one flat binary file per series (header + fixed-size slot
-table, timestamp zero meaning "empty"), loaded wholesale at open and
-rewritten on flush/close. With no root directory the store is purely in
-memory, which is what the tests and the simulator use.
+table, timestamp zero meaning "empty"), rewritten on flush/close. Opening
+a store reads each file whole into its rings and nothing more: the running
+coarse aggregates are not stored, and each coarse slot seeds its own from
+the finest ring the first time a write touches it. With no root directory
+the store is purely in memory, which is what the tests and the simulator
+use.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 import os
 import re
 import struct
+import sys
 import threading
 from array import array
 from dataclasses import dataclass
@@ -54,11 +58,11 @@ _MAGIC = b"GWTS"
 _VERSION = 1
 _HEAD = struct.Struct("<4sHH")
 _ARCH = struct.Struct("<II")
-_SLOT = struct.Struct("<Qd")
+_PAIR_BYTES = 16  # one slot on disk: little-endian int64 t, float64 v
 
 # Hard cap on slots returned by a single read; protects against runaway
 # ranges, not a tuning knob.
-_MAX_READ_SLOTS = 2_000_000
+_MAX_READ_POINTS = 2_000_000
 
 
 class BadSpec(ValueError):
@@ -133,7 +137,9 @@ class _Archive:
     """One fixed-size ring. Slot i is valid iff ts[i] equals the aligned
     timestamp being asked about; coarse archives also carry running
     (sum, count) aggregates per slot so downsampling is O(archives) per
-    write instead of a rescan of the finest ring."""
+    write instead of a rescan of the finest ring. Only (ts, vals) are
+    persisted; agg_t[j] names the slot whose aggregate position j holds,
+    and a write to any other slot seeds it from the finest ring."""
 
     __slots__ = ("interval", "points", "ts", "vals", "agg_t", "agg_sum", "agg_cnt")
 
@@ -186,11 +192,11 @@ class _Series:
         if aligned > self.latest:
             self.latest = aligned
         for ar in self.archives[1:]:
-            self._aggregate(ar, fin.interval, aligned, v, old)
+            self._aggregate(ar, fin, aligned, v, old)
         self.dirty = True
 
     @staticmethod
-    def _aggregate(ar: _Archive, finest_interval: int, finest_t: int, v: float, old: float | None):
+    def _aggregate(ar: _Archive, fin: _Archive, finest_t: int, v: float, old: float | None):
         slot_t = ar.align(finest_t)
         j = ar.idx(slot_t)
         if ar.agg_t[j] != slot_t:
@@ -199,18 +205,27 @@ class _Series:
                 # already evicted; its coarse slot is gone for good and must
                 # not claw back the newer occupant.
                 return
-            # The ring position moved on to a new slot; whatever epoch it
-            # held before is evicted along with its partial aggregate.
+            # The ring position moved on to a new slot, or the store was
+            # just opened: seed the aggregate from the finest points under
+            # the slot, this write included. A value loaded from disk for
+            # this very slot stays until the seed re-materializes it.
+            if ar.ts[j] != slot_t:
+                ar.ts[j] = 0
+            total, count = 0.0, 0
+            for t in range(slot_t, slot_t + ar.interval, fin.interval):
+                i = fin.idx(t)
+                if fin.ts[i] == t:
+                    total += fin.vals[i]
+                    count += 1
             ar.agg_t[j] = slot_t
-            ar.agg_sum[j] = 0.0
-            ar.agg_cnt[j] = 0
-            ar.ts[j] = 0
-        if old is None:
+            ar.agg_sum[j] = total
+            ar.agg_cnt[j] = count
+        elif old is None:
             ar.agg_sum[j] += v
             ar.agg_cnt[j] += 1
         else:
             ar.agg_sum[j] += v - old
-        needed = ar.interval // finest_interval
+        needed = ar.interval // fin.interval
         if ar.agg_cnt[j] * 2 >= needed:
             ar.ts[j] = slot_t
             ar.vals[j] = ar.agg_sum[j] / ar.agg_cnt[j]
@@ -230,34 +245,6 @@ class _Series:
         if ar.align(self.latest) - aligned_t >= ar.interval * ar.points:
             return None
         return ar.vals[i]
-
-    def rebuild_aggregates(self) -> None:
-        """Recompute coarse (sum, count) pairs from the finest ring.
-
-        Used after loading from disk, where only (t, v) slots persist.
-        Coarse slots whose finest points already rolled out of the ring
-        keep their stored values; they can no longer change anyway because
-        writes that old are refused.
-        """
-        fin = self.archives[0]
-        populated = sorted(
-            (fin.ts[i], fin.vals[i]) for i in range(fin.points) if fin.ts[i] != 0
-        )
-        for ar in self.archives[1:]:
-            for k in range(ar.points):
-                ar.agg_t[k] = 0
-                ar.agg_sum[k] = 0.0
-                ar.agg_cnt[k] = 0
-            needed = ar.interval // fin.interval
-            for t, v in populated:
-                slot_t = ar.align(t)
-                j = ar.idx(slot_t)
-                if ar.agg_t[j] != slot_t:
-                    ar.agg_t[j] = slot_t
-                    ar.agg_sum[j] = 0.0
-                    ar.agg_cnt[j] = 0
-                ar.agg_sum[j] += v
-                ar.agg_cnt[j] += 1
 
 
 class Store:
@@ -283,30 +270,26 @@ class Store:
 
     # -- writing ---------------------------------------------------------
 
-    def create(self, series: str, retention: "str | RetentionSpec | None" = None) -> None:
+    def create(self, series: str) -> None:
         """Create a series explicitly (no-op when it already exists)."""
         with self._lock:
-            self._get_or_create(series, retention)
+            self._get_or_create(series)
 
     def write(self, sample: MetricSample) -> None:
         v = float(sample.v)
         if not math.isfinite(v):
             raise NonFiniteValue(f"refusing {sample.v!r} for {sample.series}")
         with self._lock:
-            s = self._get_or_create(sample.series, None)
+            s = self._get_or_create(sample.series)
             s.write(int(sample.t), v)
             self.write_count += 1
 
-    def _get_or_create(self, series: str, retention) -> _Series:
+    def _get_or_create(self, series: str) -> _Series:
         s = self._series.get(series)
         if s is None:
             if not valid_series(series):
                 raise ValueError(f"bad series path {series!r}")
-            if retention is None:
-                retention = self._default_retention
-            elif isinstance(retention, str):
-                retention = parse_retention(retention)
-            s = _Series(series, retention)
+            s = _Series(series, self._default_retention)
             self._series[series] = s
         return s
 
@@ -327,7 +310,7 @@ class Store:
                 raise NoSuchSeries(series)
             ar = s.choose_archive(from_t)
             start = ar.align(from_t)
-            if (to_t - start) // ar.interval > _MAX_READ_SLOTS:
+            if (to_t - start) // ar.interval > _MAX_READ_POINTS:
                 raise ValueError("read range spans too many slots")
             out = []
             t = start
@@ -398,9 +381,12 @@ class Store:
         for interval, points in s.retention.archives:
             blob += _ARCH.pack(interval, points)
         for ar in s.archives:
-            pack = _SLOT.pack
-            for i in range(ar.points):
-                blob += pack(ar.ts[i], ar.vals[i])
+            table = array("q", bytes(_PAIR_BYTES * ar.points))
+            table[0::2] = ar.ts
+            table[1::2] = array("q", ar.vals.tobytes())
+            if sys.byteorder == "big":
+                table.byteswap()
+            blob += table.tobytes()
         tmp = path.with_suffix(".dat.tmp")
         tmp.write_bytes(blob)
         os.replace(tmp, path)
@@ -425,13 +411,16 @@ class Store:
             interval, points = _ARCH.unpack_from(blob, off)
             off += _ARCH.size
             archives.append((interval, points))
+        expected = off + _PAIR_BYTES * sum(points for _, points in archives)
+        if len(blob) != expected:
+            raise ValueError(f"{path} holds {len(blob)} bytes, its header says {expected}")
         s = _Series(name, RetentionSpec(tuple(archives)))
         for ar in s.archives:
-            for i, (t, v) in enumerate(_SLOT.iter_unpack(blob[off : off + _SLOT.size * ar.points])):
-                ar.ts[i] = t
-                ar.vals[i] = v
-            off += _SLOT.size * ar.points
-        fin = s.archives[0]
-        s.latest = max((t for t in fin.ts), default=0)
-        s.rebuild_aggregates()
+            table = array("q", blob[off : off + _PAIR_BYTES * ar.points])
+            if sys.byteorder == "big":
+                table.byteswap()
+            ar.ts = table[0::2]
+            ar.vals = array("d", table[1::2].tobytes())
+            off += _PAIR_BYTES * ar.points
+        s.latest = max(s.archives[0].ts, default=0)
         return s

@@ -10,6 +10,7 @@ on purpose, saying why.
 
 import hashlib
 import json
+import shutil
 import urllib.request
 
 import pytest
@@ -27,6 +28,7 @@ from gridwatch.sim import (
     run,
     sources_at,
 )
+from gridwatch.tsdb import Store
 from reference_impls import serving
 
 # 1,440 ticks of 5 s: two simulated hours on the default 512-node shape.
@@ -259,8 +261,13 @@ def replay_outputs(root) -> dict:
 
 
 @pytest.fixture(scope="module")
-def replay(tmp_path_factory):
-    return replay_outputs(tmp_path_factory.mktemp("golden") / "store")
+def replay_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden") / "store"
+
+
+@pytest.fixture(scope="module")
+def replay(replay_root):
+    return replay_outputs(replay_root)
 
 
 def wire_payloads() -> dict[str, str]:
@@ -275,6 +282,21 @@ def wire_payloads() -> dict[str, str]:
 
 def test_store_files_are_byte_identical(replay):
     assert replay["store"] == GOLDEN_STORE_SHA256
+
+
+def test_reopened_store_flushes_every_file_back_byte_identical(replay, replay_root, tmp_path):
+    copy = tmp_path / "store"
+    shutil.copytree(replay_root, copy)
+    store = Store(copy)
+    for s in store._series.values():
+        s.dirty = True
+    originals = sorted(replay_root.rglob("*.dat"))
+    assert store.flush() == len(originals) == 75
+    assert sorted(p.relative_to(copy) for p in copy.rglob("*")) == sorted(
+        p.relative_to(replay_root) for p in replay_root.rglob("*")
+    )
+    for path in originals:
+        assert (copy / path.relative_to(replay_root)).read_bytes() == path.read_bytes(), path
 
 
 def test_run_summary(replay):

@@ -1,6 +1,9 @@
 """Series store: retention parsing, ring semantics, downsampling, persistence."""
 
+import logging
 import random
+import struct
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +220,10 @@ def test_matches_flat_reference(data):
         else:
             with pytest.raises(TooOld):
                 st_.write(MetricSample(S, t, v))
+    assert_reads_match(st_, ref)
+
+
+def assert_reads_match(st_, ref):
     for from_off, span in [(-900, 1200), (-100, 300), (0, 200), (-3000, 3600)]:
         from_t, to_t = ref.latest + from_off, ref.latest + from_off + span
         if from_t >= to_t or to_t <= 0:
@@ -231,6 +238,36 @@ def test_matches_flat_reference(data):
                 assert gv is None
             else:
                 assert gv == pytest.approx(wv, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matches_flat_reference_across_a_reopen(data):
+    """Flush and reopen at a drawn point; later writes start at the
+    reopen-time latest and only move forward, as a restarted server's
+    polls do (a backfill after a reopen is the caveat in the README)."""
+    archives = ((10, 30), (60, 20), (300, 12))
+    ref = FlatStore(archives)
+    base = data.draw(st.integers(min_value=1, max_value=10_000)) * 10
+    n = data.draw(st.integers(min_value=1, max_value=120))
+    reopen_at = data.draw(st.integers(min_value=0, max_value=n))
+    with tempfile.TemporaryDirectory() as root:
+        st_ = Store(root, default_retention=RetentionSpec(archives))
+        t, floor = base, 0
+        for k in range(n):
+            if k == reopen_at:
+                st_.flush()
+                st_ = Store(root, default_retention=RetentionSpec(archives))
+                floor = ref.latest
+            step = data.draw(st.integers(min_value=-40 if k < reopen_at else 0, max_value=60))
+            t = max(t + step, floor)
+            v = data.draw(st.integers(min_value=-100, max_value=100)) / 4.0
+            if ref.write(t, v):
+                st_.write(MetricSample(S, t, v))
+            else:
+                with pytest.raises(TooOld):
+                    st_.write(MetricSample(S, t, v))
+        assert_reads_match(st_, ref)
 
 
 # -- persistence --------------------------------------------------------------
@@ -279,6 +316,26 @@ def test_unreadable_series_file_is_skipped(tmp_path):
     assert again.list_series() == [S]  # junk skipped, good data intact
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda blob: blob[:-16],
+    lambda blob: blob[: 8 + 2 * 8],
+    lambda blob: blob + b"\0",
+    lambda blob: struct.pack("<4sHHII", b"GWTS", 1, 1, 10, 1_000_000) + bytes(32),
+], ids=["short-by-one-slot", "header-and-table-only", "trailing-byte", "48-bytes-claiming-1m-slots"])
+def test_series_file_whose_length_disagrees_with_its_header_is_skipped(tmp_path, caplog, mangle):
+    with Store(tmp_path, default_retention="10s:2m,1m:1h") as st_:
+        put(st_, 60_000, 1.0)
+        st_.write(MetricSample("hpc.bad.svc.k", 60_000, 2.0))
+    bad = tmp_path / "hpc" / "bad" / "svc" / "k.dat"
+    bad.write_bytes(mangle(bad.read_bytes()))
+    with caplog.at_level(logging.WARNING, logger="gridwatch.tsdb"):
+        again = Store(tmp_path)
+    assert again.list_series() == [S]
+    assert again.read(S, 60_000, 60_010)[1] == [(60_000, 1.0)]
+    assert "skipping unreadable series file" in caplog.text
+    assert str(bad) in caplog.text
+
+
 def test_write_count_and_list_series_prefix():
     st_ = Store(default_retention="10s:1h")
     st_.write(MetricSample("hpc.a.s.k", 60_000, 1.0))
@@ -289,11 +346,16 @@ def test_write_count_and_list_series_prefix():
     assert st_.flush() == 0  # in-memory store has nowhere to flush
 
 
-def test_create_is_idempotent_and_keeps_first_retention():
-    st_ = Store(default_retention="10s:1h")
-    st_.create(S, "5s:1m")
-    st_.create(S, "30s:1h")  # ignored: series already exists
-    assert st_.retention_of(S).archives == ((5, 12),)
+def test_create_is_idempotent_and_keeps_first_retention(tmp_path):
+    with Store(tmp_path, default_retention="5s:1m") as st_:
+        st_.create(S)
+        st_.create(S)  # no-op: the series already exists
+        put(st_, 60_000, 1.0)
+    again = Store(tmp_path, default_retention="30s:1h")
+    again.create(S)  # ignored: the series keeps its file's retention
+    assert again.retention_of(S).archives == ((5, 12),)
+    assert again.list_series() == [S]
+    assert again.read(S, 60_000, 60_005)[1] == [(60_000, 1.0)]
 
 
 def test_mean_preservation_on_randomized_full_slots():
