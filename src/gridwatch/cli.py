@@ -93,6 +93,8 @@ def _hosts_from(sections) -> list[HostConfig]:
             raise ConfigError(str(exc), sec.line) from None
         if cfg.poll_interval_s < 1:
             raise ConfigError(f"poll_interval_s must be >= 1 for host {cfg.name}", sec.line)
+        if any(h.name == cfg.name for h in hosts):
+            raise ConfigError(f"[host] {cfg.name!r} is named twice", sec.line)
         hosts.append(cfg)
     if not hosts:
         raise ConfigError("server config needs at least one [host] section")
@@ -111,9 +113,12 @@ def _clusters_from(sections, hosts) -> list[ClusterServiceConfig]:
             raise ConfigError(
                 f"[cluster] members not in any [host]: {', '.join(sorted(missing))}", sec.line
             )
-        clusters.append(
-            ClusterServiceConfig(sec.require("name"), tuple(members), sec.require("service"))
-        )
+        name = sec.require("name")
+        if name in known:
+            raise ConfigError(f"[cluster] {name!r} is already the name of a [host]", sec.line)
+        if any(c.name == name for c in clusters):
+            raise ConfigError(f"[cluster] {name!r} is named twice", sec.line)
+        clusters.append(ClusterServiceConfig(name, tuple(members), sec.require("service")))
     return clusters
 
 
@@ -206,10 +211,9 @@ def cmd_sim(args) -> int:
     stack = StackConfig(
         prefix=args.prefix,
         poll_every_ticks=args.poll_every_ticks,
-        store_root=args.store,
         api_bind=_parse_bind(args.api_bind) if args.api_bind else None,
     )
-    result = sim_run(scenario, stack)
+    result = sim_run(scenario, stack, store=Store(args.store, default_retention=stack.retention))
     print(result.summary.to_json())
     from_t, to_t = result.window
     log.info(

@@ -17,9 +17,9 @@ import socket
 import threading
 import time
 import urllib.request
-from collections import Counter, deque
+from collections import Counter
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .model import (
@@ -38,7 +38,6 @@ log = logging.getLogger(__name__)
 DEFAULT_POLL_INTERVAL_S = 60
 DEFAULT_PARALLELISM = 8
 DEFAULT_STALENESS_FACTOR = 2.0
-DEFAULT_HISTORY_LIMIT = 256
 DEFAULT_PREFIX = "hpc"
 # Far above any real payload (the demo's largest, the admin host's, is
 # about 1.2 KB); a larger one is a misbehaving agent.
@@ -105,14 +104,14 @@ class HostDown:
 
 @dataclass
 class ServiceRecord:
-    """Latest known result for one (host, service) pair."""
+    """Latest known result for one (host, service) pair, where ``host`` names
+    a polled host or a cluster."""
 
     host: str
     service: str
     last_result: CheckResult
     last_seen_t: float
     stale: bool = False
-    state_history: deque = field(default_factory=lambda: deque(maxlen=DEFAULT_HISTORY_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -220,9 +219,18 @@ class MonitoringServer:
         fetch=tcp_fetch,
     ):
         """``fetch(cfg) -> bytes`` reads one host's payload; it signals an
-        unreachable host with OSError (or ValueError for a bad address)."""
+        unreachable host with OSError (or ValueError for a bad address).
+
+        Hosts and clusters share one record table and one series namespace,
+        so every name must be unique across both; a repeat raises ValueError.
+        """
+        hosts = tuple(hosts)
         self.hosts = {h.name: h for h in hosts}
         self.clusters = tuple(clusters)
+        uses = Counter([h.name for h in hosts] + [c.name for c in self.clusters])
+        repeated = sorted(name for name, n in uses.items() if n > 1)
+        if repeated:
+            raise ValueError(f"host or cluster name used more than once: {', '.join(repeated)}")
         self.sinks = tuple(sinks)
         self.store = store if store is not None else Store()
         self.prefix = prefix
@@ -232,7 +240,6 @@ class MonitoringServer:
         self.fetch = fetch
         self.sink_failures: Counter = Counter()
         self._records: dict[tuple[str, str], ServiceRecord] = {}
-        self._cluster_records: dict[tuple[str, str], ServiceRecord] = {}
         self._lock = threading.RLock()
         self._poll_counts: Counter = Counter()
         self._host_down_counts: Counter = Counter()
@@ -258,14 +265,14 @@ class MonitoringServer:
         samples: list[MetricSample] = []
         with self._lock:
             for result in payload.results:
-                notifications.extend(self._apply_result(self._records, host, result, now, samples))
+                notifications.extend(self._apply_result(host, result, now, samples))
         self.flush_metrics(samples)
         return notifications
 
-    def _apply_result(self, table, host, result, now, samples) -> list[Notification]:
+    def _apply_result(self, host, result, now, samples) -> list[Notification]:
         """Update one record; append its perfdata to ``samples``."""
         key = (host, result.service)
-        record = table.get(key)
+        record = self._records.get(key)
         old = record.last_result.state if record is not None else None
         if record is None:
             record = ServiceRecord(
@@ -274,13 +281,10 @@ class MonitoringServer:
                 last_result=result,
                 last_seen_t=now,
             )
-            table[key] = record
+            self._records[key] = record
         record.last_result = result
         record.last_seen_t = now
         record.stale = False
-        if not record.state_history or record.state_history[-1][1] != result.state:
-            if not record.state_history or now > record.state_history[-1][0]:
-                record.state_history.append((now, result.state))
         for perf in result.perfdata:
             series = ".".join(
                 (self.prefix, _segment(host), _segment(result.service), _segment(perf.key))
@@ -339,7 +343,7 @@ class MonitoringServer:
         now = self.clock()
         samples: list[MetricSample] = []
         with self._lock:
-            notifications = self._apply_result(self._cluster_records, cluster.name, result, now, samples)
+            notifications = self._apply_result(cluster.name, result, now, samples)
         self.flush_metrics(samples)
         return notifications
 
@@ -391,18 +395,7 @@ class MonitoringServer:
 
     def records_snapshot(self) -> dict[tuple[str, str], CheckResult]:
         with self._lock:
-            merged = {}
-            for key, record in self._records.items():
-                merged[key] = record.last_result
-            for key, record in self._cluster_records.items():
-                merged[key] = record.last_result
-            return merged
-
-    def state_history(self, host: str, service: str) -> list[tuple[float, CheckState]]:
-        with self._lock:
-            table = self._cluster_records if (host, service) in self._cluster_records else self._records
-            record = table.get((host, service))
-            return list(record.state_history) if record else []
+            return {key: record.last_result for key, record in self._records.items()}
 
     # -- scheduling --------------------------------------------------------
 
@@ -411,6 +404,8 @@ class MonitoringServer:
 
         Polls run on a bounded worker pool; a host whose poll is still in
         flight is skipped, so one stuck host can never stall the others.
+        The store is flushed to disk once per shortest poll interval, so a
+        killed server loses at most that much data.
         """
         if not self.hosts:
             raise ValueError("no hosts configured")
@@ -418,7 +413,9 @@ class MonitoringServer:
         in_flight: set[str] = set()
         guard = threading.Lock()
         next_due = {name: self.clock() for name in self.hosts}
-        quantum = max(0.05, min(1.0, min(h.poll_interval_s for h in self.hosts.values()) / 4))
+        checkpoint_s = min(h.poll_interval_s for h in self.hosts.values())
+        next_checkpoint = self.clock() + checkpoint_s
+        quantum = max(0.05, min(1.0, checkpoint_s / 4))
 
         def work(cfg: HostConfig):
             try:
@@ -441,6 +438,12 @@ class MonitoringServer:
                         in_flight.add(name)
                     next_due[name] = now + cfg.poll_interval_s
                     pool.submit(work, cfg)
+                if now >= next_checkpoint:
+                    next_checkpoint = now + checkpoint_s
+                    try:
+                        self.store.flush()
+                    except OSError:
+                        log.exception("store checkpoint failed; retrying at the next one")
                 sleep(quantum)
         finally:
             pool.shutdown(wait=True)

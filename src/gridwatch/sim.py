@@ -3,8 +3,9 @@
 The simulator fabricates everything the real agents would read from a
 machine room — rectifier telemetry files, scheduler node-state output,
 login probes, name resolution, meminfo — as pure functions of
-``(scenario, tick)``. Running a scenario wires real agents to those fake
-sources and drives the real monitoring server with an injected clock; the
+``(scenario, tick)``. One ``SimDataSource`` holds the current tick and
+tells the time from it. Running a scenario wires real agents to that
+source and drives the real monitoring server with the source's clock; the
 server's poll fetches each agent's payload in process instead of over TCP,
 so days of operation replay quickly while every other production code path
 (checks, serialization, parse, apply, store) runs end to end.
@@ -17,10 +18,9 @@ store contents.
 from __future__ import annotations
 
 import json
-import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from . import __version__
@@ -36,7 +36,6 @@ __all__ = [
     "Event",
     "EventKind",
     "Scenario",
-    "SimClock",
     "SimDataSource",
     "StackConfig",
     "RunResult",
@@ -408,71 +407,54 @@ def _outage_hosts(scenario: Scenario, tick: int) -> set[str]:
 
 
 class SimDataSource(DataSource):
-    """Serves every agent input from the scenario at the clock's tick."""
+    """Serves every agent input from the scenario at ``tick``, and tells the
+    time of that tick; ``run`` moves ``tick`` forward between poll rounds."""
 
-    def __init__(self, scenario: Scenario, tick_fn):
+    def __init__(self, scenario: Scenario, tick: int = 0):
         self.scenario = scenario
-        self.tick_fn = tick_fn
-        self._rect_re = re.compile(
-            rf"^{re.escape(DEFAULT_CEC_ROOT)}/([A-Za-z0-9_-]+)/rectifiers/(\d+)$"
-        )
-        self._cab_index = {cab: i for i, cab in enumerate(scenario.shape.cabinet_ids())}
+        self.tick = tick
+        self._rectifiers = {
+            f"{DEFAULT_CEC_ROOT}/{cab}/rectifiers/{r}": (cab_index, r)
+            for cab_index, cab in enumerate(scenario.shape.cabinet_ids())
+            for r in range(scenario.shape.rectifiers_per_cabinet)
+        }
+
+    def time(self) -> float:
+        return float(SIM_EPOCH + self.tick * self.scenario.tick_s)
 
     def read_file(self, path: str) -> bytes:
-        tick = self.tick_fn()
-        m = self._rect_re.match(path)
-        if m:
-            cab, rect = m.group(1), int(m.group(2))
-            if cab not in self._cab_index or rect >= self.scenario.shape.rectifiers_per_cabinet:
-                raise FileNotFoundError(path)
-            cab_index = self._cab_index[cab]
-            power = rectifier_power_w(self.scenario, tick, cab_index, rect)
-            volt = rectifier_voltage_v(self.scenario, tick, cab_index, rect)
+        rect = self._rectifiers.get(path)
+        if rect is not None:
+            power = rectifier_power_w(self.scenario, self.tick, *rect)
+            volt = rectifier_voltage_v(self.scenario, self.tick, *rect)
             return f"power_w {power!r}\nvoltage_v {volt!r}\n".encode("ascii")
         if path == "/proc/meminfo":
-            return _meminfo_text(self.scenario, tick).encode("ascii")
+            return _meminfo_text(self.scenario, self.tick).encode("ascii")
         raise FileNotFoundError(path)
 
     def run_command(self, argv, timeout=None):
         if argv and argv[0].rsplit("/", 1)[-1] == "sinfo":
-            return 0, _sinfo_text(self.scenario, self.tick_fn())
+            return 0, _sinfo_text(self.scenario, self.tick)
         return 127, ""
 
     def probe_login(self, target, timeout=None):
         # The probe target is a rotating alias over the login hosts, so it
         # answers as long as any of them is alive.
-        outage = _outage_hosts(self.scenario, self.tick_fn())
+        outage = _outage_hosts(self.scenario, self.tick)
         alive = set(self.scenario.shape.login_names()) - outage
         return 0 if alive else 255
 
     def resolve_name(self, name):
-        if _active(self.scenario, self.tick_fn(), EventKind.DNS_FAIL):
+        if _active(self.scenario, self.tick, EventKind.DNS_FAIL):
             raise OSError(f"simulated resolver failure for {name}")
         return ["10.20.0.10", "10.20.0.11"]
 
 
 def sources_at(scenario: Scenario, tick: int) -> SimDataSource:
-    """A data source frozen at one tick; handy for tests and spot checks."""
+    """A data source at one tick; handy for tests and spot checks."""
     if not (0 <= tick < scenario.duration_ticks):
         raise ValueError(f"tick {tick} outside [0, {scenario.duration_ticks})")
-    return SimDataSource(scenario, lambda: tick)
-
-
-class SimClock:
-    """Injectable clock: epoch seconds driven by the scenario tick."""
-
-    def __init__(self, scenario: Scenario, tick: int = 0):
-        self.tick_s = scenario.tick_s
-        self.tick = tick
-
-    def set_tick(self, tick: int) -> None:
-        self.tick = tick
-
-    def current_tick(self) -> int:
-        return self.tick
-
-    def time(self) -> float:
-        return float(SIM_EPOCH + self.tick * self.tick_s)
+    return SimDataSource(scenario, tick)
 
 
 # -- running the whole stack ---------------------------------------------------
@@ -485,7 +467,6 @@ class StackConfig:
     prefix: str = "hpc"
     poll_every_ticks: int = 12
     retention: str = "1m:14d,10m:90d,1h:2y"
-    store_root: str | None = None
     api_bind: tuple[str, int] | None = None
     down_warn: int = 10
     down_crit: int = 100
@@ -505,22 +486,9 @@ class RunSummary:
     wall_s: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scenario": self.scenario,
-                "seed": self.seed,
-                "ticks": self.ticks,
-                "tick_s": self.tick_s,
-                "polls": self.polls,
-                "hosts_down": self.hosts_down,
-                "notifications": self.notifications,
-                "series": self.series,
-                "samples": self.samples,
-                "wall_s": round(self.wall_s, 3),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        doc = asdict(self)
+        doc["wall_s"] = round(self.wall_s, 3)
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -576,49 +544,39 @@ def _agent_configs(scenario: Scenario, stack: StackConfig) -> list[tuple[str, Ag
     return configs
 
 
-def _gated_payload_fn(scenario: Scenario, clock: SimClock, host: str, agent: Agent):
-    """During a LOGIN_OUTAGE covering the host, the whole box is dark: its
-    poll fails with a connection error, exactly like a crashed machine's."""
-
-    def payload_fn() -> str:
-        if host in _outage_hosts(scenario, clock.current_tick()):
-            raise ConnectionAbortedError(f"{host} is down at tick {clock.current_tick()}")
-        return agent.payload_text()
-
-    return payload_fn
-
-
 def run(
     scenario: Scenario,
     stack: StackConfig = StackConfig(),
     store: Store | None = None,
-    sinks=(),
     on_tick=None,
 ) -> RunResult:
     """Play the scenario through the full stack; returns the run artifacts.
 
-    ``on_tick(tick, monitor)`` (when given) is called after each poll
-    round, letting tests observe mid-run state such as cluster freshness.
+    Without a ``store`` the run writes to an in-memory one. ``on_tick(tick,
+    monitor)`` (when given) is called after each poll round, letting tests
+    observe mid-run state such as cluster freshness.
     """
     validate_scenario(scenario)
     started = time.monotonic()
-    clock = SimClock(scenario)
     if store is None:
-        store = Store(stack.store_root, default_retention=stack.retention)
-    sources = SimDataSource(scenario, clock.current_tick)
+        store = Store(default_retention=stack.retention)
+    sources = SimDataSource(scenario)
     collector = MemorySink()
     poll_interval_s = stack.poll_every_ticks * scenario.tick_s
 
-    payload_fns = {}
+    agents = {}
     hosts: list[HostConfig] = []
     for name, agent_cfg in _agent_configs(scenario, stack):
-        agent = Agent(agent_cfg, sources, clock=clock.time, version=f"sim-{__version__}")
-        payload_fns[name] = _gated_payload_fn(scenario, clock, name, agent)
+        agents[name] = Agent(agent_cfg, sources, clock=sources.time, version=f"sim-{__version__}")
         # The address is never dialled: polls go through fetch below.
         hosts.append(HostConfig(name=name, address="in-process", poll_interval_s=poll_interval_s))
 
     def fetch(cfg: HostConfig) -> bytes:
-        return payload_fns[cfg.name]().encode("utf-8")
+        # During a LOGIN_OUTAGE covering the host the whole box is dark: its
+        # poll fails with a connection error, exactly like a crashed machine's.
+        if cfg.name in _outage_hosts(scenario, sources.tick):
+            raise ConnectionAbortedError(f"{cfg.name} is down at tick {sources.tick}")
+        return agents[cfg.name].payload_text().encode("utf-8")
 
     login_names = scenario.shape.login_names()
     clusters = (
@@ -628,10 +586,10 @@ def run(
     monitor = MonitoringServer(
         hosts,
         clusters=clusters,
-        sinks=(collector, *sinks),
+        sinks=(collector,),
         store=store,
         prefix=stack.prefix,
-        clock=clock.time,
+        clock=sources.time,
         fetch=fetch,
     )
     api = api_thread = None
@@ -645,7 +603,7 @@ def run(
             api_thread.start()
 
         for tick in range(0, scenario.duration_ticks, stack.poll_every_ticks):
-            clock.set_tick(tick)
+            sources.tick = tick
             for host_cfg in hosts:
                 monitor.process_host(host_cfg)
             if on_tick is not None:

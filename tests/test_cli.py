@@ -14,10 +14,12 @@ import time
 
 import pytest
 
+from gridwatch.agent import AgentServer
 from gridwatch.cli import build_parser, main
 from gridwatch.model import MetricSample, parse_agent_payload
 from gridwatch.sim import SIM_EPOCH
 from gridwatch.tsdb import Store
+from reference_impls import payload_text, serving
 
 PYTHON = [sys.executable, "-m", "gridwatch"]
 
@@ -274,6 +276,36 @@ def test_server_config_validates_addresses_clusters_sinks(tmp_path, capsys):
     assert "unknown sink type" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sections, message",
+    [
+        (
+            "[host]\nname = a\naddress = 127.0.0.1:1\n\n[host]\nname = a\naddress = 127.0.0.1:2\n",
+            "line 5: [host] 'a' is named twice",
+        ),
+        (
+            "[host]\nname = login1\naddress = 127.0.0.1:1\n\n"
+            "[host]\nname = login2\naddress = 127.0.0.1:2\n\n"
+            "[cluster]\nname = login1\nservice = login\nmembers = login1, login2\n",
+            "line 9: [cluster] 'login1' is already the name of a [host]",
+        ),
+        (
+            "[host]\nname = h1\naddress = 127.0.0.1:1\n\n"
+            "[cluster]\nname = c\nservice = s\nmembers = h1\n\n"
+            "[cluster]\nname = c\nservice = t\nmembers = h1\n",
+            "line 10: [cluster] 'c' is named twice",
+        ),
+    ],
+    ids=["repeated-host", "cluster-named-like-a-host", "repeated-cluster"],
+)
+def test_server_config_refuses_repeated_names(tmp_path, sections, message):
+    cfg = tmp_path / "server.cfg"
+    cfg.write_text(sections)
+    proc = run_cli("server", "--config", str(cfg), timeout=30)  # a loaded config polls forever
+    assert proc.returncode == 2
+    assert message in proc.stderr
+
+
 # -- long-running commands and signals ---------------------------------------------
 
 
@@ -351,3 +383,35 @@ def test_server_runs_and_exits_cleanly_on_sigterm(tmp_path):
             proc.kill()
             proc.wait()
     assert store.is_dir()  # store root was created on startup
+
+
+def test_server_checkpoints_its_store_before_a_sigkill(tmp_path):
+    store = tmp_path / "store"
+    with serving(AgentServer(("127.0.0.1", 0),
+                             lambda: payload_text(int(time.time()), ["0 beat up=1 ok"]))) as agent:
+        cfg = tmp_path / "server.cfg"
+        cfg.write_text(
+            f"[server]\nstore_root = {store}\nretention = 1s:1h\n\n"
+            f"[host]\nname = h1\naddress = 127.0.0.1:{agent.address[1]}\n"
+            "poll_interval_s = 1\nconnect_timeout_s = 1\n"
+        )
+        proc = subprocess.Popen(
+            PYTHON + ["server", "--config", str(cfg)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            time.sleep(3.0)  # two or more poll intervals, so two or more checkpoints
+            assert proc.poll() is None, proc.stderr.read().decode()
+            proc.kill()
+            proc.wait(timeout=15)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    files = sorted(store.rglob("*.dat"))
+    assert [f.relative_to(store).as_posix() for f in files] == ["hpc/h1/beat/up.dat"]
+    reopened = Store(store)
+    assert reopened.list_series() == ["hpc.h1.beat.up"]
+    now = int(time.time())
+    _, points = reopened.read("hpc.h1.beat.up", now - 600, now + 1)
+    assert [v for _, v in points if v is not None], "checkpointed series holds no points"

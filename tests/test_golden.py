@@ -22,7 +22,6 @@ from gridwatch.sim import (
     Event,
     EventKind,
     Scenario,
-    SimClock,
     StackConfig,
     _agent_configs,
     run,
@@ -242,7 +241,8 @@ def store_sha256(root) -> str:
 
 def replay_outputs(root) -> dict:
     """Replay SCENARIO into a store at ``root``; every recorded output."""
-    result = run(SCENARIO, StackConfig(retention=RETENTION, store_root=str(root)))
+    store = Store(root, default_retention=RETENTION)
+    result = run(SCENARIO, StackConfig(retention=RETENTION), store=store)
     summary = json.loads(result.summary.to_json())
     del summary["wall_s"]
     with serving(ApiServer(("127.0.0.1", 0), result.store, result.report_cfg)) as api:
@@ -273,9 +273,8 @@ def replay(replay_root):
 def wire_payloads() -> dict[str, str]:
     """Each simulated host's payload text at WIRE_TICK."""
     sources = sources_at(SCENARIO, WIRE_TICK)
-    clock = SimClock(SCENARIO, WIRE_TICK)
     return {
-        name: Agent(cfg, sources, clock=clock.time, version="sim-golden").payload_text()
+        name: Agent(cfg, sources, clock=sources.time, version="sim-golden").payload_text()
         for name, cfg in _agent_configs(SCENARIO, StackConfig())
     }
 

@@ -109,16 +109,6 @@ def test_notification_json_schema():
     }
 
 
-def test_state_history_records_transitions_once():
-    clock = FakeTime(1_000_000.0)
-    srv = make_server(clock=clock.time)
-    for state in (CheckState.OK, CheckState.OK, CheckState.WARN, CheckState.OK):
-        srv.apply_payload(payload(result(state)), "h1")
-        clock.sleep(30)
-    history = srv.state_history("h1", "svc")
-    assert [s for _, s in history] == [CheckState.OK, CheckState.WARN, CheckState.OK]
-
-
 # -- staleness ---------------------------------------------------------------
 
 
@@ -201,6 +191,22 @@ def test_evaluate_cluster_republishes_under_cluster_name():
     srv.apply_payload(payload(result(CheckState.CRIT, "login", [Perfdata("login_up", 0.0)])), "m1")
     ns = srv.evaluate_cluster(cluster)
     assert [(n.host, n.new_state) for n in ns] == [("login_cluster", CheckState.CRIT)]
+    # Host and cluster records live in one table.
+    snapshot = srv.records_snapshot()
+    assert snapshot[("m1", "login")].state is CheckState.CRIT
+    assert snapshot[("login_cluster", "login")].state is CheckState.CRIT
+    assert not srv.service_stale("login_cluster", "login")
+
+
+def test_host_and_cluster_names_must_be_unique():
+    h1 = HostConfig("h1", "127.0.0.1:1")
+    with pytest.raises(ValueError, match="h1"):
+        make_server(hosts=[h1, HostConfig("h1", "127.0.0.1:2")])
+    with pytest.raises(ValueError, match="h1"):
+        make_server(hosts=[h1], clusters=[ClusterServiceConfig("h1", ("h1",), "svc")])
+    cluster = ClusterServiceConfig("c1", ("h1",), "svc")
+    with pytest.raises(ValueError, match="c1"):
+        make_server(hosts=[h1], clusters=[cluster, cluster])
 
 
 # -- polling over TCP -----------------------------------------------------------

@@ -17,7 +17,7 @@ from gridwatch.sim import (
     Event,
     EventKind,
     Scenario,
-    SimClock,
+    SimDataSource,
     StackConfig,
     expected_system_power_w,
     load_scenario,
@@ -292,10 +292,11 @@ def test_sources_at_rejects_out_of_range_ticks():
 
 
 def test_sim_clock_maps_ticks_to_epoch_seconds():
-    clock = SimClock(tiny())
-    assert clock.time() == SIM_EPOCH
-    clock.set_tick(100)
-    assert clock.time() == SIM_EPOCH + 500
+    sources = SimDataSource(tiny())
+    assert sources.time() == SIM_EPOCH
+    sources.tick = 100
+    assert sources.time() == SIM_EPOCH + 500
+    assert sources_at(tiny(), 7).time() == SIM_EPOCH + 35
     assert scenario_window(tiny(duration_ticks=120)) == (SIM_EPOCH, SIM_EPOCH + 600)
 
 
