@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, Section, first
+from .config import ConfigError, Section, bind, first
 from .model import (
     AgentPayload,
     CheckResult,
@@ -50,6 +50,7 @@ _STATE_FLAGS = "*~#!%$@^+&-"
 BUILTIN_CHECKS = ("power", "node_state", "login", "dns", "memory")
 
 _MAX_RECTIFIERS = 1024  # sanity bound when probing numbered rectifier files
+_CHECK_WORKERS = 8  # threads an agent may spend on concurrent checks
 
 
 class DataSource(ABC):
@@ -258,10 +259,11 @@ def check_node_state(
     *,
     warn_down: int | None = None,
     crit_down: int | None = None,
+    timeout_s: float = DEFAULT_CHECK_TIMEOUT_S,
 ) -> CheckResult:
     """Count scheduler node states per partition via sinfo."""
     try:
-        rc, out = sources.run_command(["sinfo"])
+        rc, out = sources.run_command(["sinfo"], timeout=timeout_s)
     except Exception as exc:
         return CheckResult(CheckState.UNKNOWN, "node_state", [], f"sinfo failed: {exc}")
     if rc != 0:
@@ -368,7 +370,7 @@ def run_local_checks(
     *,
     builtins=(),
     timeout_s: float = DEFAULT_CHECK_TIMEOUT_S,
-    concurrent: bool = False,
+    pool: futures.Executor | None = None,
     clock=time.time,
     agent_version: str = __version__,
 ) -> AgentPayload:
@@ -376,9 +378,10 @@ def run_local_checks(
 
     ``builtins`` is a sequence of (name, thunk) pairs, each thunk returning
     one CheckResult. External executables run through the data source and
-    may print several check lines. A check that fails or exceeds the
-    timeout is demoted to a single UNKNOWN result named after it; nothing a
-    check does can make the collection raise.
+    may print several check lines. Checks run one after another, or on
+    ``pool`` when one is given. A check that fails or exceeds the timeout
+    is demoted to a single UNKNOWN result named after it; nothing a check
+    does can make the collection raise.
     """
     tasks: list[tuple[str, object]] = [(name, thunk) for name, thunk in builtins]
     if check_dir is not None:
@@ -391,21 +394,20 @@ def run_local_checks(
             log.warning("check_dir %s missing; running built-ins only", check_dir)
 
     results: list[CheckResult] = []
-    if not concurrent:
+    if pool is None:
         for name, thunk in tasks:
             results.extend(_run_one(name, thunk))
     else:
-        pool = futures.ThreadPoolExecutor(max_workers=min(8, max(1, len(tasks))))
         pending = [(name, pool.submit(_run_one, name, thunk)) for name, thunk in tasks]
         deadline = time.monotonic() + timeout_s
         for name, fut in pending:
             try:
                 results.extend(fut.result(timeout=max(0.0, deadline - time.monotonic())))
             except futures.TimeoutError:
-                results.append(_failed(name, f"timed out after {timeout_s:.0f}s"))
+                fut.cancel()  # a check still queued never starts; a running one is left to end
+                results.append(_failed(name, f"timed out after {timeout_s:g}s"))
             except Exception as exc:  # pragma: no cover - _run_one already catches
                 results.append(_failed(name, str(exc)))
-        pool.shutdown(wait=False, cancel_futures=True)
     return AgentPayload(agent_version, int(clock()), results)
 
 
@@ -458,7 +460,7 @@ class AgentConfig:
     cec_root: str = DEFAULT_CEC_ROOT
     power_warn_w: float | None = None
     power_crit_w: float | None = None
-    down_states: frozenset = DEFAULT_DOWN_STATES
+    down_states: frozenset[str] = DEFAULT_DOWN_STATES
     down_warn: int | None = None
     down_crit: int | None = None
     login_target: str = "localhost"
@@ -471,43 +473,27 @@ class AgentConfig:
         for name in self.checks:
             if name not in BUILTIN_CHECKS:
                 raise ConfigError(f"unknown built-in check {name!r} (have: {', '.join(BUILTIN_CHECKS)})")
+        object.__setattr__(self, "down_states", frozenset(s.lower() for s in self.down_states))
 
 
 def agent_config_from_sections(sections: list[Section]) -> AgentConfig:
-    sec = first(sections, "agent")
-    if sec is None:
-        return AgentConfig()
-    cfg = AgentConfig(
-        bind=sec.get("bind", "0.0.0.0"),
-        port=sec.get_int("port", DEFAULT_AGENT_PORT),
-        checks=sec.get_list("checks"),
-        check_dir=sec.get("check_dir"),
-        check_timeout_s=sec.get_float("check_timeout_s", DEFAULT_CHECK_TIMEOUT_S),
-        concurrent_checks=sec.get_bool("concurrent_checks", True),
-        cabinets=sec.get_list("cabinets"),
-        cec_root=sec.get("cec_root", DEFAULT_CEC_ROOT),
-        power_warn_w=sec.get_float("power_warn_w"),
-        power_crit_w=sec.get_float("power_crit_w"),
-        down_states=frozenset(s.lower() for s in sec.get_list("down_states", tuple(DEFAULT_DOWN_STATES))),
-        down_warn=sec.get_int("down_warn"),
-        down_crit=sec.get_int("down_crit"),
-        login_target=sec.get("login_target", "localhost"),
-        dns_name=sec.get("dns_name", "localhost"),
-        meminfo_path=sec.get("meminfo_path", "/proc/meminfo"),
-        mem_warn_pct=sec.get_float("mem_warn_pct", 90.0),
-        mem_crit_pct=sec.get_float("mem_crit_pct", 95.0),
-    )
-    return cfg
+    return bind(first(sections, "agent"), AgentConfig)
 
 
 class Agent:
-    """Binds a config and a data source into a payload factory."""
+    """Binds a config and a data source into a payload factory; with ``concurrent_checks``
+    every collection shares one bounded pool, so a hung check holds one thread, not one per poll."""
 
     def __init__(self, cfg: AgentConfig, sources: DataSource, *, clock=time.time, version: str = __version__):
         self.cfg = cfg
         self.sources = sources
         self.clock = clock
         self.version = version
+        self._pool = futures.ThreadPoolExecutor(_CHECK_WORKERS, "check") if cfg.concurrent_checks else None
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
 
     def _builtins(self):
         cfg, src = self.cfg, self.sources
@@ -516,7 +502,8 @@ class Agent:
                 src, cfg.cabinets, root=cfg.cec_root, warn_w=cfg.power_warn_w, crit_w=cfg.power_crit_w
             ),
             "node_state": lambda: check_node_state(
-                src, cfg.down_states, warn_down=cfg.down_warn, crit_down=cfg.down_crit
+                src, cfg.down_states, warn_down=cfg.down_warn, crit_down=cfg.down_crit,
+                timeout_s=cfg.check_timeout_s,
             ),
             "login": lambda: check_login(src, cfg.login_target, timeout_s=cfg.check_timeout_s),
             "dns": lambda: check_dns(src, cfg.dns_name),
@@ -532,7 +519,7 @@ class Agent:
             self.sources,
             builtins=self._builtins(),
             timeout_s=self.cfg.check_timeout_s,
-            concurrent=self.cfg.concurrent_checks,
+            pool=self._pool,
             clock=self.clock,
             agent_version=self.version,
         )

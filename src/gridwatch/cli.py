@@ -17,10 +17,14 @@ import threading
 
 from . import __version__
 from .agent import Agent, AgentServer, HostDataSource, agent_config_from_sections
-from .config import ConfigError, first, all_named, load_config
+from .config import ConfigError, Section, all_named, bind, first, load_config
 from .plot import render_svg, sparkline
-from .report import ApiServer, EmptyWindow, ReportConfig, contractual_report
+from .report import DEFAULT_STALENESS_S, ApiServer, EmptyWindow, ReportConfig, contractual_report
 from .server import (
+    DEFAULT_PARALLELISM,
+    DEFAULT_PREFIX,
+    DEFAULT_STALENESS_FACTOR,
+    DEFAULT_WEBHOOK_TIMEOUT_S,
     ClusterServiceConfig,
     FileSink,
     HostConfig,
@@ -72,6 +76,7 @@ def cmd_agent(args) -> int:
         listener.serve_forever(poll_interval=0.2)
     finally:
         listener.server_close()
+        agent.close()
     return 0
 
 
@@ -81,12 +86,7 @@ def cmd_agent(args) -> int:
 def _hosts_from(sections) -> list[HostConfig]:
     hosts = []
     for sec in all_named(sections, "host"):
-        cfg = HostConfig(
-            name=sec.require("name"),
-            address=sec.require("address"),
-            poll_interval_s=sec.get_int("poll_interval_s", 60),
-            connect_timeout_s=sec.get_float("connect_timeout_s", 5.0),
-        )
+        cfg = bind(sec, HostConfig)
         try:
             cfg.endpoint()
         except ValueError as exc:
@@ -129,7 +129,8 @@ def _sinks_from(sections) -> list:
         if kind == "file":
             sinks.append(FileSink(sec.require("path")))
         elif kind == "webhook":
-            sinks.append(WebhookSink(sec.require("url"), sec.get_float("timeout_s", 5.0)))
+            url = sec.require("url")
+            sinks.append(WebhookSink(url, sec.get_float("timeout_s", DEFAULT_WEBHOOK_TIMEOUT_S)))
         else:
             raise ConfigError(f"unknown sink type {kind!r} (known: file, webhook)", sec.line)
     return sinks
@@ -137,35 +138,17 @@ def _sinks_from(sections) -> list:
 
 def _report_cfg_from(sections) -> ReportConfig | None:
     sec = first(sections, "report")
-    if sec is None:
-        return None
-    return ReportConfig(
-        node_series=sec.require("node_series"),
-        login_series=sec.require("login_series"),
-        threshold_nodes=sec.get_float("threshold_nodes", 0.0),
-        staleness_s=sec.get_float("staleness_s", 600.0),
-        gaps_as_down=sec.get_bool("gaps_as_down", False),
-    )
+    return None if sec is None else bind(sec, ReportConfig)
 
 
 def cmd_server(args) -> int:
     sections = _need_config(args)
-    server_sec = first(sections, "server")
-    prefix = "hpc"
-    store_root = None
-    retention = DEFAULT_RETENTION
-    api_bind = None
-    parallelism = 8
-    staleness_factor = 2.0
-    if server_sec is not None:
-        prefix = server_sec.get("prefix", prefix)
-        store_root = server_sec.get("store_root")
-        retention = server_sec.get("retention", retention)
-        parallelism = server_sec.get_int("parallelism", parallelism)
-        staleness_factor = server_sec.get_float("staleness_factor", staleness_factor)
-        raw_bind = server_sec.get("api_bind")
-        if raw_bind:
-            api_bind = _parse_bind(raw_bind)
+    server_sec = first(sections, "server") or Section("server", 0)
+    retention = server_sec.get("retention", DEFAULT_RETENTION)
+    parallelism = server_sec.get_int("parallelism", DEFAULT_PARALLELISM)
+    staleness_factor = server_sec.get_float("staleness_factor", DEFAULT_STALENESS_FACTOR)
+    raw_bind = server_sec.get("api_bind")
+    api_bind = _parse_bind(raw_bind) if raw_bind else None
 
     hosts = _hosts_from(sections)
     clusters = _clusters_from(sections, hosts)
@@ -176,13 +159,13 @@ def cmd_server(args) -> int:
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     signal.signal(signal.SIGINT, lambda *_: stop.set())
 
-    with Store(store_root, default_retention=retention) as store:
+    with Store(server_sec.get("store_root"), default_retention=retention) as store:
         monitor = MonitoringServer(
             hosts,
             clusters=clusters,
             sinks=sinks,
             store=store,
-            prefix=prefix,
+            prefix=server_sec.get("prefix", DEFAULT_PREFIX),
             parallelism=parallelism,
             staleness_factor=staleness_factor,
         )
@@ -315,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="replay a scripted scenario through the full stack")
     p.add_argument("--scenario", required=True, help="scenario file")
     p.add_argument("--store", help="store directory (omit for in-memory)")
-    p.add_argument("--prefix", default="hpc", help="metric series prefix")
-    p.add_argument("--poll-every-ticks", type=int, default=12, dest="poll_every_ticks",
-                   help="poll cadence in scenario ticks")
+    p.add_argument("--prefix", default=DEFAULT_PREFIX, help="metric series prefix")
+    p.add_argument("--poll-every-ticks", type=int, dest="poll_every_ticks",
+                   default=StackConfig.poll_every_ticks, help="poll cadence in scenario ticks")
     p.add_argument("--api-bind", help="also serve the query API at host:port while running")
     p.set_defaults(func=cmd_sim)
 
@@ -331,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="series holding the login up/down flag")
     p.add_argument("--threshold", type=float, default=481.0,
                    help="contractual node-count threshold")
-    p.add_argument("--staleness-s", dest="staleness_s", type=float, default=600.0,
+    p.add_argument("--staleness-s", dest="staleness_s", type=float, default=DEFAULT_STALENESS_S,
                    help="gap length that counts as a monitoring outage")
     p.add_argument("--gaps-as-down", dest="gaps_as_down", action="store_true",
                    help="count monitoring gaps as downtime (default: excluded)")

@@ -9,8 +9,11 @@ preserved.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 
@@ -121,3 +124,40 @@ def first(sections: list[Section], name: str) -> Section | None:
 
 def all_named(sections: list[Section], name: str) -> list[Section]:
     return [s for s in sections if s.name == name]
+
+
+# The Section getter for each annotation bind() reads; `X | None` reads as X.
+_READERS = {
+    str: Section.get,
+    int: Section.get_int,
+    float: Section.get_float,
+    bool: Section.get_bool,
+    tuple[str, ...]: Section.get_list,
+    frozenset[str]: lambda sec, key: frozenset(sec.get_list(key)),
+}
+_type_hints = functools.cache(typing.get_type_hints)  # evaluating annotations costs more than reading
+
+
+def bind(sec: Section | None, cls, **given):
+    """Build dataclass ``cls`` from the keys of ``sec`` named after its fields.
+
+    A field in ``given`` takes that value; any other is read with the getter
+    for its annotation, keeps its default when the key is absent, and is
+    required when it has no default. Keys that name no field are ignored.
+    """
+    sec = sec or Section(cls.__name__, 0)
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        hint = _type_hints(cls)[f.name]
+        if isinstance(hint, types.UnionType) and typing.get_args(hint)[1:] == (type(None),):
+            hint = typing.get_args(hint)[0]
+        read = _READERS.get(hint)
+        if read is None:
+            raise TypeError(f"{cls.__name__}.{f.name}: no config reader for {f.type}")
+        if f.name in sec.values:
+            values[f.name] = read(sec, f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            sec.require(f.name)
+    return cls(**values)

@@ -23,6 +23,7 @@ from .tsdb import NoSuchSeries, Store
 log = logging.getLogger(__name__)
 
 LOGIN_UP_THRESHOLD = 0.5  # login_up is a 0/1 flag; >= 0.5 means up
+DEFAULT_STALENESS_S = 600.0
 
 DEFAULT_TRAIL_N = 12
 DEFAULT_DEPTH_FRACTION = 0.3
@@ -76,7 +77,7 @@ class ReportConfig:
     node_series: str
     login_series: str
     threshold_nodes: float
-    staleness_s: float = 600.0
+    staleness_s: float = DEFAULT_STALENESS_S
     gaps_as_down: bool = False
 
 
@@ -115,7 +116,7 @@ def availability(
     window: tuple[int, int],
     interval: int,
     *,
-    staleness_s: float = 600.0,
+    staleness_s: float = DEFAULT_STALENESS_S,
     gaps_as_down: bool = False,
     violation_kind: str = "below-threshold",
     gap_kind: str = "no-data",

@@ -39,6 +39,7 @@ DEFAULT_POLL_INTERVAL_S = 60
 DEFAULT_PARALLELISM = 8
 DEFAULT_STALENESS_FACTOR = 2.0
 DEFAULT_PREFIX = "hpc"
+DEFAULT_WEBHOOK_TIMEOUT_S = 5.0
 # Far above any real payload (the demo's largest, the admin host's, is
 # about 1.2 KB); a larger one is a misbehaving agent.
 MAX_PAYLOAD_BYTES = 1 << 20
@@ -155,7 +156,7 @@ class FileSink:
 class WebhookSink:
     """POSTs each notification as JSON; any non-2xx response is a failure."""
 
-    def __init__(self, url: str, timeout_s: float = 5.0):
+    def __init__(self, url: str, timeout_s: float = DEFAULT_WEBHOOK_TIMEOUT_S):
         self.url = url
         self.timeout_s = timeout_s
         self.name = f"webhook:{url}"
@@ -338,13 +339,13 @@ class MonitoringServer:
         return best.last_result
 
     def evaluate_cluster(self, cluster: ClusterServiceConfig) -> list[Notification]:
-        """Re-evaluate one cluster service and record it under the cluster name."""
-        result = self.cluster_state(cluster)
-        now = self.clock()
+        """Re-evaluate one cluster service and record it under the cluster name;
+        one hold of the lock spans both, so an older evaluation never lands last."""
         samples: list[MetricSample] = []
         with self._lock:
-            notifications = self._apply_result(cluster.name, result, now, samples)
-        self.flush_metrics(samples)
+            result = self.cluster_state(cluster)
+            notifications = self._apply_result(cluster.name, result, self.clock(), samples)
+            self.flush_metrics(samples)
         return notifications
 
     # -- the full poll transaction ----------------------------------------

@@ -20,14 +20,16 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 from . import __version__
 from .agent import DEFAULT_CEC_ROOT, Agent, AgentConfig, DataSource
-from .config import ConfigError, Section, all_named, first, load_config
+from .config import ConfigError, Section, all_named, bind, first, load_config
 from .report import ApiServer, ReportConfig
-from .server import ClusterServiceConfig, HostConfig, MemorySink, MonitoringServer, Notification
+from .server import (
+    DEFAULT_PREFIX, ClusterServiceConfig, HostConfig, MemorySink, MonitoringServer, Notification,
+)
 from .tsdb import Store
 
 __all__ = [
@@ -210,20 +212,9 @@ def load_scenario(path) -> Scenario:
 
 def scenario_from_sections(sections: list[Section]) -> Scenario:
     try:
-        shape = _shape_from(first(sections, "shape"))
-        sc_sec = first(sections, "scenario")
-        events = tuple(_event_from(sec, shape) for sec in all_named(sections, "event"))
-        scenario = Scenario(
-            name=_get(sc_sec, "get", "name", "unnamed"),
-            seed=_get(sc_sec, "get_int", "seed", 0),
-            tick_s=_get(sc_sec, "get_int", "tick_s", DEFAULT_TICK_S),
-            duration_ticks=_get(sc_sec, "get_int", "duration_ticks", 720),
-            idle_power_per_node_w=_get(
-                sc_sec, "get_float", "idle_power_per_node_w", DEFAULT_IDLE_POWER_PER_NODE_W
-            ),
-            shape=shape,
-            events=events,
-        )
+        shape = bind(first(sections, "shape"), ClusterShape)
+        events = tuple(_event_from(sec) for sec in all_named(sections, "event"))
+        scenario = bind(first(sections, "scenario"), Scenario, shape=shape, events=events)
     except ConfigError as exc:
         raise BadScenario(str(exc)) from None
     for sec, event in zip(all_named(sections, "event"), scenario.events):
@@ -235,49 +226,16 @@ def scenario_from_sections(sections: list[Section]) -> Scenario:
     return scenario
 
 
-def _get(sec: Section | None, accessor: str, key: str, default):
-    if sec is None:
-        return default
-    return getattr(sec, accessor)(key, default)
-
-
-def _shape_from(sec: Section | None) -> ClusterShape:
-    if sec is None:
-        return ClusterShape()
-    return ClusterShape(
-        cabinets=sec.get_int("cabinets", 4),
-        rectifiers_per_cabinet=sec.get_int("rectifiers_per_cabinet", 8),
-        nodes=sec.get_int("nodes", 512),
-        partitions=sec.get_list("partitions", ("standard",)) or ("standard",),
-        login_hosts=sec.get_int("login_hosts", 4),
-    )
-
-
-def _event_from(sec: Section, shape: ClusterShape) -> Event:
+def _event_from(sec: Section) -> Event:
     raw_kind = sec.require("kind")
     try:
         kind = EventKind[raw_kind.upper()]
     except KeyError:
         options = ", ".join(k.name for k in EventKind)
         raise ConfigError(f"unknown event kind {raw_kind!r} (known: {options})", sec.lines["kind"])
-    cabinets = sec.get_list("cabinets")
-    if cabinets == ("all",):
-        cabinets = ()
-    hosts = sec.get_list("hosts")
-    if hosts == ("all",):
-        hosts = ()
-    return Event(
-        kind=kind,
-        from_tick=sec.get_int("from_tick", 0),
-        to_tick=sec.get_int("to_tick", 0),
-        depth_fraction=sec.get_float("depth_fraction", 0.5),
-        cabinets=cabinets,
-        count=sec.get_int("count", 0),
-        partition=sec.get("partition", ""),
-        hosts=hosts,
-        rate_pct_per_h=sec.get_float("rate_pct_per_h", 0.0),
-        power_per_node_w=sec.get_float("power_per_node_w", DEFAULT_HPL_POWER_PER_NODE_W),
-    )
+    event = bind(sec, Event, kind=kind)
+    # "all" in a file means what an empty tuple means in code: every one.
+    return replace(event, **{key: () for key in ("cabinets", "hosts") if getattr(event, key) == ("all",)})
 
 
 # -- deterministic noise ----------------------------------------------------
@@ -464,7 +422,7 @@ def sources_at(scenario: Scenario, tick: int) -> SimDataSource:
 class StackConfig:
     """How the monitoring stack is laid over a scenario."""
 
-    prefix: str = "hpc"
+    prefix: str = DEFAULT_PREFIX
     poll_every_ticks: int = 12
     retention: str = "1m:14d,10m:90d,1h:2y"
     api_bind: tuple[str, int] | None = None
@@ -510,7 +468,6 @@ def report_config(stack: StackConfig, scenario: Scenario) -> ReportConfig:
         node_series=f"{stack.prefix}.node_cluster.node_state.avail_{partition}",
         login_series=f"{stack.prefix}.login_cluster.login.login_up",
         threshold_nodes=round(0.94 * scenario.shape.nodes),
-        staleness_s=600.0,
         gaps_as_down=True,
     )
 

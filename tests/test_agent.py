@@ -1,11 +1,14 @@
 """Agent: built-in checks, external scripts, poll listener."""
 
 import socket
+import threading
 import time
+from concurrent import futures
 
 import pytest
 
 from gridwatch.agent import (
+    _CHECK_WORKERS,
     Agent,
     AgentConfig,
     AgentServer,
@@ -328,14 +331,50 @@ def test_hanging_builtin_is_demoted_when_concurrent():
         return CheckResult(CheckState.OK, "quick", [], "fast")
 
     started = time.monotonic()
+    pool = futures.ThreadPoolExecutor(max_workers=2)
     payload = run_local_checks(
         None, FakeSources(), builtins=[("hang", hang), ("quick", quick)],
-        timeout_s=0.3, concurrent=True,
+        timeout_s=0.3, pool=pool,
     )
+    pool.shutdown(wait=False)
     assert time.monotonic() - started < 4.0
     by_service = {r.service: r for r in payload.results}
     assert by_service["quick"].state is CheckState.OK
     assert by_service["_check_failed_hang"].state is CheckState.UNKNOWN
+
+
+def test_hung_check_costs_at_most_the_pool_not_a_thread_per_poll():
+    release = threading.Event()
+
+    class HungSinfo(FakeSources):
+        def run_command(self, argv, timeout=None):
+            release.wait(10)
+            return 127, ""
+
+    agent = Agent(AgentConfig(checks=("node_state",), check_timeout_s=0.05), HungSinfo())
+    before = threading.active_count()
+    try:
+        for _ in range(_CHECK_WORKERS + 4):
+            (result,) = agent.build_payload().results
+            assert result.service == "_check_failed_node_state"
+            assert result.summary == "timed out after 0.05s"
+        assert threading.active_count() - before <= _CHECK_WORKERS
+    finally:
+        release.set()
+        agent.close()
+
+
+def test_node_state_bounds_sinfo_by_the_check_timeout():
+    timeouts = []
+
+    class Recording(FakeSources):
+        def run_command(self, argv, timeout=None):
+            timeouts.append(timeout)
+            return super().run_command(argv, timeout)
+
+    cfg = AgentConfig(checks=("node_state",), check_timeout_s=2.5, concurrent_checks=False)
+    Agent(cfg, Recording(commands={"sinfo": (0, SINFO)})).build_payload()
+    assert timeouts == [2.5]
 
 
 def test_raising_builtin_is_demoted():

@@ -1,14 +1,19 @@
-"""Config parsing: sections, typed getters, line-numbered errors."""
+"""Config parsing: sections, typed getters, line-numbered errors, binding to config types."""
 
+import dataclasses
+import datetime
 import re
+import typing
 from pathlib import Path
 
 import pytest
 
 from gridwatch import cli
-from gridwatch.agent import agent_config_from_sections
-from gridwatch.config import ConfigError, all_named, first, load_config, parse_config
-from gridwatch.sim import EventKind, scenario_from_sections
+from gridwatch.agent import AgentConfig, agent_config_from_sections
+from gridwatch.config import ConfigError, Section, all_named, bind, first, load_config, parse_config
+from gridwatch.report import ReportConfig
+from gridwatch.server import HostConfig
+from gridwatch.sim import ClusterShape, Event, EventKind, Scenario, scenario_from_sections
 from gridwatch.tsdb import parse_retention
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -164,3 +169,159 @@ def test_load_config_reads_files(tmp_path):
 def test_load_config_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config(tmp_path / "absent.cfg")
+
+
+# -- binding a section to a config type ------------------------------------------
+
+# One section per bound config type that sets every field bind() reads, each
+# to a value other than the field's default.
+BOUND = [
+    (AgentConfig, {}, """[agent]
+bind = 127.0.0.1
+port = 7001
+checks = power, memory
+check_dir = /etc/gridwatch/local
+check_timeout_s = 2.5
+concurrent_checks = no
+cabinets = x1000, x1001
+cec_root = /srv/cec
+power_warn_w = 4500000
+power_crit_w = 5000000
+down_states = DOWN, Fail
+down_warn = 10
+down_crit = 100
+login_target = login-vip
+dns_name = cluster.local
+meminfo_path = /tmp/meminfo
+mem_warn_pct = 80
+mem_crit_pct = 85
+"""),
+    (HostConfig, {}, """[host]
+name = login1
+address = 10.0.0.1:6556
+poll_interval_s = 30
+connect_timeout_s = 2.5
+"""),
+    (ReportConfig, {}, """[report]
+node_series = hpc.node_cluster.node_state.avail_standard
+login_series = hpc.login_cluster.login.login_up
+threshold_nodes = 481
+staleness_s = 300
+gaps_as_down = yes
+"""),
+    (ClusterShape, {}, """[shape]
+cabinets = 2
+rectifiers_per_cabinet = 4
+nodes = 64
+partitions = standard, debug
+login_hosts = 2
+"""),
+    (Scenario, {"shape": ClusterShape(), "events": ()}, """[scenario]
+name = demo
+seed = 42
+tick_s = 10
+duration_ticks = 100
+idle_power_per_node_w = 250
+"""),
+    (Event, {"kind": EventKind.POWER_DIP}, """[event]
+from_tick = 10
+to_tick = 20
+depth_fraction = 0.25
+cabinets = x1000
+count = 3
+partition = debug
+hosts = login1, login2
+rate_pct_per_h = 1.5
+power_per_node_w = 650
+"""),
+]
+BOUND_IDS = [cls.__name__ for cls, _, _ in BOUND]
+
+
+def _read_type(hint):
+    """The runtime type bind() gives a field annotated ``hint``."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        hint = args[0]
+    return typing.get_origin(hint) or hint
+
+
+@pytest.mark.parametrize("cls,given,text", BOUND, ids=BOUND_IDS)
+def test_bind_reads_every_field_as_its_annotated_type(cls, given, text):
+    sec = parse_config(text)[0]
+    cfg = bind(sec, cls, **given)
+    hints = typing.get_type_hints(cls)
+    read = [f for f in dataclasses.fields(cls) if f.name not in given]
+    assert sorted(sec.values) == sorted(f.name for f in read)
+    for f in read:
+        value = getattr(cfg, f.name)
+        assert value != f.default, f.name
+        assert type(value) is _read_type(hints[f.name]), f.name
+        if isinstance(value, (tuple, frozenset)):
+            assert value and all(type(v) is str for v in value), f.name
+
+
+@pytest.mark.parametrize("cls,given,text", BOUND, ids=BOUND_IDS)
+def test_bind_keeps_defaults_for_absent_keys(cls, given, text):
+    full = parse_config(text)[0]
+    required = {
+        f.name for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        and f.name not in given
+    }
+    sec = Section(full.name, 1, {k: full.values[k] for k in required})
+    expected = {k: getattr(bind(full, cls, **given), k) for k in required}
+    assert bind(sec, cls, **given) == cls(**given, **expected)
+    if not required:
+        assert bind(Section(full.name, 1), cls, **given) == cls(**given)
+        assert bind(None, cls, **given) == cls(**given)
+
+
+@pytest.mark.parametrize("cls,given,text", [b for b in BOUND if b[0] in (HostConfig, ReportConfig, Event)],
+                         ids=["HostConfig", "ReportConfig", "Event"])
+def test_bind_requires_fields_without_defaults(cls, given, text):
+    with pytest.raises(ConfigError, match=r"line 3: \[x\] is missing required key"):
+        bind(parse_config("\n\n[x]\n")[0], cls, **given)
+
+
+def test_bind_refuses_an_annotation_it_cannot_read():
+    @dataclasses.dataclass
+    class Odd:
+        when: datetime.datetime | None = None
+
+    with pytest.raises(TypeError, match="Odd.when"):
+        bind(Section("odd", 1), Odd)
+    assert bind(Section("odd", 1), Odd, when=None) == Odd()
+
+
+def test_bind_errors_keep_the_getters_line_numbers():
+    sec = parse_config("[host]\nname = a\naddress = h:1\npoll_interval_s = soon\n")[0]
+    with pytest.raises(ConfigError, match="line 4: .*'soon' is not an integer"):
+        bind(sec, HostConfig)
+
+
+def test_agent_config_lowercases_down_states():
+    assert AgentConfig(down_states=frozenset({"DOWN", "Fail"})).down_states == {"down", "fail"}
+
+
+# Each of these loaded at an earlier version with a silent default; each is now
+# refused at startup (a ConfigError, so exit 2).
+def test_empty_partitions_is_refused(tmp_path, capsys):
+    scn = tmp_path / "bad.scn"
+    scn.write_text("[shape]\npartitions =\n")
+    assert cli.main(["sim", "--scenario", str(scn)]) == 2
+    assert "shape needs at least one partition" in capsys.readouterr().err
+
+
+def test_report_without_threshold_nodes_is_refused():
+    sections = parse_config("[report]\nnode_series = a.b.c.d\nlogin_series = a.b.c.e\n")
+    with pytest.raises(ConfigError, match="line 1: \\[report\\] is missing required key 'threshold_nodes'"):
+        cli._report_cfg_from(sections)
+
+
+@pytest.mark.parametrize("present,missing", [("from_tick = 1", "to_tick"), ("to_tick = 2", "from_tick")])
+def test_event_without_its_window_is_refused(tmp_path, capsys, present, missing):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(f"[scenario]\nduration_ticks = 10\n[event]\nkind = dns_fail\n{present}\n")
+    assert cli.main(["sim", "--scenario", str(scn)]) == 2
+    assert f"[event] is missing required key {missing!r}" in capsys.readouterr().err

@@ -317,6 +317,41 @@ def test_process_host_marks_services_stale_when_down():
     assert srv.poll_counts == {"h1": 1}
 
 
+def test_older_cluster_evaluation_never_lands_after_a_newer_one():
+    clock, srv, cluster = cluster_fixture()
+    srv.apply_payload(payload(result(CheckState.OK, "login")), "m1")
+    srv.evaluate_cluster(cluster)
+    computed, resume = threading.Event(), threading.Event()
+    real_cluster_state = srv.cluster_state
+
+    def paused_cluster_state(c):
+        got = real_cluster_state(c)
+        if threading.current_thread().name == "older":
+            computed.set()
+            resume.wait(5)
+        return got
+
+    srv.cluster_state = paused_cluster_state
+    notes = []
+
+    def newer():
+        srv.apply_payload(payload(result(CheckState.CRIT, "login")), "m1")
+        notes.extend(srv.evaluate_cluster(cluster))
+
+    older = threading.Thread(target=lambda: notes.extend(srv.evaluate_cluster(cluster)), name="older")
+    later = threading.Thread(target=newer)
+    older.start()
+    assert computed.wait(5)
+    later.start()
+    later.join(0.3)  # lets the newer evaluation finish first wherever it can
+    resume.set()
+    older.join(5)
+    later.join(5)
+    assert not older.is_alive() and not later.is_alive()
+    assert srv.records_snapshot()[("login_cluster", "login")].state is CheckState.CRIT
+    assert [(n.old_state, n.new_state) for n in notes] == [(CheckState.OK, CheckState.CRIT)]
+
+
 # -- sinks ---------------------------------------------------------------------
 
 
