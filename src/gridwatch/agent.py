@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import logging
 import os
+import queue
 import socket
 import socketserver
 import subprocess
+import threading
 import time
 from abc import ABC, abstractmethod
 from concurrent import futures
@@ -325,13 +327,7 @@ def check_dns(sources: DataSource, name: str) -> CheckResult:
     )
 
 
-def check_memory(
-    sources: DataSource,
-    path: str = "/proc/meminfo",
-    *,
-    warn_pct: float | None = 90.0,
-    crit_pct: float | None = 95.0,
-) -> CheckResult:
+def check_memory(sources: DataSource, path: str, *, warn_pct: float | None, crit_pct: float | None) -> CheckResult:
     """Report used memory percentage from a meminfo-format file."""
     try:
         text = sources.read_file(path).decode("utf-8", errors="replace")
@@ -406,8 +402,6 @@ def run_local_checks(
             except futures.TimeoutError:
                 fut.cancel()  # a check still queued never starts; a running one is left to end
                 results.append(_failed(name, f"timed out after {timeout_s:g}s"))
-            except Exception as exc:  # pragma: no cover - _run_one already catches
-                results.append(_failed(name, str(exc)))
     return AgentPayload(agent_version, int(clock()), results)
 
 
@@ -446,6 +440,36 @@ def _script_thunk(sources: DataSource, script: Path, timeout_s: float):
     return run
 
 
+class _DaemonPool(futures.Executor):
+    """A fixed set of daemon threads fed from one queue. A ThreadPoolExecutor's workers are
+    joined at interpreter exit, so a check hung for good would keep the agent from exiting."""
+
+    def __init__(self, workers: int):
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._workers = workers
+        for _ in range(workers):
+            threading.Thread(target=self._work, name="check", daemon=True).start()
+
+    def submit(self, fn, /, *args, **kwargs) -> futures.Future:
+        fut = futures.Future()
+        self._tasks.put((fut, fn, args, kwargs))
+        return fut
+
+    def _work(self) -> None:
+        for fut, fn, args, kwargs in iter(self._tasks.get, None):
+            if fut.set_running_or_notify_cancel():
+                try:
+                    fut.set_result(fn(*args, **kwargs))
+                except BaseException as exc:
+                    fut.set_exception(exc)
+
+    def shutdown(self, wait=True, *, cancel_futures=False) -> None:
+        """Ends each thread once it is free, after the tasks queued before this call;
+        never waits or cancels, since a thread held by a hung check may never be free."""
+        for _ in range(self._workers):
+            self._tasks.put(None)
+
+
 @dataclass(frozen=True)
 class AgentConfig:
     """Static agent setup, normally read from the [agent] config section."""
@@ -482,18 +506,19 @@ def agent_config_from_sections(sections: list[Section]) -> AgentConfig:
 
 class Agent:
     """Binds a config and a data source into a payload factory; with ``concurrent_checks``
-    every collection shares one bounded pool, so a hung check holds one thread, not one per poll."""
+    every collection shares one pool of daemon threads, so a hung check holds one thread,
+    not one per poll, and never keeps the agent from exiting."""
 
     def __init__(self, cfg: AgentConfig, sources: DataSource, *, clock=time.time, version: str = __version__):
         self.cfg = cfg
         self.sources = sources
         self.clock = clock
         self.version = version
-        self._pool = futures.ThreadPoolExecutor(_CHECK_WORKERS, "check") if cfg.concurrent_checks else None
+        self._pool = _DaemonPool(_CHECK_WORKERS) if cfg.concurrent_checks else None
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=False)
 
     def _builtins(self):
         cfg, src = self.cfg, self.sources

@@ -1,10 +1,12 @@
 """Central poller: polls agents, tracks service state, forwards metrics.
 
 One poll is a fetch of the agent's payload bytes (by default a TCP connect
-and a read to EOF, bounded in time and size), a parse, and a transactional
-apply: service records updated, every perfdata value written to the series
-store as ``<prefix>.<host>.<service>.<key>``, one notification per state
-transition, and cluster services re-evaluated.
+and a read to EOF, bounded in time and size) and a parse, with no lock held,
+then one hold of the server lock for its whole state change: poll counts,
+service records, every perfdata value written to the series store as
+``<prefix>.<host>.<service>.<key>``, and member clusters re-evaluated, so
+every series, host or cluster, is written in its record's order. The one
+notification per state transition goes to the sinks after the hold.
 Cluster services republish the freshest non-stale member's result under
 the cluster name, so a service survives individual host outages.
 """
@@ -239,6 +241,12 @@ class MonitoringServer:
         self.parallelism = parallelism
         self.staleness_factor = staleness_factor
         self.fetch = fetch
+        # A cluster's record, refreshed on every member poll, ages at its fastest member's interval.
+        polled = {h.name: h.poll_interval_s for h in hosts}
+        self._intervals = polled | {
+            c.name: min((polled[m] for m in c.member_hosts if m in polled), default=DEFAULT_POLL_INTERVAL_S)
+            for c in self.clusters
+        }
         self.sink_failures: Counter = Counter()
         self._records: dict[tuple[str, str], ServiceRecord] = {}
         self._lock = threading.RLock()
@@ -261,39 +269,28 @@ class MonitoringServer:
 
     def apply_payload(self, payload: AgentPayload, host: str) -> list[Notification]:
         """Apply one payload: update records, write metrics, emit transitions."""
-        now = self.clock()
-        notifications: list[Notification] = []
-        samples: list[MetricSample] = []
-        with self._lock:
-            for result in payload.results:
-                notifications.extend(self._apply_result(host, result, now, samples))
-        self.flush_metrics(samples)
-        return notifications
+        return self._record(host, payload.results)
 
-    def _apply_result(self, host, result, now, samples) -> list[Notification]:
-        """Update one record; append its perfdata to ``samples``."""
-        key = (host, result.service)
-        record = self._records.get(key)
-        old = record.last_result.state if record is not None else None
-        if record is None:
-            record = ServiceRecord(
-                host=host,
-                service=result.service,
-                last_result=result,
-                last_seen_t=now,
-            )
-            self._records[key] = record
-        record.last_result = result
-        record.last_seen_t = now
-        record.stale = False
-        for perf in result.perfdata:
-            series = ".".join(
-                (self.prefix, _segment(host), _segment(result.service), _segment(perf.key))
-            )
-            samples.append(MetricSample(series, int(now), perf.value))
-        if old is not None and old != result.state:
-            return [Notification(int(now), host, result.service, old, result.state, result.summary)]
-        return []
+    def _record(self, host: str, results) -> list[Notification]:
+        """Record ``results`` under ``host`` and write their perfdata, in one
+        hold of the lock, so each series is written in its record's order."""
+        with self._lock:
+            now = self.clock()
+            t = int(now)
+            notifications: list[Notification] = []
+            samples: list[MetricSample] = []
+            for result in results:
+                service = result.service
+                old = self._records.get((host, service))
+                if old is not None and old.last_result.state != result.state:
+                    prev = old.last_result.state
+                    notifications.append(Notification(t, host, service, prev, result.state, result.summary))
+                self._records[host, service] = ServiceRecord(host, service, result, now)
+                base = f"{self.prefix}.{_segment(host)}.{_segment(service)}."
+                for perf in result.perfdata:
+                    samples.append(MetricSample(base + _segment(perf.key), t, perf.value))
+            self.flush_metrics(samples)
+        return notifications
 
     def mark_host_stale(self, host: str) -> None:
         with self._lock:
@@ -309,13 +306,8 @@ class MonitoringServer:
             return self._is_stale(record, self.clock() if now is None else now)
 
     def _is_stale(self, record: ServiceRecord, now: float) -> bool:
-        if record.stale:
-            return True
-        interval = DEFAULT_POLL_INTERVAL_S
-        host = self.hosts.get(record.host)
-        if host is not None:
-            interval = host.poll_interval_s
-        return (now - record.last_seen_t) > self.staleness_factor * interval
+        interval = self._intervals.get(record.host, DEFAULT_POLL_INTERVAL_S)
+        return record.stale or (now - record.last_seen_t) > self.staleness_factor * interval
 
     # -- clusters --------------------------------------------------------
 
@@ -341,30 +333,27 @@ class MonitoringServer:
     def evaluate_cluster(self, cluster: ClusterServiceConfig) -> list[Notification]:
         """Re-evaluate one cluster service and record it under the cluster name;
         one hold of the lock spans both, so an older evaluation never lands last."""
-        samples: list[MetricSample] = []
         with self._lock:
-            result = self.cluster_state(cluster)
-            notifications = self._apply_result(cluster.name, result, self.clock(), samples)
-            self.flush_metrics(samples)
-        return notifications
+            return self._record(cluster.name, [self.cluster_state(cluster)])
 
     # -- the full poll transaction ----------------------------------------
 
     def process_host(self, cfg: HostConfig) -> list[Notification]:
+        """Poll one host with no lock held, then apply the whole state change
+        in one hold of the lock; sinks are called after it ends."""
         got = self.poll_host(cfg)
         with self._lock:
             self._poll_counts[cfg.name] += 1
-        if isinstance(got, HostDown):
-            with self._lock:
+            if isinstance(got, HostDown):
                 self._host_down_counts[cfg.name] += 1
-            log.debug("host %s down: %s", cfg.name, got.reason)
-            self.mark_host_stale(cfg.name)
-            notifications = []
-        else:
-            notifications = self.apply_payload(got, cfg.name)
-        for cluster in self.clusters:
-            if cfg.name in cluster.member_hosts:
-                notifications.extend(self.evaluate_cluster(cluster))
+                log.debug("host %s down: %s", cfg.name, got.reason)
+                self.mark_host_stale(cfg.name)
+                notifications = []
+            else:
+                notifications = self.apply_payload(got, cfg.name)
+            for cluster in self.clusters:
+                if cfg.name in cluster.member_hosts:
+                    notifications.extend(self.evaluate_cluster(cluster))
         for n in notifications:
             dispatch(n, self.sinks, self.sink_failures)
         return notifications
@@ -372,17 +361,13 @@ class MonitoringServer:
     def flush_metrics(self, samples: list[MetricSample]) -> None:
         """Write ``samples`` to the store in order; a sample the store
         refuses is logged and counted in ``samples_rejected``, and the
-        rest are still written."""
-        rejected = 0
+        rest are still written. The caller holds the lock."""
         for sample in samples:
             try:
                 self.store.write(sample)
             except ValueError as exc:  # TooOld, NonFiniteValue or a bad name
-                rejected += 1
+                self.samples_rejected += 1
                 log.warning("store refused %s: %s", sample.series, exc)
-        if rejected:
-            with self._lock:
-                self.samples_rejected += rejected
 
     @property
     def poll_counts(self) -> dict[str, int]:
@@ -403,16 +388,14 @@ class MonitoringServer:
     def run(self, stop: threading.Event, sleep=time.sleep) -> None:
         """Poll every host on its own cadence until ``stop`` is set.
 
-        Polls run on a bounded worker pool; a host whose poll is still in
-        flight is skipped, so one stuck host can never stall the others.
-        The store is flushed to disk once per shortest poll interval, so a
-        killed server loses at most that much data.
+        Polls run on a bounded worker pool; a host whose last poll is still
+        in flight when it falls due again is skipped, so one stuck host can
+        never stall the others. The store is flushed to disk once per
+        shortest poll interval, so a killed server loses at most that much data.
         """
         if not self.hosts:
             raise ValueError("no hosts configured")
-        pool = futures.ThreadPoolExecutor(max_workers=self.parallelism, thread_name_prefix="poll")
-        in_flight: set[str] = set()
-        guard = threading.Lock()
+        last_poll: dict[str, futures.Future] = {}  # touched by this thread only
         next_due = {name: self.clock() for name in self.hosts}
         checkpoint_s = min(h.poll_interval_s for h in self.hosts.values())
         next_checkpoint = self.clock() + checkpoint_s
@@ -423,22 +406,15 @@ class MonitoringServer:
                 self.process_host(cfg)
             except Exception:
                 log.exception("poll of %s failed", cfg.name)
-            finally:
-                with guard:
-                    in_flight.discard(cfg.name)
 
-        try:
+        with futures.ThreadPoolExecutor(max_workers=self.parallelism, thread_name_prefix="poll") as pool:
             while not stop.is_set():
                 now = self.clock()
                 for name, cfg in self.hosts.items():
-                    if now < next_due[name]:
+                    if now < next_due[name] or (name in last_poll and not last_poll[name].done()):
                         continue
-                    with guard:
-                        if name in in_flight:
-                            continue
-                        in_flight.add(name)
                     next_due[name] = now + cfg.poll_interval_s
-                    pool.submit(work, cfg)
+                    last_poll[name] = pool.submit(work, cfg)
                 if now >= next_checkpoint:
                     next_checkpoint = now + checkpoint_s
                     try:
@@ -446,5 +422,3 @@ class MonitoringServer:
                     except OSError:
                         log.exception("store checkpoint failed; retrying at the next one")
                 sleep(quantum)
-        finally:
-            pool.shutdown(wait=True)

@@ -261,7 +261,7 @@ class Store:
             default_retention = parse_retention(default_retention)
         self._default_retention = default_retention
         self._series: dict[str, _Series] = {}
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._root = Path(root) if root is not None else None
         self.write_count = 0
         if self._root is not None:

@@ -253,19 +253,22 @@ def meminfo(total_kb, avail_kb):
     return f"MemTotal: {total_kb} kB\nMemFree: 1 kB\nMemAvailable: {avail_kb} kB\n"
 
 
+def memory_check(files, warn_pct=90.0, crit_pct=95.0):
+    return check_memory(FakeSources(files=files), "/proc/meminfo", warn_pct=warn_pct, crit_pct=crit_pct)
+
+
 def test_check_memory_percentages_and_thresholds():
-    src = FakeSources(files={"/proc/meminfo": meminfo(1000, 700)})
-    r = check_memory(src)
+    r = memory_check({"/proc/meminfo": meminfo(1000, 700)})
     assert r.state is CheckState.OK
     assert node_perf(r)["mem_used_pct"] == pytest.approx(30.0)
-    assert check_memory(FakeSources(files={"/proc/meminfo": meminfo(1000, 80)})).state is CheckState.WARN
-    assert check_memory(FakeSources(files={"/proc/meminfo": meminfo(1000, 20)})).state is CheckState.CRIT
+    assert memory_check({"/proc/meminfo": meminfo(1000, 80)}).state is CheckState.WARN
+    assert memory_check({"/proc/meminfo": meminfo(1000, 20)}).state is CheckState.CRIT
+    assert memory_check({"/proc/meminfo": meminfo(1000, 20)}, None, None).state is CheckState.OK
 
 
 def test_check_memory_unknown_when_unreadable_or_incomplete():
-    assert check_memory(FakeSources()).state is CheckState.UNKNOWN
-    src = FakeSources(files={"/proc/meminfo": "MemTotal: 1000 kB\n"})
-    assert check_memory(src).state is CheckState.UNKNOWN
+    assert memory_check({}).state is CheckState.UNKNOWN
+    assert memory_check({"/proc/meminfo": "MemTotal: 1000 kB\n"}).state is CheckState.UNKNOWN
 
 
 # -- the collection loop ---------------------------------------------------------

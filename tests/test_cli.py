@@ -358,6 +358,32 @@ def test_agent_serves_polls_and_exits_cleanly_on_sigterm(tmp_path):
             proc.wait()
 
 
+def test_agent_with_a_hung_check_exits_on_sigterm(tmp_path):
+    fifo = tmp_path / "meminfo"
+    os.mkfifo(fifo)  # no writer ever opens it, so reading it blocks for good
+    cfg = tmp_path / "agent.cfg"
+    cfg.write_text(
+        f"[agent]\nbind = 127.0.0.1\nport = 0\nchecks = memory\nmeminfo_path = {fifo}\ncheck_timeout_s = 0.2\n"
+    )
+    env = dict(os.environ, GRIDWATCH_CONFIG=str(cfg))
+    proc = subprocess.Popen(PYTHON + ["-v", "agent"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        port = int(read_until(proc.stderr, r"agent listening on 127\.0\.0\.1:(\d+)").group(1))
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.settimeout(5)
+            raw = b""
+            while block := sock.recv(65536):
+                raw += block
+        (result,) = parse_agent_payload(raw).results
+        assert (result.service, result.summary) == ("_check_failed_memory", "timed out after 0.2s")
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=5) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
 def test_server_runs_and_exits_cleanly_on_sigterm(tmp_path):
     store = tmp_path / "store"
     notes = tmp_path / "notes.jsonl"

@@ -198,6 +198,24 @@ def test_evaluate_cluster_republishes_under_cluster_name():
     assert not srv.service_stale("login_cluster", "login")
 
 
+def test_cluster_record_ages_at_its_fastest_members_interval():
+    clock = FakeTime(1_000_000.0)
+    hosts = [HostConfig(name, "127.0.0.1:1", poll_interval_s=s) for name, s in (("m1", 300), ("m2", 600))]
+    cluster = ClusterServiceConfig("lc", ("m1", "m2", "gone"), "login")
+    orphan = ClusterServiceConfig("none", ("gone",), "login")  # no configured member
+    srv = make_server(hosts=hosts, clusters=[cluster, orphan], clock=clock.time)
+    srv.apply_payload(payload(result(CheckState.OK, "login")), "m1")
+    srv.evaluate_cluster(cluster)
+    srv.evaluate_cluster(orphan)
+    clock.sleep(150)
+    assert not srv.service_stale("m1", "login")
+    assert srv.cluster_state(cluster).state is CheckState.OK
+    assert not srv.service_stale("lc", "login")
+    assert srv.service_stale("none", "login")  # the default 60 s interval, 2 x 60 < 150
+    clock.sleep(451)  # 601 s: beyond 2 x 300, the fastest member's interval
+    assert srv.service_stale("lc", "login")
+
+
 def test_host_and_cluster_names_must_be_unique():
     h1 = HostConfig("h1", "127.0.0.1:1")
     with pytest.raises(ValueError, match="h1"):
@@ -487,6 +505,37 @@ def test_scheduler_polls_on_cadence_and_survives_a_dead_host():
     assert srv.host_down_counts.get("dead") == counts["dead"]
     assert all(srv.host_down_counts.get(f"live{i}", 0) == 0 for i in range(3))
     assert srv.store.write_count > 0
+
+
+def test_scheduler_skips_a_host_whose_poll_is_still_in_flight():
+    fake = FakeTime(1_000_000.0)
+    text = payload_text(7, ["0 beat up=1 ok"]).encode()
+    release, stop = threading.Event(), threading.Event()
+    fetched = []
+
+    def fetch(cfg):
+        fetched.append(cfg.name)
+        if cfg.name == "stuck":
+            assert release.wait(10), "stuck poll never released"
+        return text
+
+    def on_advance(now):
+        if now >= fake.start + 600:
+            stop.set()
+            release.set()
+
+    hosts = [HostConfig(name, "in-process", poll_interval_s=60) for name in ("stuck", "live")]
+    srv = MonitoringServer(hosts, store=Store(default_retention="10s:1h"), clock=fake.time, fetch=fetch)
+    fake.on_advance = on_advance
+    runner = threading.Thread(target=srv.run, args=(stop,), kwargs={"sleep": fake.sleep}, daemon=True)
+    runner.start()
+    runner.join(30)
+    release.set()
+    stop.set()
+    assert not runner.is_alive()
+    assert fetched.count("stuck") == 1
+    assert 10 <= fetched.count("live") <= 11
+    assert srv.poll_counts == {"stuck": 1, "live": fetched.count("live")}
 
 
 def test_scheduler_requires_hosts():
