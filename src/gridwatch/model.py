@@ -157,8 +157,9 @@ def _fmt_num(v: float) -> str:
     """Shortest decimal text that parses back to exactly the same float."""
     if not math.isfinite(v):
         raise InvalidResult(f"non-finite number {v!r} cannot go on the wire")
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
+    i = int(v)
+    if v == i and abs(v) < 1e15:
+        return str(i)
     return repr(v)
 
 
@@ -178,6 +179,10 @@ def _parse_perf_item(text: str) -> Perfdata:
         raise MalformedLine(f"perfdata item without '=': {text!r}")
     if not _KEY_RE.match(key):
         raise MalformedLine(f"bad perfdata key {key!r}")
+    if ";" not in rest:  # a bare value, the common case
+        if rest == "":
+            raise MalformedLine(f"perfdata item without a value: {text!r}")
+        return Perfdata(key, _parse_num(rest))
     slots = rest.split(";")
     if len(slots) > 5:
         raise MalformedLine(f"too many ';' fields in perfdata item {text!r}")
@@ -191,6 +196,8 @@ def _parse_perf_item(text: str) -> Perfdata:
 def _serialize_perf_item(p: Perfdata) -> str:
     if not _KEY_RE.match(p.key):
         raise InvalidResult(f"bad perfdata key {p.key!r}")
+    if p.warn is None and p.crit is None and p.min is None and p.max is None:
+        return f"{p.key}={_fmt_num(p.value)}"
     slots = [_fmt_num(p.value)]
     slots += ["" if x is None else _fmt_num(x) for x in (p.warn, p.crit, p.min, p.max)]
     while len(slots) > 1 and slots[-1] == "":
@@ -280,10 +287,11 @@ def parse_agent_payload(data: "bytes | str") -> AgentPayload:
     section = None
     for raw in text.split("\n"):
         line = raw.rstrip("\r")
-        m = _SECTION_RE.match(line)
-        if m:
-            section = m.group(1)
-            continue
+        if line.startswith("<<<"):
+            m = _SECTION_RE.match(line)
+            if m:
+                section = m.group(1)
+                continue
         if section == "meta":
             key, sep, value = line.partition(":")
             if not sep:

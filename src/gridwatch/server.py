@@ -249,6 +249,11 @@ class MonitoringServer:
         }
         self.sink_failures: Counter = Counter()
         self._records: dict[tuple[str, str], ServiceRecord] = {}
+        # Series name per (host, service, perfdata key). A name is kept only
+        # once the store has taken a sample under it, and only when no part
+        # needed sanitizing, so no two entries share a series and there are
+        # never more entries than the store has series.
+        self._names: dict[tuple[str, str, str], str] = {}
         self._lock = threading.RLock()
         self._poll_counts: Counter = Counter()
         self._host_down_counts: Counter = Counter()
@@ -279,6 +284,7 @@ class MonitoringServer:
             t = int(now)
             notifications: list[Notification] = []
             samples: list[MetricSample] = []
+            named = []  # (host, service, key) -> name pairs new to self._names
             for result in results:
                 service = result.service
                 old = self._records.get((host, service))
@@ -286,10 +292,18 @@ class MonitoringServer:
                     prev = old.last_result.state
                     notifications.append(Notification(t, host, service, prev, result.state, result.summary))
                 self._records[host, service] = ServiceRecord(host, service, result, now)
-                base = f"{self.prefix}.{_segment(host)}.{_segment(service)}."
                 for perf in result.perfdata:
-                    samples.append(MetricSample(base + _segment(perf.key), t, perf.value))
+                    parts = (host, service, perf.key)
+                    name = self._names.get(parts)
+                    if name is None:
+                        name = ".".join((self.prefix, *map(_segment, parts)))
+                        if name == ".".join((self.prefix, *parts)):
+                            named.append((parts, name))
+                    samples.append(MetricSample(name, t, perf.value))
+            rejected = self.samples_rejected
             self.flush_metrics(samples)
+            if self.samples_rejected == rejected:
+                self._names.update(named)
         return notifications
 
     def mark_host_stale(self, host: str) -> None:

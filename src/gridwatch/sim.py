@@ -77,6 +77,7 @@ _STREAM_VOLT = 2
 _STREAM_MEM = 3
 
 _MASK64 = (1 << 64) - 1
+_TWO_53 = float(1 << 53)
 
 
 class BadScenario(ValueError):
@@ -102,8 +103,11 @@ class ClusterShape:
     partitions: tuple[str, ...] = ("standard",)
     login_hosts: int = 4
 
+    def cabinet_id(self, index: int) -> str:
+        return f"x{1000 + index}"
+
     def cabinet_ids(self) -> tuple[str, ...]:
-        return tuple(f"x{1000 + i}" for i in range(self.cabinets))
+        return tuple(self.cabinet_id(i) for i in range(self.cabinets))
 
     def login_names(self) -> tuple[str, ...]:
         return tuple(f"login{i + 1}" for i in range(self.login_hosts))
@@ -249,38 +253,56 @@ def _mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _unit_noise(seed: int, *keys: int) -> float:
-    """Pure hash of (seed, keys) onto [-1.0, 1.0)."""
-    h = _mix64(seed & _MASK64)
+def _mix_in(h: int, *keys: int) -> int:
+    """Fold ``keys`` into the hash ``h``, one splitmix64 step per key."""
     for k in keys:
         h = _mix64(h ^ (k & _MASK64))
-    return (h >> 11) / float(1 << 53) * 2.0 - 1.0
+    return h
+
+
+def _to_unit(h: int) -> float:
+    """A 64-bit hash onto [-1.0, 1.0)."""
+    return (h >> 11) / _TWO_53 * 2.0 - 1.0
+
+
+def _unit_noise(seed: int, *keys: int) -> float:
+    """Pure hash of (seed, keys) onto [-1.0, 1.0)."""
+    return _to_unit(_mix_in(_mix64(seed & _MASK64), *keys))
 
 
 # -- generator-side physics ---------------------------------------------------
 
 
-def _active(scenario: Scenario, tick: int, kind: EventKind):
-    return [e for e in scenario.events if e.kind is kind and e.active(tick)]
+def _events_at(scenario: Scenario, tick: int) -> dict[EventKind, list[Event]]:
+    """The events active at ``tick``, by kind, each list in scenario order."""
+    active: dict[EventKind, list[Event]] = {kind: [] for kind in EventKind}
+    for event in scenario.events:
+        if event.active(tick):
+            active[event.kind].append(event)
+    return active
 
 
-def _per_node_power_w(scenario: Scenario, tick: int) -> float:
-    for event in _active(scenario, tick, EventKind.HPL_RUN):
-        return event.power_per_node_w
-    return scenario.idle_power_per_node_w
+def _rectifier_base_w(scenario: Scenario, active) -> float:
+    """One rectifier's share of the machine's power, before dips and noise."""
+    shape = scenario.shape
+    hpl = active[EventKind.HPL_RUN]
+    per_node_w = hpl[0].power_per_node_w if hpl else scenario.idle_power_per_node_w
+    return per_node_w * shape.nodes / (shape.cabinets * shape.rectifiers_per_cabinet)
+
+
+def _dip_factor(active, cab_id: str) -> float:
+    factor = 1.0
+    for event in active[EventKind.POWER_DIP]:
+        if not event.cabinets or cab_id in event.cabinets:
+            factor *= 1.0 - event.depth_fraction
+    return factor
 
 
 def rectifier_power_w(scenario: Scenario, tick: int, cab_index: int, rect: int) -> float:
     """Scripted power of one rectifier at one tick (the ground truth)."""
-    shape = scenario.shape
-    base = _per_node_power_w(scenario, tick) * shape.nodes / (
-        shape.cabinets * shape.rectifiers_per_cabinet
-    )
-    factor = 1.0
-    cab_id = shape.cabinet_ids()[cab_index]
-    for event in _active(scenario, tick, EventKind.POWER_DIP):
-        if not event.cabinets or cab_id in event.cabinets:
-            factor *= 1.0 - event.depth_fraction
+    active = _events_at(scenario, tick)
+    base = _rectifier_base_w(scenario, active)
+    factor = _dip_factor(active, scenario.shape.cabinet_id(cab_index))
     noise = 1.0 + POWER_NOISE_FRACTION * _unit_noise(
         scenario.seed, _STREAM_POWER, tick, cab_index, rect
     )
@@ -309,30 +331,54 @@ def expected_system_power_w(scenario: Scenario, tick: int) -> float:
     return total
 
 
-def _mem_used_pct(scenario: Scenario, tick: int) -> float:
+def _rectifier_files(scenario: Scenario, tick: int, active) -> list[bytes]:
+    """Every rectifier file at ``tick``, cabinet by cabinet, in one pass.
+
+    The same arithmetic as ``rectifier_power_w`` and ``rectifier_voltage_v``,
+    with the noise hash of ``(seed, stream, tick, cabinet)`` taken once per
+    cabinet instead of once per rectifier.
+    """
+    shape = scenario.shape
+    base = _rectifier_base_w(scenario, active)
+    seed_h = _mix64(scenario.seed & _MASK64)
+    power_h = _mix_in(seed_h, _STREAM_POWER, tick)
+    volt_h = _mix_in(seed_h, _STREAM_VOLT, tick)
+    files = []
+    for cab_index in range(shape.cabinets):
+        scaled = base * _dip_factor(active, shape.cabinet_id(cab_index))
+        cab_power_h = _mix64(power_h ^ cab_index)
+        cab_volt_h = _mix64(volt_h ^ cab_index)
+        for rect in range(shape.rectifiers_per_cabinet):
+            power = scaled * (1.0 + POWER_NOISE_FRACTION * _to_unit(_mix64(cab_power_h ^ rect)))
+            volt = NOMINAL_VOLTAGE_V + VOLTAGE_NOISE_V * _to_unit(_mix64(cab_volt_h ^ rect))
+            files.append(f"power_w {power!r}\nvoltage_v {volt!r}\n".encode("ascii"))
+    return files
+
+
+def _mem_used_pct(scenario: Scenario, tick: int, active) -> float:
     used = BASE_MEM_USED_PCT + MEM_NOISE_PCT * _unit_noise(scenario.seed, _STREAM_MEM, tick)
-    for event in _active(scenario, tick, EventKind.MEM_LEAK):
+    for event in active[EventKind.MEM_LEAK]:
         hours = (tick - event.from_tick) * scenario.tick_s / 3600.0
         used += event.rate_pct_per_h * hours
     return min(max(used, 1.0), 99.0)
 
 
-def _drained_nodes(scenario: Scenario, tick: int, partition: str) -> int:
+def _drained_nodes(scenario: Scenario, active, partition: str) -> int:
     total = scenario.shape.partition_nodes()[partition]
     drained = 0
-    for event in _active(scenario, tick, EventKind.NODE_DRAIN):
+    for event in active[EventKind.NODE_DRAIN]:
         if (event.partition or scenario.shape.partitions[0]) == partition:
             drained += event.count
     return min(drained, total)
 
 
-def _sinfo_text(scenario: Scenario, tick: int) -> str:
+def _sinfo_text(scenario: Scenario, active) -> str:
     """Four-column scheduler summary; totals are conserved across events."""
-    hpl = bool(_active(scenario, tick, EventKind.HPL_RUN))
+    hpl = bool(active[EventKind.HPL_RUN])
     lines = ["PARTITION AVAIL NODES STATE"]
     for i, partition in enumerate(scenario.shape.partitions):
         total = scenario.shape.partition_nodes()[partition]
-        drained = _drained_nodes(scenario, tick, partition)
+        drained = _drained_nodes(scenario, active, partition)
         rest = total - drained
         alloc = rest if hpl else int(rest * 0.9)
         idle = rest - alloc
@@ -343,8 +389,8 @@ def _sinfo_text(scenario: Scenario, tick: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _meminfo_text(scenario: Scenario, tick: int) -> str:
-    used_pct = _mem_used_pct(scenario, tick)
+def _meminfo_text(scenario: Scenario, tick: int, active) -> str:
+    used_pct = _mem_used_pct(scenario, tick, active)
     avail_kb = round(MEM_TOTAL_KB * (1.0 - used_pct / 100.0))
     free_kb = round(avail_kb * 0.85)
     return (
@@ -354,28 +400,59 @@ def _meminfo_text(scenario: Scenario, tick: int) -> str:
     )
 
 
-def _outage_hosts(scenario: Scenario, tick: int) -> set[str]:
+def _outage_hosts(scenario: Scenario, active) -> frozenset[str]:
     out: set[str] = set()
-    for event in _active(scenario, tick, EventKind.LOGIN_OUTAGE):
+    for event in active[EventKind.LOGIN_OUTAGE]:
         out.update(event.hosts or scenario.shape.login_names())
-    return out
+    return frozenset(out)
 
 
 # -- the fake DataSource -----------------------------------------------------
 
 
+class _Tick:
+    """What a source serves at one tick: the active events, worked out once,
+    and each file or command output rendered on its first read."""
+
+    __slots__ = ("active", "outage", "rectifiers", "meminfo", "sinfo")
+
+    def __init__(self, scenario: Scenario, tick: int):
+        self.active = _events_at(scenario, tick)
+        self.outage = _outage_hosts(scenario, self.active)
+        self.rectifiers: list[bytes] | None = None
+        self.meminfo: bytes | None = None
+        self.sinfo: str | None = None
+
+
 class SimDataSource(DataSource):
     """Serves every agent input from the scenario at ``tick``, and tells the
-    time of that tick; ``run`` moves ``tick`` forward between poll rounds."""
+    time of that tick; ``run`` moves ``tick`` forward between poll rounds.
+
+    The answers of one tick are worked out on the first call at that tick
+    and kept until ``tick`` changes, however it is changed.
+    """
 
     def __init__(self, scenario: Scenario, tick: int = 0):
         self.scenario = scenario
         self.tick = tick
+        shape = scenario.shape
+        # path -> position in the tick's list of rectifier files
         self._rectifiers = {
-            f"{DEFAULT_CEC_ROOT}/{cab}/rectifiers/{r}": (cab_index, r)
-            for cab_index, cab in enumerate(scenario.shape.cabinet_ids())
-            for r in range(scenario.shape.rectifiers_per_cabinet)
+            f"{DEFAULT_CEC_ROOT}/{shape.cabinet_id(cab_index)}/rectifiers/{r}":
+                cab_index * shape.rectifiers_per_cabinet + r
+            for cab_index in range(shape.cabinets)
+            for r in range(shape.rectifiers_per_cabinet)
         }
+        self._logins = frozenset(shape.login_names())
+        self._cache: tuple[int | None, _Tick | None] = (None, None)
+
+    def _now(self) -> _Tick:
+        tick, state = self._cache
+        if tick != self.tick:
+            tick = self.tick
+            state = _Tick(self.scenario, tick)
+            self._cache = (tick, state)
+        return state
 
     def time(self) -> float:
         return float(SIM_EPOCH + self.tick * self.scenario.tick_s)
@@ -383,27 +460,32 @@ class SimDataSource(DataSource):
     def read_file(self, path: str) -> bytes:
         rect = self._rectifiers.get(path)
         if rect is not None:
-            power = rectifier_power_w(self.scenario, self.tick, *rect)
-            volt = rectifier_voltage_v(self.scenario, self.tick, *rect)
-            return f"power_w {power!r}\nvoltage_v {volt!r}\n".encode("ascii")
+            now = self._now()
+            if now.rectifiers is None:
+                now.rectifiers = _rectifier_files(self.scenario, self.tick, now.active)
+            return now.rectifiers[rect]
         if path == "/proc/meminfo":
-            return _meminfo_text(self.scenario, self.tick).encode("ascii")
+            now = self._now()
+            if now.meminfo is None:
+                now.meminfo = _meminfo_text(self.scenario, self.tick, now.active).encode("ascii")
+            return now.meminfo
         raise FileNotFoundError(path)
 
     def run_command(self, argv, timeout=None):
         if argv and argv[0].rsplit("/", 1)[-1] == "sinfo":
-            return 0, _sinfo_text(self.scenario, self.tick)
+            now = self._now()
+            if now.sinfo is None:
+                now.sinfo = _sinfo_text(self.scenario, now.active)
+            return 0, now.sinfo
         return 127, ""
 
     def probe_login(self, target, timeout=None):
         # The probe target is a rotating alias over the login hosts, so it
         # answers as long as any of them is alive.
-        outage = _outage_hosts(self.scenario, self.tick)
-        alive = set(self.scenario.shape.login_names()) - outage
-        return 0 if alive else 255
+        return 0 if self._logins - self._now().outage else 255
 
     def resolve_name(self, name):
-        if _active(self.scenario, self.tick, EventKind.DNS_FAIL):
+        if self._now().active[EventKind.DNS_FAIL]:
             raise OSError(f"simulated resolver failure for {name}")
         return ["10.20.0.10", "10.20.0.11"]
 
@@ -531,7 +613,7 @@ def run(
     def fetch(cfg: HostConfig) -> bytes:
         # During a LOGIN_OUTAGE covering the host the whole box is dark: its
         # poll fails with a connection error, exactly like a crashed machine's.
-        if cfg.name in _outage_hosts(scenario, sources.tick):
+        if cfg.name in sources._now().outage:
             raise ConnectionAbortedError(f"{cfg.name} is down at tick {sources.tick}")
         return agents[cfg.name].payload_text().encode("utf-8")
 

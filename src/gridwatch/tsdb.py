@@ -19,12 +19,21 @@ coarse aggregates are not stored, and each coarse slot seeds its own from
 the finest ring the first time a write touches it. With no root directory
 the store is purely in memory, which is what the tests and the simulator
 use.
+
+In memory, all of a series' rings share one private anonymous mapping:
+first its slot table, laid out as in the file, then the running coarse
+aggregates. The kernel hands out a page on its first write, so a series
+costs memory only where slots were written, while reading a page never
+written (as a flush does) maps the shared zero page. A store opened from
+disk copies each file into its mapping and is resident in full. The rings
+need POSIX ``mmap``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import mmap
 import os
 import re
 import struct
@@ -59,6 +68,7 @@ _VERSION = 1
 _HEAD = struct.Struct("<4sHH")
 _ARCH = struct.Struct("<II")
 _PAIR_BYTES = 16  # one slot on disk: little-endian int64 t, float64 v
+_AGG_BYTES = 24  # one coarse slot's running aggregate: int64 t, float64 sum, int64 count
 
 # Hard cap on slots returned by a single read; protects against runaway
 # ranges, not a tuning knob.
@@ -139,19 +149,24 @@ class _Archive:
     (sum, count) aggregates per slot so downsampling is O(archives) per
     write instead of a rescan of the finest ring. Only (ts, vals) are
     persisted; agg_t[j] names the slot whose aggregate position j holds,
-    and a write to any other slot seeds it from the finest ring."""
+    and a write to any other slot seeds it from the finest ring.
+
+    The rings are strided views over the series' one anonymous mapping:
+    ``slots`` holds the (t, v) pairs exactly as the file's slot table does,
+    ``aggs`` the (agg_t, agg_sum, agg_cnt) triples. A page of either costs
+    memory only once a slot on it is written."""
 
     __slots__ = ("interval", "points", "ts", "vals", "agg_t", "agg_sum", "agg_cnt")
 
-    def __init__(self, interval: int, points: int, aggregated: bool):
+    def __init__(self, interval: int, points: int, slots: memoryview, aggs: memoryview | None):
         self.interval = interval
         self.points = points
-        self.ts = array("q", bytes(8 * points))
-        self.vals = array("d", bytes(8 * points))
-        if aggregated:
-            self.agg_t = array("q", bytes(8 * points))
-            self.agg_sum = array("d", bytes(8 * points))
-            self.agg_cnt = array("q", bytes(8 * points))
+        self.ts = slots.cast("q")[0::2]
+        self.vals = slots.cast("d")[1::2]
+        if aggs is not None:
+            self.agg_t = aggs.cast("q")[0::3]
+            self.agg_sum = aggs.cast("d")[1::3]
+            self.agg_cnt = aggs.cast("q")[2::3]
         else:
             self.agg_t = self.agg_sum = self.agg_cnt = None
 
@@ -163,72 +178,89 @@ class _Archive:
 
 
 class _Series:
-    __slots__ = ("name", "retention", "archives", "latest", "dirty")
+    __slots__ = ("name", "retention", "archives", "latest", "dirty", "table")
 
     def __init__(self, name: str, retention: RetentionSpec):
         self.name = name
         self.retention = retention
-        self.archives = [
-            _Archive(interval, points, aggregated=(k > 0))
-            for k, (interval, points) in enumerate(retention.archives)
-        ]
+        table_bytes = _PAIR_BYTES * sum(points for _, points in retention.archives)
+        agg_bytes = _AGG_BYTES * sum(points for _, points in retention.archives[1:])
+        # Private and anonymous, so only pages with a written slot are resident.
+        mem = memoryview(mmap.mmap(-1, table_bytes + agg_bytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
+        self.table = mem[:table_bytes]  # the file's slot table, in native byte order
+        self.archives = []
+        slot_off, agg_off = 0, table_bytes
+        for k, (interval, points) in enumerate(retention.archives):
+            slots = mem[slot_off : slot_off + _PAIR_BYTES * points]
+            slot_off += _PAIR_BYTES * points
+            aggs = None
+            if k > 0:
+                aggs = mem[agg_off : agg_off + _AGG_BYTES * points]
+                agg_off += _AGG_BYTES * points
+            self.archives.append(_Archive(interval, points, slots, aggs))
         self.latest = 0  # newest finest-aligned timestamp ever written
         self.dirty = False
 
     def write(self, t: int, v: float) -> None:
         fin = self.archives[0]
-        aligned = fin.align(t)
+        interval = fin.interval
+        aligned = t - t % interval
         if aligned <= 0:
             raise TooOld(f"timestamp {t} is before the epoch")
-        if self.latest and self.latest - aligned >= fin.interval * fin.points:
+        latest = self.latest
+        if latest and latest - aligned >= interval * fin.points:
             raise TooOld(
                 f"timestamp {t} older than finest coverage "
-                f"({fin.interval * fin.points}s behind {self.latest})"
+                f"({interval * fin.points}s behind {latest})"
             )
-        i = fin.idx(aligned)
+        i = (aligned // interval) % fin.points
         old = fin.vals[i] if fin.ts[i] == aligned else None
         fin.ts[i] = aligned
         fin.vals[i] = v
-        if aligned > self.latest:
+        if aligned > latest:
             self.latest = aligned
         for ar in self.archives[1:]:
-            self._aggregate(ar, fin, aligned, v, old)
+            slot_t = aligned - aligned % ar.interval
+            j = (slot_t // ar.interval) % ar.points
+            if ar.agg_t[j] == slot_t:
+                if old is None:
+                    ar.agg_sum[j] += v
+                    ar.agg_cnt[j] += 1
+                else:
+                    ar.agg_sum[j] += v - old
+            elif not self._aggregate(ar, fin, slot_t, j):
+                continue
+            count = ar.agg_cnt[j]
+            if count * 2 >= ar.interval // interval:
+                ar.ts[j] = slot_t
+                ar.vals[j] = ar.agg_sum[j] / count
         self.dirty = True
 
     @staticmethod
-    def _aggregate(ar: _Archive, fin: _Archive, finest_t: int, v: float, old: float | None):
-        slot_t = ar.align(finest_t)
-        j = ar.idx(slot_t)
-        if ar.agg_t[j] != slot_t:
-            if slot_t < ar.agg_t[j]:
-                # This write belongs to an epoch this ring position has
-                # already evicted; its coarse slot is gone for good and must
-                # not claw back the newer occupant.
-                return
-            # The ring position moved on to a new slot, or the store was
-            # just opened: seed the aggregate from the finest points under
-            # the slot, this write included. A value loaded from disk for
-            # this very slot stays until the seed re-materializes it.
-            if ar.ts[j] != slot_t:
-                ar.ts[j] = 0
-            total, count = 0.0, 0
-            for t in range(slot_t, slot_t + ar.interval, fin.interval):
-                i = fin.idx(t)
-                if fin.ts[i] == t:
-                    total += fin.vals[i]
-                    count += 1
-            ar.agg_t[j] = slot_t
-            ar.agg_sum[j] = total
-            ar.agg_cnt[j] = count
-        elif old is None:
-            ar.agg_sum[j] += v
-            ar.agg_cnt[j] += 1
-        else:
-            ar.agg_sum[j] += v - old
-        needed = ar.interval // fin.interval
-        if ar.agg_cnt[j] * 2 >= needed:
-            ar.ts[j] = slot_t
-            ar.vals[j] = ar.agg_sum[j] / ar.agg_cnt[j]
+    def _aggregate(ar: _Archive, fin: _Archive, slot_t: int, j: int) -> bool:
+        """Seed the aggregate at position ``j`` for coarse slot ``slot_t``;
+        False when that slot is already gone from the ring."""
+        if slot_t < ar.agg_t[j]:
+            # This write belongs to an epoch this ring position has
+            # already evicted; its coarse slot is gone for good and must
+            # not claw back the newer occupant.
+            return False
+        # The ring position moved on to a new slot, or the store was
+        # just opened: seed the aggregate from the finest points under
+        # the slot, the write just made included. A value loaded from disk
+        # for this very slot stays until the seed re-materializes it.
+        if ar.ts[j] != slot_t:
+            ar.ts[j] = 0
+        total, count = 0.0, 0
+        for t in range(slot_t, slot_t + ar.interval, fin.interval):
+            i = fin.idx(t)
+            if fin.ts[i] == t:
+                total += fin.vals[i]
+                count += 1
+        ar.agg_t[j] = slot_t
+        ar.agg_sum[j] = total
+        ar.agg_cnt[j] = count
+        return True
 
     def choose_archive(self, from_t: int) -> _Archive:
         for ar in self.archives:
@@ -280,7 +312,7 @@ class Store:
         if not math.isfinite(v):
             raise NonFiniteValue(f"refusing {sample.v!r} for {sample.series}")
         with self._lock:
-            s = self._get_or_create(sample.series)
+            s = self._series.get(sample.series) or self._get_or_create(sample.series)
             s.write(int(sample.t), v)
             self.write_count += 1
 
@@ -376,19 +408,13 @@ class Store:
     def _save(self, name: str, s: _Series) -> None:
         path = self._path(name)
         path.parent.mkdir(parents=True, exist_ok=True)
-        blob = bytearray()
-        blob += _HEAD.pack(_MAGIC, _VERSION, len(s.archives))
+        head = bytearray(_HEAD.pack(_MAGIC, _VERSION, len(s.archives)))
         for interval, points in s.retention.archives:
-            blob += _ARCH.pack(interval, points)
-        for ar in s.archives:
-            table = array("q", bytes(_PAIR_BYTES * ar.points))
-            table[0::2] = ar.ts
-            table[1::2] = array("q", ar.vals.tobytes())
-            if sys.byteorder == "big":
-                table.byteswap()
-            blob += table.tobytes()
+            head += _ARCH.pack(interval, points)
         tmp = path.with_suffix(".dat.tmp")
-        tmp.write_bytes(blob)
+        with open(tmp, "wb") as fh:
+            fh.write(head)
+            fh.write(_file_order(s.table))
         os.replace(tmp, path)
 
     def _load_all(self) -> None:
@@ -415,12 +441,17 @@ class Store:
         if len(blob) != expected:
             raise ValueError(f"{path} holds {len(blob)} bytes, its header says {expected}")
         s = _Series(name, RetentionSpec(tuple(archives)))
-        for ar in s.archives:
-            table = array("q", blob[off : off + _PAIR_BYTES * ar.points])
-            if sys.byteorder == "big":
-                table.byteswap()
-            ar.ts = table[0::2]
-            ar.vals = array("d", table[1::2].tobytes())
-            off += _PAIR_BYTES * ar.points
+        s.table[:] = _file_order(memoryview(blob)[off:])
         s.latest = max(s.archives[0].ts, default=0)
         return s
+
+
+def _file_order(table: memoryview) -> memoryview:
+    """A slot table converted between native and file (little-endian) byte
+    order; the conversion is its own inverse, and a no-op on little-endian."""
+    if sys.byteorder == "little":
+        return table
+    swapped = array("q")
+    swapped.frombytes(table)
+    swapped.byteswap()
+    return memoryview(swapped).cast("B")

@@ -8,11 +8,15 @@ with these, not the other way round.
 from __future__ import annotations
 
 import bisect
+import math
+import re
 import threading
 import time as real_time
 from contextlib import contextmanager
 
 import numpy as np
+
+from gridwatch.model import InvalidResult, MalformedLine, Perfdata
 
 
 class FlatStore:
@@ -87,6 +91,58 @@ class FlatStore:
     def coarse_members(self, interval: int, t: int) -> list[float]:
         """The finest values a coarse slot at t spans, in time order."""
         return [self.flat[u] for u in sorted(self.flat) if t <= u < t + interval]
+
+
+# -- perfdata items on the wire: every slot, every time ------------------------
+
+_PERF_KEY_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+
+
+def fmt_num(v) -> str:
+    """Shortest decimal text that parses back to exactly the same float."""
+    if not math.isfinite(v):
+        raise InvalidResult(f"non-finite number {v!r} cannot go on the wire")
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return repr(v)
+
+
+def parse_num(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise MalformedLine(f"unparsable number {text!r}") from None
+    if not math.isfinite(v):
+        raise MalformedLine(f"non-finite number {text!r}")
+    return v
+
+
+def parse_perf_item(text: str) -> Perfdata:
+    """``key=value;warn;crit;min;max``, split into all five slots."""
+    key, sep, rest = text.partition("=")
+    if not sep:
+        raise MalformedLine(f"perfdata item without '=': {text!r}")
+    if not _PERF_KEY_RE.match(key):
+        raise MalformedLine(f"bad perfdata key {key!r}")
+    slots = rest.split(";")
+    if len(slots) > 5:
+        raise MalformedLine(f"too many ';' fields in perfdata item {text!r}")
+    if slots[0] == "":
+        raise MalformedLine(f"perfdata item without a value: {text!r}")
+    nums = [(parse_num(s) if s != "" else None) for s in slots]
+    nums += [None] * (5 - len(nums))
+    return Perfdata(key, nums[0], nums[1], nums[2], nums[3], nums[4])
+
+
+def serialize_perf_item(p: Perfdata) -> str:
+    """All five slots rendered, then empty ones dropped from the tail."""
+    if not _PERF_KEY_RE.match(p.key):
+        raise InvalidResult(f"bad perfdata key {p.key!r}")
+    slots = [fmt_num(p.value)]
+    slots += ["" if x is None else fmt_num(x) for x in (p.warn, p.crit, p.min, p.max)]
+    while len(slots) > 1 and slots[-1] == "":
+        slots.pop()
+    return f"{p.key}=" + ";".join(slots)
 
 
 def per_second_availability(points, predicate, window, interval, gaps_as_down=False):

@@ -17,9 +17,13 @@ from gridwatch.model import (
     parse_check_line,
     serialize_agent_payload,
     serialize_check_line,
+    _fmt_num,
+    _parse_perf_item,
+    _serialize_perf_item,
     valid_series,
     worst_state,
 )
+from reference_impls import fmt_num, parse_perf_item, serialize_perf_item
 
 # -- frozen examples -------------------------------------------------------
 
@@ -270,3 +274,62 @@ def test_payload_parser_never_crashes_on_text(text):
     payload = parse_agent_payload("<<<local>>>\n" + text)
     for r in payload.results:
         assert isinstance(r, CheckResult)
+
+
+# -- perfdata items against the every-slot reference ---------------------------
+
+
+def outcome(fn, arg):
+    """What ``fn(arg)`` gives: its value, or its exception's type and message."""
+    try:
+        return "value", fn(arg)
+    except Exception as exc:  # the exception is the outcome under test
+        return "raised", type(exc), str(exc)
+
+
+_numbers = (
+    st.floats()
+    | st.integers(min_value=-(2**64), max_value=2**64)
+    | st.sampled_from([0, 512, -0.0, 1e15, -1e15, 999999999999999.0, 2**53, float(2**53), 1e300, 5e-324])
+)
+_any_perfdata = st.builds(
+    Perfdata,
+    key=_keys | st.sampled_from(["", "bad key", "k=v", "a;b"]),
+    value=_numbers,
+    warn=st.none() | _numbers,
+    crit=st.none() | _numbers,
+    min=st.none() | _numbers,
+    max=st.none() | _numbers,
+)
+_item_texts = st.one_of(
+    _any_perfdata.map(lambda p: outcome(serialize_perf_item, p)).filter(lambda o: o[0] == "value").map(lambda o: o[1]),
+    st.text(alphabet="k_=;.-+0123456789eEinfaxN ", max_size=24),
+)
+
+
+@settings(max_examples=300)
+@given(_any_perfdata)
+def test_perf_item_serializes_as_the_every_slot_reference(p):
+    assert outcome(_serialize_perf_item, p) == outcome(serialize_perf_item, p)
+
+
+@settings(max_examples=300)
+@given(_item_texts)
+def test_perf_item_parses_as_the_every_slot_reference(text):
+    assert outcome(_parse_perf_item, text) == outcome(parse_perf_item, text)
+
+
+@pytest.mark.parametrize("v", [0, 497, 512, -3, 2**53, 10**15, -0.0, 0.5, 1e15, -1e15,
+                               999999999999999.0, 2.0**53, 1e-7, float("nan"), float("inf")])
+def test_numbers_render_as_the_reference(v):
+    assert outcome(_fmt_num, v) == outcome(fmt_num, v)
+    for p in (Perfdata("k", v), Perfdata("avail_standard", v, None, None, 0, 512)):
+        assert outcome(_serialize_perf_item, p) == outcome(serialize_perf_item, p)
+
+
+@pytest.mark.parametrize("text", [
+    "v=1", "v=-0", "v=1e15", "v=999999999999999.0", "v=9007199254740992", "v=1;;;0;100",
+    "v=1;;;;", "v=1;", "v=", "v=;1", "=1", "v", "v=abc", "v=nan", "v=inf;1", "v=1;2;3;4;5;6",
+])
+def test_perf_item_texts_parse_as_the_reference(text):
+    assert outcome(_parse_perf_item, text) == outcome(parse_perf_item, text)

@@ -80,6 +80,25 @@ def test_series_names_are_sanitized():
     assert srv.store.list_series() == ["hpc.host_one.weird_svc_1.k"]
 
 
+def test_series_name_cache_never_outgrows_the_store():
+    clock = FakeTime(1_000_000.0)
+    srv = make_server(clock=clock.time)
+    polls = [
+        [result(CheckState.OK, "s", [Perfdata("nan", float("nan"))])],  # refused: makes no series
+        [result(CheckState.OK, "a.b", [Perfdata("k", 1.0)]),  # two services, one series
+         result(CheckState.OK, "a_b", [Perfdata("k", 2.0)])],
+        [result(CheckState.OK, "s", [Perfdata("k", 3.0), Perfdata("k", 4.0)])],
+    ]
+    for results in polls * 2:
+        srv.apply_payload(payload(*results), "h1")
+        assert len(srv._names) <= len(srv.store.list_series())
+        clock.sleep(10)
+    assert srv.store.list_series() == ["hpc.h1.a_b.k", "hpc.h1.s.k"]
+    assert srv.store.read("hpc.h1.a_b.k", 1_000_000, 1_000_060)[1][1:4] == [
+        (1_000_010, 2.0), (1_000_020, None), (1_000_030, None)]
+    assert srv.store.read("hpc.h1.s.k", 1_000_000, 1_000_060)[1][5] == (1_000_050, 4.0)
+
+
 def test_notification_fires_exactly_on_state_change():
     clock = FakeTime(1_000_000.0)
     srv = make_server(clock=clock.time)

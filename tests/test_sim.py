@@ -273,6 +273,41 @@ def test_dns_fail_window():
         sources_at(sc, 15).resolve_name("cluster.local")
 
 
+def test_source_answers_match_the_ground_truth_and_a_fresh_source_at_every_tick():
+    shape = ClusterShape(cabinets=3, rectifiers_per_cabinet=4, nodes=48, login_hosts=2)
+    events = [
+        Event(EventKind.HPL_RUN, 20, 80, power_per_node_w=650.0),
+        Event(EventKind.POWER_DIP, 30, 40, depth_fraction=0.3, cabinets=("x1001",)),
+        Event(EventKind.POWER_DIP, 35, 45, depth_fraction=0.5, cabinets=("x1000", "x1001")),
+        Event(EventKind.NODE_DRAIN, 10, 50, count=7),
+        Event(EventKind.DNS_FAIL, 25, 32),
+        Event(EventKind.MEM_LEAK, 5, 90, rate_pct_per_h=40.0),
+        Event(EventKind.LOGIN_OUTAGE, 33, 38, hosts=("login1",)),
+        Event(EventKind.LOGIN_OUTAGE, 60, 64),
+    ]
+    sc = tiny(duration_ticks=100, events=events, shape=shape)
+    src = SimDataSource(sc)
+
+    def answers(source):
+        try:
+            resolved = source.resolve_name("cluster.local")
+        except OSError as exc:
+            resolved = str(exc)
+        return (source.read_file("/proc/meminfo"), source.run_command(["sinfo"]),
+                source.probe_login("login-vip"), resolved)
+
+    # forward, back, the same tick again, a jump, then a read before and after an assignment
+    for tick in (0, 31, 36, 42, 36, 36, 12, 61, 99, 37):
+        src.tick = tick
+        for cab_index, cab in enumerate(shape.cabinet_ids()):
+            for r in range(shape.rectifiers_per_cabinet):
+                want = (f"power_w {rectifier_power_w(sc, tick, cab_index, r)!r}\n"
+                        f"voltage_v {rectifier_voltage_v(sc, tick, cab_index, r)!r}\n")
+                assert src.read_file(f"/var/volatile/cec/{cab}/rectifiers/{r}") == want.encode("ascii")
+        assert answers(src) == answers(sources_at(sc, tick)), tick
+    assert rectifier_power_w(sc, 37, 2, 0) > rectifier_power_w(sc, 37, 1, 0) > 0  # x1002 is not dipped
+
+
 def test_unknown_paths_and_commands():
     src = sources_at(tiny(), 0)
     with pytest.raises(FileNotFoundError):

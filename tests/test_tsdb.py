@@ -2,8 +2,10 @@
 
 import logging
 import random
+import shutil
 import struct
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -379,3 +381,53 @@ def test_mean_preservation_on_randomized_full_slots():
             assert got == pytest.approx(sum(members) / 6.0, rel=1e-12)
             checked += 1
     assert checked > 0
+
+
+# -- memory -----------------------------------------------------------------------
+
+DEMO_RETENTION = "1m:14d,10m:90d,1h:2y"  # 50,640 slots, about 1.5 MB of rings per series
+
+
+def vm_rss_mb() -> float:
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) / 1024
+    raise AssertionError("no VmRSS line in /proc/self/status")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc/self/status")
+def test_a_day_in_each_of_100_series_costs_memory_only_where_written():
+    before = vm_rss_mb()
+    st_ = Store(default_retention=DEMO_RETENTION)
+    names = [f"hpc.host{k}.svc.key" for k in range(100)]
+    for name in names:
+        for minute in range(1440):
+            st_.write(MetricSample(name, 86_400 + 60 * minute, float(minute % 7)))
+    grown = vm_rss_mb() - before
+    assert st_.read(names[-1], 86_400, 86_520)[1] == [(86_400, 0.0), (86_460, 1.0)]
+    # Every ring whole would be about 150 MB; a day of minutes touches well under a tenth.
+    assert grown < 30, f"VmRSS grew {grown:.1f} MB"
+
+
+def test_store_reopened_from_disk_reads_back_every_slot_and_flushes_identical_files(tmp_path):
+    rng = random.Random(7)
+    first = tmp_path / "first"
+    with Store(first, default_retention=DEMO_RETENTION) as st_:
+        for name in ("hpc.a.svc.key", "hpc.b.svc.key", "hpc.c.other.k"):
+            t = 86_400
+            for _ in range(1500):
+                t += rng.choice([60, 60, 60, 120, 600])
+                st_.write(MetricSample(name, t, rng.uniform(-1e6, 1e6)))
+        snapshot = st_.dump()
+
+    second = tmp_path / "second"
+    shutil.copytree(first, second)
+    again = Store(second)
+    assert again.dump() == snapshot
+    for s in again._series.values():
+        s.dirty = True
+    assert again.flush() == 3
+    originals = sorted(first.rglob("*.dat"))
+    assert [p.relative_to(first) for p in originals] == [p.relative_to(second) for p in sorted(second.rglob("*.dat"))]
+    for path in originals:
+        assert (second / path.relative_to(first)).read_bytes() == path.read_bytes(), path
