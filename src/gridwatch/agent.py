@@ -18,7 +18,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -104,44 +104,15 @@ class HostDataSource(DataSource):
         return sorted({info[4][0] for info in infos})
 
 
-@dataclass(frozen=True)
-class RectifierReading:
-    """One rectifier's instantaneous electrical readings."""
-
-    cabinet: str
-    rectifier: int
-    power_w: float
-    voltage_v: float
-
-    def __post_init__(self):
-        if self.power_w < 0 or self.voltage_v < 0:
-            raise ValueError(f"negative rectifier reading: {self}")
-
-
-@dataclass
-class PartitionStateCounts:
-    """Node counts per normalized scheduler state for one partition."""
-
-    partition: str
-    counts: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def down(self, down_states) -> int:
-        return sum(n for state, n in self.counts.items() if state in down_states)
-
-
 def normalize_node_state(token: str) -> str:
     state = token.lower().rstrip(_STATE_FLAGS)
     return state or "unknown"
 
 
-def parse_sinfo(text: str) -> list[PartitionStateCounts]:
-    """Parse `PARTITION AVAIL NODES STATE` rows; header and junk rows skipped."""
-    order: list[str] = []
-    by_name: dict[str, PartitionStateCounts] = {}
+def parse_sinfo(text: str) -> dict[str, dict[str, int]]:
+    """Parse `PARTITION AVAIL NODES STATE` rows into ``{partition: {state:
+    nodes}}``, partitions in the order first seen; header and junk rows skipped."""
+    partitions: dict[str, dict[str, int]] = {}
     for line in text.splitlines():
         fields = line.split()
         if len(fields) < 4 or fields[0].upper() == "PARTITION":
@@ -153,47 +124,39 @@ def parse_sinfo(text: str) -> list[PartitionStateCounts]:
             continue
         if not name or n < 0:
             continue
+        counts = partitions.setdefault(name, {})
         state = normalize_node_state(fields[3])
-        if name not in by_name:
-            by_name[name] = PartitionStateCounts(name)
-            order.append(name)
-        counts = by_name[name].counts
         counts[state] = counts.get(state, 0) + n
-    return [by_name[name] for name in order]
+    return partitions
 
 
-def read_rectifiers(sources: DataSource, root: str, cabinet: str) -> list[RectifierReading]:
-    """Read `<root>/<cabinet>/rectifiers/<n>` for n = 0, 1, ... until missing.
+def read_rectifiers(sources: DataSource, root: str, cabinet: str) -> list[tuple[float, float]]:
+    """Read ``(power_w, voltage_v)`` from `<root>/<cabinet>/rectifiers/<n>`
+    for n = 0, 1, ... until missing.
 
     Raises OSError when the cabinet controller exposes no rectifier 0 at
-    all, i.e. the whole cabinet is unreachable.
+    all, i.e. the whole cabinet is unreachable, and ValueError for a file
+    that lacks either reading or holds a negative one.
     """
     readings = []
-    n = 0
-    while n < _MAX_RECTIFIERS:
-        path = f"{root}/{cabinet}/rectifiers/{n}"
+    for n in range(_MAX_RECTIFIERS):
         try:
-            raw = sources.read_file(path)
+            raw = sources.read_file(f"{root}/{cabinet}/rectifiers/{n}")
         except OSError:
             if n == 0:
                 raise
             break
-        readings.append(_parse_rectifier_file(cabinet, n, raw))
-        n += 1
+        power = voltage = None
+        for line in raw.decode("utf-8", errors="replace").splitlines():
+            key, _, value = line.partition(" ")
+            if key == "power_w":
+                power = float(value)
+            elif key == "voltage_v":
+                voltage = float(value)
+        if power is None or voltage is None or power < 0 or voltage < 0:
+            raise ValueError(f"rectifier file {cabinet}/{n} holds power_w {power}, voltage_v {voltage}")
+        readings.append((power, voltage))
     return readings
-
-
-def _parse_rectifier_file(cabinet: str, n: int, raw: bytes) -> RectifierReading:
-    power = voltage = None
-    for line in raw.decode("utf-8", errors="replace").splitlines():
-        key, _, value = line.partition(" ")
-        if key == "power_w":
-            power = float(value)
-        elif key == "voltage_v":
-            voltage = float(value)
-    if power is None or voltage is None:
-        raise ValueError(f"rectifier file {cabinet}/{n} lacks power_w/voltage_v")
-    return RectifierReading(cabinet, n, power, voltage)
 
 
 def check_power(
@@ -213,7 +176,7 @@ def check_power(
     all cabinets unreachable is CRIT.
     """
     cabinets = list(cabinets)
-    reachable: list[tuple[str, list[RectifierReading]]] = []
+    reachable: list[tuple[str, list[tuple[float, float]]]] = []
     unreachable: list[str] = []
     for cab in cabinets:
         try:
@@ -233,9 +196,9 @@ def check_power(
     volt_perf = []
     for cab, readings in reachable:
         cab_w = 0.0
-        for r in readings:
-            cab_w += r.power_w
-            volt_perf.append(Perfdata(f"volt_{cab}_{r.rectifier}", r.voltage_v))
+        for n, (power_w, voltage_v) in enumerate(readings):
+            cab_w += power_w
+            volt_perf.append(Perfdata(f"volt_{cab}_{n}", voltage_v))
         cab_perf.append(Perfdata(f"cab_{cab}", cab_w))
         system_w += cab_w
     perfdata.append(Perfdata("system", system_w, warn_w, crit_w))
@@ -276,12 +239,12 @@ def check_node_state(
 
     perfdata = []
     total_down = 0
-    for part in partitions:
-        name = _segment(part.partition)
-        total = part.total
-        down = part.down(down_states)
-        for state in sorted(part.counts):
-            perfdata.append(Perfdata(f"state_{name}_{_segment(state)}", part.counts[state]))
+    for partition, counts in partitions.items():
+        name = _segment(partition)
+        total = sum(counts.values())
+        down = sum(n for state, n in counts.items() if state in down_states)
+        for state in sorted(counts):
+            perfdata.append(Perfdata(f"state_{name}_{_segment(state)}", counts[state]))
         perfdata.append(Perfdata(f"down_{name}", down, warn_down, crit_down, 0, total))
         perfdata.append(Perfdata(f"avail_{name}", total - down, None, None, 0, total))
         total_down += down

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 runtime failure (missing data, I/O trouble),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import logging
 import os
@@ -18,6 +19,7 @@ import threading
 from . import __version__
 from .agent import Agent, AgentServer, HostDataSource, agent_config_from_sections
 from .config import ConfigError, Section, all_named, bind, first, load_config
+from .model import valid_series
 from .plot import render_svg, sparkline
 from .report import DEFAULT_STALENESS_S, ApiServer, EmptyWindow, ReportConfig, contractual_report
 from .server import (
@@ -31,7 +33,7 @@ from .server import (
     MonitoringServer,
     WebhookSink,
 )
-from .sim import BadScenario, StackConfig, load_scenario
+from .sim import BadScenario, StackConfig, load_scenario, report_config
 from .sim import run as sim_run
 from .tsdb import DEFAULT_RETENTION, NoSuchSeries, Store
 
@@ -51,6 +53,37 @@ def _parse_bind(text: str) -> tuple[str, int]:
     if not host or not port.isdigit():
         raise ConfigError(f"bad bind address {text!r} (want host:port)")
     return host, int(port)
+
+
+def _check_window(args) -> None:
+    if args.from_t >= args.to_t:
+        raise ConfigError(f"--from {args.from_t} is not before --to {args.to_t}")
+
+
+def _existing_store(path: str) -> Store:
+    """Opens a store for reading; unlike ``Store(path)`` it never creates one."""
+    if not os.path.isdir(path):
+        raise FileNotFoundError(f"no store directory at {path}")
+    return Store(path)
+
+
+@contextlib.contextmanager
+def _serving_api(bind: tuple[str, int] | None, store: Store, report_cfg: ReportConfig | None):
+    """Serves the query API at ``bind`` on a thread for the length of the
+    ``with`` block; does nothing when ``bind`` is None."""
+    if bind is None:
+        yield
+        return
+    api = ApiServer(bind, store, report_cfg)
+    thread = threading.Thread(target=api.serve_forever, kwargs={"poll_interval": 0.05}, name="api", daemon=True)
+    thread.start()
+    log.info("api listening on %s:%d", *api.address)
+    try:
+        yield
+    finally:
+        api.shutdown()
+        api.server_close()
+        thread.join(timeout=5.0)
 
 
 def _need_config(args) -> list:
@@ -160,29 +193,20 @@ def cmd_server(args) -> int:
     signal.signal(signal.SIGINT, lambda *_: stop.set())
 
     with Store(server_sec.get("store_root"), default_retention=retention) as store:
-        monitor = MonitoringServer(
-            hosts,
-            clusters=clusters,
-            sinks=sinks,
-            store=store,
-            prefix=server_sec.get("prefix", DEFAULT_PREFIX),
-            parallelism=parallelism,
-            staleness_factor=staleness_factor,
-        )
-        api = None
-        if api_bind is not None:
-            api = ApiServer(api_bind, store, report_cfg)
-            threading.Thread(
-                target=api.serve_forever, kwargs={"poll_interval": 0.2},
-                name="api", daemon=True,
-            ).start()
-            log.info("api listening on %s:%d", *api.address)
         try:
+            monitor = MonitoringServer(
+                hosts,
+                clusters=clusters,
+                sinks=sinks,
+                store=store,
+                prefix=server_sec.get("prefix", DEFAULT_PREFIX),
+                parallelism=parallelism,
+                staleness_factor=staleness_factor,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[server] {exc}", server_sec.lines.get("prefix", server_sec.line)) from None
+        with _serving_api(api_bind, store, report_cfg):
             monitor.run(stop)
-        finally:
-            if api is not None:
-                api.shutdown()
-                api.server_close()
     return 0
 
 
@@ -190,13 +214,16 @@ def cmd_server(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    if args.poll_every_ticks < 1:
+        raise ConfigError(f"--poll-every-ticks {args.poll_every_ticks} must be >= 1")
+    if not valid_series(args.prefix):
+        raise ConfigError(f"--prefix {args.prefix!r} is not a valid series prefix")
+    api_bind = _parse_bind(args.api_bind) if args.api_bind else None
     scenario = load_scenario(args.scenario)
-    stack = StackConfig(
-        prefix=args.prefix,
-        poll_every_ticks=args.poll_every_ticks,
-        api_bind=_parse_bind(args.api_bind) if args.api_bind else None,
-    )
-    result = sim_run(scenario, stack, store=Store(args.store, default_retention=stack.retention))
+    stack = StackConfig(prefix=args.prefix, poll_every_ticks=args.poll_every_ticks)
+    store = Store(args.store, default_retention=stack.retention)
+    with _serving_api(api_bind, store, report_config(stack, scenario)):
+        result = sim_run(scenario, stack, store=store)
     print(result.summary.to_json())
     from_t, to_t = result.window
     log.info(
@@ -210,6 +237,7 @@ def cmd_sim(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_window(args)
     cfg = ReportConfig(
         node_series=args.node_series,
         login_series=args.login_series,
@@ -217,7 +245,7 @@ def cmd_report(args) -> int:
         staleness_s=args.staleness_s,
         gaps_as_down=args.gaps_as_down,
     )
-    store = Store(args.store)
+    store = _existing_store(args.store)
     report = contractual_report(store, cfg, (args.from_t, args.to_t))
     if args.json:
         print(report.to_json())
@@ -250,7 +278,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    store = Store(args.store)
+    if args.width < 1:
+        raise ConfigError(f"--width {args.width} must be >= 1")
+    _check_window(args)
+    store = _existing_store(args.store)
     series_points = {}
     any_data = False
     for name in args.series:

@@ -32,6 +32,7 @@ from .model import (
     MetricSample,
     _segment,
     parse_agent_payload,
+    valid_series,
 )
 from .tsdb import Store
 
@@ -225,8 +226,11 @@ class MonitoringServer:
         unreachable host with OSError (or ValueError for a bad address).
 
         Hosts and clusters share one record table and one series namespace,
-        so every name must be unique across both; a repeat raises ValueError.
+        so every name must be unique across both; a repeat raises ValueError,
+        and so does a ``prefix`` that is not a valid series path.
         """
+        if not valid_series(prefix):
+            raise ValueError(f"prefix {prefix!r} is not a valid series path")
         hosts = tuple(hosts)
         self.hosts = {h.name: h for h in hosts}
         self.clusters = tuple(clusters)

@@ -3,12 +3,12 @@
 The simulator fabricates everything the real agents would read from a
 machine room — rectifier telemetry files, scheduler node-state output,
 login probes, name resolution, meminfo — as pure functions of
-``(scenario, tick)``. One ``SimDataSource`` holds the current tick and
-tells the time from it. Running a scenario wires real agents to that
-source and drives the real monitoring server with the source's clock; the
-server's poll fetches each agent's payload in process instead of over TCP,
-so days of operation replay quickly while every other production code path
-(checks, serialization, parse, apply, store) runs end to end.
+``(scenario, tick)``. One ``SimDataSource`` holds the current tick, renders
+all of that tick's inputs on the first read, and tells the time. ``run`` is
+a loop over poll rounds: the real monitoring server polls real agents on
+that source, fetching each payload in process instead of over TCP, so days
+of operation replay quickly while every other production code path (checks,
+serialization, parse, apply, store) runs end to end. A run serves no API.
 
 Determinism contract: identical (scenario, tick) yields identical bytes
 from every source, and two runs of the same scenario produce identical
@@ -18,7 +18,6 @@ store contents.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
@@ -26,7 +25,7 @@ from enum import Enum
 from . import __version__
 from .agent import DEFAULT_CEC_ROOT, Agent, AgentConfig, DataSource
 from .config import ConfigError, Section, all_named, bind, first, load_config
-from .report import ApiServer, ReportConfig
+from .report import ReportConfig
 from .server import (
     DEFAULT_PREFIX, ClusterServiceConfig, HostConfig, MemorySink, MonitoringServer, Notification,
 )
@@ -331,8 +330,8 @@ def expected_system_power_w(scenario: Scenario, tick: int) -> float:
     return total
 
 
-def _rectifier_files(scenario: Scenario, tick: int, active) -> list[bytes]:
-    """Every rectifier file at ``tick``, cabinet by cabinet, in one pass.
+def _rectifier_files(scenario: Scenario, tick: int, active) -> dict[str, bytes]:
+    """Every rectifier file at ``tick`` by path, in one pass.
 
     The same arithmetic as ``rectifier_power_w`` and ``rectifier_voltage_v``,
     with the noise hash of ``(seed, stream, tick, cabinet)`` taken once per
@@ -343,15 +342,17 @@ def _rectifier_files(scenario: Scenario, tick: int, active) -> list[bytes]:
     seed_h = _mix64(scenario.seed & _MASK64)
     power_h = _mix_in(seed_h, _STREAM_POWER, tick)
     volt_h = _mix_in(seed_h, _STREAM_VOLT, tick)
-    files = []
+    files = {}
     for cab_index in range(shape.cabinets):
-        scaled = base * _dip_factor(active, shape.cabinet_id(cab_index))
+        cab_id = shape.cabinet_id(cab_index)
+        scaled = base * _dip_factor(active, cab_id)
         cab_power_h = _mix64(power_h ^ cab_index)
         cab_volt_h = _mix64(volt_h ^ cab_index)
         for rect in range(shape.rectifiers_per_cabinet):
             power = scaled * (1.0 + POWER_NOISE_FRACTION * _to_unit(_mix64(cab_power_h ^ rect)))
             volt = NOMINAL_VOLTAGE_V + VOLTAGE_NOISE_V * _to_unit(_mix64(cab_volt_h ^ rect))
-            files.append(f"power_w {power!r}\nvoltage_v {volt!r}\n".encode("ascii"))
+            files[f"{DEFAULT_CEC_ROOT}/{cab_id}/rectifiers/{rect}"] = (
+                f"power_w {power!r}\nvoltage_v {volt!r}\n".encode("ascii"))
     return files
 
 
@@ -410,82 +411,64 @@ def _outage_hosts(scenario: Scenario, active) -> frozenset[str]:
 # -- the fake DataSource -----------------------------------------------------
 
 
-class _Tick:
-    """What a source serves at one tick: the active events, worked out once,
-    and each file or command output rendered on its first read."""
-
-    __slots__ = ("active", "outage", "rectifiers", "meminfo", "sinfo")
-
-    def __init__(self, scenario: Scenario, tick: int):
-        self.active = _events_at(scenario, tick)
-        self.outage = _outage_hosts(scenario, self.active)
-        self.rectifiers: list[bytes] | None = None
-        self.meminfo: bytes | None = None
-        self.sinfo: str | None = None
-
-
 class SimDataSource(DataSource):
     """Serves every agent input from the scenario at ``tick``, and tells the
     time of that tick; ``run`` moves ``tick`` forward between poll rounds.
 
-    The answers of one tick are worked out on the first call at that tick
-    and kept until ``tick`` changes, however it is changed.
+    The first call at a tick renders everything the tick serves at once:
+    every rectifier file and meminfo, the sinfo text, the dark login hosts
+    and whether name resolution fails. Every call reads from the render of
+    the current ``tick``, however ``tick`` was set.
     """
 
     def __init__(self, scenario: Scenario, tick: int = 0):
         self.scenario = scenario
         self.tick = tick
-        shape = scenario.shape
-        # path -> position in the tick's list of rectifier files
-        self._rectifiers = {
-            f"{DEFAULT_CEC_ROOT}/{shape.cabinet_id(cab_index)}/rectifiers/{r}":
-                cab_index * shape.rectifiers_per_cabinet + r
-            for cab_index in range(shape.cabinets)
-            for r in range(shape.rectifiers_per_cabinet)
-        }
-        self._logins = frozenset(shape.login_names())
-        self._cache: tuple[int | None, _Tick | None] = (None, None)
+        self._logins = frozenset(scenario.shape.login_names())
+        self._rendered: int | None = None  # the tick the fields below belong to
+        self._files: dict[str, bytes] = {}
+        self._sinfo = ""
+        self._dark: frozenset[str] = frozenset()
+        self._dns_fails = False
 
-    def _now(self) -> _Tick:
-        tick, state = self._cache
-        if tick != self.tick:
-            tick = self.tick
-            state = _Tick(self.scenario, tick)
-            self._cache = (tick, state)
-        return state
+    def _render(self) -> None:
+        tick = self.tick
+        if tick == self._rendered:
+            return
+        sc = self.scenario
+        active = _events_at(sc, tick)
+        self._files = _rectifier_files(sc, tick, active)
+        self._files["/proc/meminfo"] = _meminfo_text(sc, tick, active).encode("ascii")
+        self._sinfo = _sinfo_text(sc, active)
+        self._dark = _outage_hosts(sc, active)
+        self._dns_fails = bool(active[EventKind.DNS_FAIL])
+        self._rendered = tick
 
     def time(self) -> float:
         return float(SIM_EPOCH + self.tick * self.scenario.tick_s)
 
     def read_file(self, path: str) -> bytes:
-        rect = self._rectifiers.get(path)
-        if rect is not None:
-            now = self._now()
-            if now.rectifiers is None:
-                now.rectifiers = _rectifier_files(self.scenario, self.tick, now.active)
-            return now.rectifiers[rect]
-        if path == "/proc/meminfo":
-            now = self._now()
-            if now.meminfo is None:
-                now.meminfo = _meminfo_text(self.scenario, self.tick, now.active).encode("ascii")
-            return now.meminfo
-        raise FileNotFoundError(path)
+        self._render()
+        try:
+            return self._files[path]
+        except KeyError:
+            raise FileNotFoundError(path) from None
 
     def run_command(self, argv, timeout=None):
         if argv and argv[0].rsplit("/", 1)[-1] == "sinfo":
-            now = self._now()
-            if now.sinfo is None:
-                now.sinfo = _sinfo_text(self.scenario, now.active)
-            return 0, now.sinfo
+            self._render()
+            return 0, self._sinfo
         return 127, ""
 
     def probe_login(self, target, timeout=None):
         # The probe target is a rotating alias over the login hosts, so it
         # answers as long as any of them is alive.
-        return 0 if self._logins - self._now().outage else 255
+        self._render()
+        return 0 if self._logins - self._dark else 255
 
     def resolve_name(self, name):
-        if self._now().active[EventKind.DNS_FAIL]:
+        self._render()
+        if self._dns_fails:
             raise OSError(f"simulated resolver failure for {name}")
         return ["10.20.0.10", "10.20.0.11"]
 
@@ -507,7 +490,6 @@ class StackConfig:
     prefix: str = DEFAULT_PREFIX
     poll_every_ticks: int = 12
     retention: str = "1m:14d,10m:90d,1h:2y"
-    api_bind: tuple[str, int] | None = None
     down_warn: int = 10
     down_crit: int = 100
 
@@ -556,31 +538,16 @@ def report_config(stack: StackConfig, scenario: Scenario) -> ReportConfig:
 
 def _agent_configs(scenario: Scenario, stack: StackConfig) -> list[tuple[str, AgentConfig]]:
     shape = scenario.shape
-    configs = [
-        (
-            "admin",
-            AgentConfig(
-                checks=("power",),
-                cabinets=shape.cabinet_ids(),
-                concurrent_checks=False,
-            ),
-        )
-    ]
-    for name in shape.login_names():
-        configs.append(
-            (
-                name,
-                AgentConfig(
-                    checks=("node_state", "login", "dns", "memory"),
-                    down_warn=stack.down_warn,
-                    down_crit=stack.down_crit,
-                    login_target=LOGIN_PROBE_TARGET,
-                    dns_name=DNS_CHECK_NAME,
-                    concurrent_checks=False,
-                ),
-            )
-        )
-    return configs
+    admin = AgentConfig(checks=("power",), cabinets=shape.cabinet_ids(), concurrent_checks=False)
+    login = AgentConfig(
+        checks=("node_state", "login", "dns", "memory"),
+        down_warn=stack.down_warn,
+        down_crit=stack.down_crit,
+        login_target=LOGIN_PROBE_TARGET,
+        dns_name=DNS_CHECK_NAME,
+        concurrent_checks=False,
+    )
+    return [("admin", admin)] + [(name, login) for name in shape.login_names()]
 
 
 def run(
@@ -613,7 +580,7 @@ def run(
     def fetch(cfg: HostConfig) -> bytes:
         # During a LOGIN_OUTAGE covering the host the whole box is dark: its
         # poll fails with a connection error, exactly like a crashed machine's.
-        if cfg.name in sources._now().outage:
+        if cfg.name in dark:
             raise ConnectionAbortedError(f"{cfg.name} is down at tick {sources.tick}")
         return agents[cfg.name].payload_text().encode("utf-8")
 
@@ -631,27 +598,15 @@ def run(
         clock=sources.time,
         fetch=fetch,
     )
-    api = api_thread = None
     try:
-        if stack.api_bind is not None:
-            api = ApiServer(stack.api_bind, store, report_config(stack, scenario))
-            api_thread = threading.Thread(
-                target=api.serve_forever, kwargs={"poll_interval": 0.05},
-                name="sim-api", daemon=True,
-            )
-            api_thread.start()
-
         for tick in range(0, scenario.duration_ticks, stack.poll_every_ticks):
             sources.tick = tick
+            dark = _outage_hosts(scenario, _events_at(scenario, tick))  # read by fetch
             for host_cfg in hosts:
                 monitor.process_host(host_cfg)
             if on_tick is not None:
                 on_tick(tick, monitor)
     finally:
-        if api_thread is not None:
-            api.shutdown()
-            api.server_close()
-            api_thread.join(timeout=5.0)
         store.flush()
 
     summary = RunSummary(

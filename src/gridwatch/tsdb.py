@@ -302,28 +302,18 @@ class Store:
 
     # -- writing ---------------------------------------------------------
 
-    def create(self, series: str) -> None:
-        """Create a series explicitly (no-op when it already exists)."""
-        with self._lock:
-            self._get_or_create(series)
-
     def write(self, sample: MetricSample) -> None:
         v = float(sample.v)
         if not math.isfinite(v):
             raise NonFiniteValue(f"refusing {sample.v!r} for {sample.series}")
         with self._lock:
-            s = self._series.get(sample.series) or self._get_or_create(sample.series)
+            s = self._series.get(sample.series)
+            if s is None:
+                if not valid_series(sample.series):
+                    raise ValueError(f"bad series path {sample.series!r}")
+                s = self._series[sample.series] = _Series(sample.series, self._default_retention)
             s.write(int(sample.t), v)
             self.write_count += 1
-
-    def _get_or_create(self, series: str) -> _Series:
-        s = self._series.get(series)
-        if s is None:
-            if not valid_series(series):
-                raise ValueError(f"bad series path {series!r}")
-            s = _Series(series, self._default_retention)
-            self._series[series] = s
-        return s
 
     # -- reading ---------------------------------------------------------
 
@@ -354,28 +344,6 @@ class Store:
     def list_series(self, prefix: str = "") -> list[str]:
         with self._lock:
             return sorted(n for n in self._series if n.startswith(prefix))
-
-    def retention_of(self, series: str) -> RetentionSpec:
-        with self._lock:
-            s = self._series.get(series)
-            if s is None:
-                raise NoSuchSeries(series)
-            return s.retention
-
-    def dump(self) -> dict:
-        """Full snapshot of every ring, for tests and debugging."""
-        with self._lock:
-            return {
-                name: {
-                    "retention": s.retention.archives,
-                    "latest": s.latest,
-                    "archives": [
-                        {"interval": ar.interval, "ts": list(ar.ts), "vals": list(ar.vals)}
-                        for ar in s.archives
-                    ],
-                }
-                for name, s in self._series.items()
-            }
 
     # -- persistence -----------------------------------------------------
 

@@ -14,7 +14,6 @@ from gridwatch.agent import (
     AgentServer,
     DataSource,
     HostDataSource,
-    RectifierReading,
     agent_config_from_sections,
     check_dns,
     check_login,
@@ -85,21 +84,19 @@ def rectifier_files(per_cabinet, root="/var/volatile/cec"):
 
 def test_parse_sinfo_counts_by_partition_and_state():
     parts = parse_sinfo(SINFO)
-    assert [p.partition for p in parts] == ["standard", "debug"]
-    assert parts[0].counts == {"alloc": 5760, "idle": 88, "down": 12}
-    assert parts[0].total == 5860
-    assert parts[1].counts == {"idle": 10, "drained": 2}
+    assert list(parts) == ["standard", "debug"]  # the order first seen
+    assert parts["standard"] == {"alloc": 5760, "idle": 88, "down": 12}
+    assert parts["debug"] == {"idle": 10, "drained": 2}
 
 
 def test_parse_sinfo_skips_junk_rows():
-    text = "PARTITION AVAIL NODES STATE\ngarbage\nstandard up notanumber idle\nstandard up 4 idle\n"
-    parts = parse_sinfo(text)
-    assert len(parts) == 1 and parts[0].total == 4
+    text = "PARTITION AVAIL NODES STATE\ngarbage\nstandard up notanumber idle\nstandard up -2 idle\nstandard up 4 idle\n"
+    assert parse_sinfo(text) == {"standard": {"idle": 4}}
 
 
 def test_parse_sinfo_merges_repeated_state_rows():
-    text = "a up 3 idle\na up 2 idle\n"
-    assert parse_sinfo(text)[0].counts == {"idle": 5}
+    text = "a up 3 idle\na up 2 idle*\n"
+    assert parse_sinfo(text) == {"a": {"idle": 5}}
 
 
 @pytest.mark.parametrize("token,expected", [
@@ -218,11 +215,13 @@ def test_check_power_bad_rectifier_file_marks_cabinet_unreachable():
     assert r.state is CheckState.CRIT
 
 
-def test_rectifier_reading_rejects_negative_values():
-    with pytest.raises(ValueError):
-        RectifierReading("x1000", 0, -1.0, 54.0)
-    with pytest.raises(ValueError):
-        RectifierReading("x1000", 0, 100.0, -0.5)
+def test_check_power_negative_reading_marks_cabinet_unreachable():
+    for bad in ((-1.0, 54.0), (100.0, -0.5)):
+        files = rectifier_files({"x1000": [(100.0, 54.0), bad], "x1001": [(300.0, 54.0)]})
+        r = check_power(FakeSources(files=files), ["x1000", "x1001"])
+        assert r.state is CheckState.WARN, bad
+        assert "unreachable: x1000" in r.summary
+        assert node_perf(r) == {"system": 300.0, "cab_x1001": 300.0, "volt_x1001_0": 54.0}
 
 
 # -- login / dns / memory checks ------------------------------------------------

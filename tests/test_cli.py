@@ -11,9 +11,11 @@ import socket
 import subprocess
 import sys
 import time
+import urllib.request
 
 import pytest
 
+from gridwatch import cli
 from gridwatch.agent import AgentServer
 from gridwatch.cli import build_parser, main
 from gridwatch.model import MetricSample, parse_agent_payload
@@ -214,6 +216,74 @@ def test_sim_bad_api_bind_is_config_error(tmp_path, capsys):
     assert "bad bind address" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("prefix", ["bad prefix", ""])
+def test_sim_invalid_prefix_is_config_error(tmp_path, capsys, prefix):
+    scn = tmp_path / "ok.scn"
+    scn.write_text(TINY_SCENARIO)
+    store = tmp_path / "store"
+    assert main(["sim", "--scenario", str(scn), "--store", str(store), "--prefix", prefix]) == 2
+    assert f"--prefix {prefix!r} is not a valid series prefix" in capsys.readouterr().err
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("ticks", ["0", "-3"])
+def test_sim_poll_every_ticks_below_one_is_config_error(tmp_path, capsys, ticks):
+    scn = tmp_path / "ok.scn"
+    scn.write_text(TINY_SCENARIO)
+    assert main(["sim", "--scenario", str(scn), "--poll-every-ticks", ticks]) == 2
+    assert f"--poll-every-ticks {ticks} must be >= 1" in capsys.readouterr().err
+
+
+def test_plot_width_below_one_is_config_error(sim_store, capsys):
+    store, (from_t, to_t), _ = sim_store
+    code = main(["plot", "--store", str(store), "--series", "hpc.admin.power.system",
+                 "--from", str(from_t), "--to", str(to_t), "--width", "0"])
+    assert code == 2
+    assert "--width 0 must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "plot"])
+@pytest.mark.parametrize("to_offset", [0, -60])
+def test_window_that_does_not_move_forward_is_config_error(sim_store, capsys, command, to_offset):
+    store, (from_t, _), _ = sim_store
+    to_t = from_t + to_offset
+    argv = [command, "--store", str(store), "--from", str(from_t), "--to", str(to_t)]
+    if command == "plot":
+        argv += ["--series", "hpc.admin.power.system"]
+    assert main(argv) == 2
+    assert f"--from {from_t} is not before --to {to_t}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "plot"])
+def test_missing_store_exits_one_and_creates_nothing(tmp_path, capsys, command):
+    missing = tmp_path / "no" / "such" / "dir"
+    argv = [command, "--store", str(missing), "--from", "1000", "--to", "2000"]
+    if command == "plot":
+        argv += ["--series", "hpc.admin.power.system"]
+    assert main(argv) == 1
+    assert f"no store directory at {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "no").exists()
+
+
+def test_sim_serves_the_api_for_the_whole_run(tmp_path, capsys, monkeypatch):
+    scn = tmp_path / "ok.scn"
+    scn.write_text(TINY_SCENARIO)
+    port = closed_port()
+    codes = {}
+
+    def probe(tick, monitor):
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/api/v1/health", timeout=5) as resp:
+            codes[tick] = resp.status
+
+    sim_run = cli.sim_run
+    monkeypatch.setattr(cli, "sim_run", lambda *args, **kwargs: sim_run(*args, on_tick=probe, **kwargs))
+    assert main(["sim", "--scenario", str(scn), "--api-bind", f"127.0.0.1:{port}"]) == 0
+    assert json.loads(capsys.readouterr().out)["polls"] == 30
+    assert codes == {tick: 200 for tick in range(0, 120, 12)}
+    with pytest.raises(OSError):  # the API ends with the run
+        socket.create_connection(("127.0.0.1", port), timeout=1).close()
+
+
 def test_report_unknown_series_exits_one_and_names_it(tmp_path, capsys):
     assert main(["report", "--store", str(tmp_path), "--from", "1000", "--to", "2000"]) == 1
     assert "no such series: hpc.node_cluster.node_state.avail_standard" in capsys.readouterr().err
@@ -304,6 +374,14 @@ def test_server_config_refuses_repeated_names(tmp_path, sections, message):
     proc = run_cli("server", "--config", str(cfg), timeout=30)  # a loaded config polls forever
     assert proc.returncode == 2
     assert message in proc.stderr
+
+
+def test_server_invalid_prefix_is_config_error_naming_its_line(tmp_path):
+    cfg = tmp_path / "server.cfg"
+    cfg.write_text("[server]\nretention = 1m:1h\nprefix = bad prefix\n\n[host]\nname = h1\naddress = 127.0.0.1:1\n")
+    proc = run_cli("server", "--config", str(cfg), timeout=30)  # a usable config polls forever
+    assert proc.returncode == 2
+    assert "line 3: [server] prefix 'bad prefix' is not a valid series path" in proc.stderr
 
 
 # -- long-running commands and signals ---------------------------------------------

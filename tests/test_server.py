@@ -246,6 +246,13 @@ def test_host_and_cluster_names_must_be_unique():
         make_server(hosts=[h1], clusters=[cluster, cluster])
 
 
+@pytest.mark.parametrize("prefix", ["bad prefix", "", "hpc.", ".hpc", "a..b"])
+def test_invalid_series_prefix_is_refused_at_construction(prefix):
+    with pytest.raises(ValueError, match="prefix"):
+        make_server(prefix=prefix)
+    assert make_server(prefix="site-1.hpc_2").prefix == "site-1.hpc_2"
+
+
 # -- polling over TCP -----------------------------------------------------------
 
 

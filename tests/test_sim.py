@@ -3,7 +3,6 @@
 import json
 import socket
 import threading
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -30,6 +29,7 @@ from gridwatch.sim import (
     validate_scenario,
 )
 from gridwatch.config import parse_config
+from gridwatch.tsdb import Store
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -357,10 +357,14 @@ def test_clean_run_is_quiet_and_well_formed():
     }
 
 
-def test_runs_are_reproducible():
-    a = run(tiny(duration_ticks=120), FAST_STACK)
-    b = run(tiny(duration_ticks=120), FAST_STACK)
-    assert a.store.dump() == b.store.dump()
+def test_runs_are_reproducible(tmp_path):
+    def run_into(root):
+        result = run(tiny(duration_ticks=120), FAST_STACK, store=Store(root, default_retention=FAST_STACK.retention))
+        return result, {p.relative_to(root): p.read_bytes() for p in root.rglob("*.dat")}
+
+    a, a_files = run_into(tmp_path / "a")
+    b, b_files = run_into(tmp_path / "b")
+    assert a_files and a_files == b_files
     assert [n.to_json() for n in a.notifications] == [n.to_json() for n in b.notifications]
 
 
@@ -452,19 +456,6 @@ def test_run_without_api_opens_no_socket_and_starts_no_thread(monkeypatch):
     assert result.summary.hosts_down == 4
     assert opened == []
     assert counts and set(counts) == {before}
-
-
-def test_api_serves_health_during_run():
-    codes = {}
-
-    def probe(tick, monitor):
-        if tick == 60:
-            with urllib.request.urlopen("http://127.0.0.1:18796/api/v1/health", timeout=5) as resp:
-                codes[tick] = resp.status
-
-    stack = StackConfig(poll_every_ticks=12, retention="1m:1d", api_bind=("127.0.0.1", 18796))
-    run(tiny(duration_ticks=120), stack, on_tick=probe)
-    assert codes == {60: 200}
 
 
 def test_run_rejects_invalid_scenarios():

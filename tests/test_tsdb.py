@@ -28,13 +28,20 @@ S = "hpc.host.svc.key"
 
 
 def store(retention, root=None):
-    st_ = Store(root, default_retention=retention)
-    st_.create(S)
-    return st_
+    return Store(root, default_retention=retention)
 
 
 def put(st_, t, v):
     st_.write(MetricSample(S, t, v))
+
+
+def archive_reads(st_, series, latest, retention):
+    """``series`` read once per archive of ``retention``, finest first, each
+    read spanning that archive's whole ring up to ``latest``."""
+    return [
+        st_.read(series, latest - interval * points + interval, latest + 1)
+        for interval, points in parse_retention(retention).archives
+    ]
 
 
 # -- retention parsing -------------------------------------------------------
@@ -132,7 +139,8 @@ def test_rejects_non_finite_and_bad_series():
     with pytest.raises(ValueError):
         st_.write(MetricSample("bad..name", 60_000, 1.0))
     with pytest.raises(ValueError):
-        st_.create("also bad")
+        st_.write(MetricSample("also bad", 60_000, 1.0))
+    assert st_.list_series() == []  # a refused sample leaves no series behind
 
 
 def test_read_errors():
@@ -208,7 +216,6 @@ def test_coarse_survives_after_finest_wrapped():
 def test_matches_flat_reference(data):
     archives = ((10, 30), (60, 20), (300, 12))
     st_ = Store(default_retention=RetentionSpec(archives))
-    st_.create(S)
     ref = FlatStore(archives)
     base = data.draw(st.integers(min_value=1, max_value=10_000)) * 10
     n = data.draw(st.integers(min_value=1, max_value=120))
@@ -285,8 +292,10 @@ def test_flush_and_reload_round_trip(tmp_path):
 
     again = Store(tmp_path)
     assert again.list_series() == ["hpc.host.svc.key", "hpc.other.svc.k"]
-    assert again.retention_of(S).archives == ((10, 12), (60, 60))
-    assert again.dump() == st_.dump()
+    for name, latest in ((S, 60_080), ("hpc.other.svc.k", 60_000)):
+        reads = archive_reads(again, name, latest, "10s:2m,1m:1h")
+        assert [interval for interval, _ in reads] == [10, 60]
+        assert reads == archive_reads(st_, name, latest, "10s:2m,1m:1h")
     assert again.read(S, 60_000, 60_090) == st_.read(S, 60_000, 60_090)
     assert again.read(S, 59_000, 60_090) == st_.read(S, 59_000, 60_090)
 
@@ -348,23 +357,21 @@ def test_write_count_and_list_series_prefix():
     assert st_.flush() == 0  # in-memory store has nowhere to flush
 
 
-def test_create_is_idempotent_and_keeps_first_retention(tmp_path):
+def test_reopened_series_keeps_its_file_retention(tmp_path):
     with Store(tmp_path, default_retention="5s:1m") as st_:
-        st_.create(S)
-        st_.create(S)  # no-op: the series already exists
         put(st_, 60_000, 1.0)
-    again = Store(tmp_path, default_retention="30s:1h")
-    again.create(S)  # ignored: the series keeps its file's retention
-    assert again.retention_of(S).archives == ((5, 12),)
-    assert again.list_series() == [S]
-    assert again.read(S, 60_000, 60_005)[1] == [(60_000, 1.0)]
+    size = (tmp_path / "hpc" / "host" / "svc" / "key.dat").stat().st_size
+    with Store(tmp_path, default_retention="30s:1h") as again:
+        put(again, 60_005, 2.0)  # a 30 s slot would take this over the first point
+        assert again.list_series() == [S]
+        assert again.read(S, 60_000, 60_010) == (5, [(60_000, 1.0), (60_005, 2.0)])
+    assert (tmp_path / "hpc" / "host" / "svc" / "key.dat").stat().st_size == size
 
 
 def test_mean_preservation_on_randomized_full_slots():
     rng = random.Random(4)
     archives = ((10, 60), (60, 30))
     st_ = Store(default_retention=RetentionSpec(archives))
-    st_.create(S)
     ref = FlatStore(archives)
     t = 6_000
     for _ in range(300):
@@ -412,18 +419,22 @@ def test_a_day_in_each_of_100_series_costs_memory_only_where_written():
 def test_store_reopened_from_disk_reads_back_every_slot_and_flushes_identical_files(tmp_path):
     rng = random.Random(7)
     first = tmp_path / "first"
+    latest = {}
     with Store(first, default_retention=DEMO_RETENTION) as st_:
         for name in ("hpc.a.svc.key", "hpc.b.svc.key", "hpc.c.other.k"):
             t = 86_400
             for _ in range(1500):
                 t += rng.choice([60, 60, 60, 120, 600])
                 st_.write(MetricSample(name, t, rng.uniform(-1e6, 1e6)))
-        snapshot = st_.dump()
+            latest[name] = t
+        snapshot = {name: archive_reads(st_, name, t, DEMO_RETENTION) for name, t in latest.items()}
 
     second = tmp_path / "second"
     shutil.copytree(first, second)
     again = Store(second)
-    assert again.dump() == snapshot
+    assert again.list_series() == sorted(latest)
+    for name, t in latest.items():
+        assert archive_reads(again, name, t, DEMO_RETENTION) == snapshot[name], name
     for s in again._series.values():
         s.dirty = True
     assert again.flush() == 3
