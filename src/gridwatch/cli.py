@@ -35,7 +35,7 @@ from .server import (
 )
 from .sim import BadScenario, StackConfig, load_scenario, report_config
 from .sim import run as sim_run
-from .tsdb import DEFAULT_RETENTION, NoSuchSeries, Store
+from .tsdb import DEFAULT_RETENTION, BadSpec, NoSuchSeries, Store, parse_retention
 
 log = logging.getLogger(__name__)
 
@@ -177,11 +177,20 @@ def _report_cfg_from(sections) -> ReportConfig | None:
 def cmd_server(args) -> int:
     sections = _need_config(args)
     server_sec = first(sections, "server") or Section("server", 0)
-    retention = server_sec.get("retention", DEFAULT_RETENTION)
+    try:
+        retention = parse_retention(server_sec.get("retention", DEFAULT_RETENTION))
+    except BadSpec as exc:
+        raise ConfigError(f"[server] retention: {exc}", server_sec.lines["retention"]) from None
+    prefix = server_sec.get("prefix", DEFAULT_PREFIX)
+    if not valid_series(prefix):
+        raise ConfigError(f"[server] prefix {prefix!r} is not a valid series path", server_sec.lines["prefix"])
     parallelism = server_sec.get_int("parallelism", DEFAULT_PARALLELISM)
     staleness_factor = server_sec.get_float("staleness_factor", DEFAULT_STALENESS_FACTOR)
     raw_bind = server_sec.get("api_bind")
-    api_bind = _parse_bind(raw_bind) if raw_bind else None
+    try:
+        api_bind = _parse_bind(raw_bind) if raw_bind else None
+    except ConfigError as exc:
+        raise ConfigError(f"[server] {exc}", server_sec.lines["api_bind"]) from None
 
     hosts = _hosts_from(sections)
     clusters = _clusters_from(sections, hosts)
@@ -193,18 +202,15 @@ def cmd_server(args) -> int:
     signal.signal(signal.SIGINT, lambda *_: stop.set())
 
     with Store(server_sec.get("store_root"), default_retention=retention) as store:
-        try:
-            monitor = MonitoringServer(
-                hosts,
-                clusters=clusters,
-                sinks=sinks,
-                store=store,
-                prefix=server_sec.get("prefix", DEFAULT_PREFIX),
-                parallelism=parallelism,
-                staleness_factor=staleness_factor,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[server] {exc}", server_sec.lines.get("prefix", server_sec.line)) from None
+        monitor = MonitoringServer(
+            hosts,
+            clusters=clusters,
+            sinks=sinks,
+            store=store,
+            prefix=prefix,
+            parallelism=parallelism,
+            staleness_factor=staleness_factor,
+        )
         with _serving_api(api_bind, store, report_cfg):
             monitor.run(stop)
     return 0

@@ -2,31 +2,35 @@
 
 Every series owns the same N archives, finest first, each a ring of
 ``points`` slots at a fixed ``interval``. A write lands in the finest ring
-and immediately re-aggregates the covering slot of every coarser archive
-as the arithmetic mean of the finest-resolution points beneath it; a
-coarse slot only materializes once at least half of those finest slots
+only. A coarse slot is the time-ordered mean of the finest points beneath
+it, and it holds a value only once at least half of those finest slots
 hold data, so a thin trickle of points never fabricates long-term values.
+
+A coarse slot is consolidated from the finest ring when it closes (a write
+moves the newest timestamp past it), when a write lands in it after it
+closed, and, for the open slot under the newest timestamp, when a read or
+a flush needs it. Two rules keep every consolidation exact: no coarse
+interval may exceed the finest archive's coverage, and a write is refused
+(TooOld) when any slot it lands in starts at or before the newest
+timestamp minus the finest coverage, since part of that slot's finest
+data has left the ring. A write at or after the newest timestamp is never
+refused.
 
 Reads pick the finest archive that still covers the start of the requested
 range, so old ranges degrade to coarser resolution instead of vanishing.
-Writes older than the finest archive's coverage are refused (TooOld): by
-then the finest data needed to re-aggregate the coarser slots is gone.
 
 Persistence is one flat binary file per series (header + fixed-size slot
-table, timestamp zero meaning "empty"), rewritten on flush/close. Opening
-a store reads each file whole into its rings and nothing more: the running
-coarse aggregates are not stored, and each coarse slot seeds its own from
-the finest ring the first time a write touches it. With no root directory
-the store is purely in memory, which is what the tests and the simulator
-use.
+table, timestamp zero meaning "empty"), rewritten on flush/close. The file
+is the series' whole state: opening a store reads each file into its rings
+and nothing more. With no root directory the store is purely in memory,
+which is what the tests and the simulator use.
 
-In memory, all of a series' rings share one private anonymous mapping:
-first its slot table, laid out as in the file, then the running coarse
-aggregates. The kernel hands out a page on its first write, so a series
-costs memory only where slots were written, while reading a page never
-written (as a flush does) maps the shared zero page. A store opened from
-disk copies each file into its mapping and is resident in full. The rings
-need POSIX ``mmap``.
+In memory, each series keeps its slot table, laid out as in the file, in
+one private anonymous mapping. The kernel hands out a page on its first
+write, so a series costs memory only where slots were written, while
+reading a page never written (as a flush does) maps the shared zero page.
+A store opened from disk copies each file into its mapping and is resident
+in full. The rings need POSIX ``mmap``.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ _VERSION = 1
 _HEAD = struct.Struct("<4sHH")
 _ARCH = struct.Struct("<II")
 _PAIR_BYTES = 16  # one slot on disk: little-endian int64 t, float64 v
-_AGG_BYTES = 24  # one coarse slot's running aggregate: int64 t, float64 sum, int64 count
 
 # Hard cap on slots returned by a single read; protects against runaway
 # ranges, not a tuning knob.
@@ -84,7 +87,7 @@ class NonFiniteValue(ValueError):
 
 
 class TooOld(ValueError):
-    """A write older than the finest archive's coverage."""
+    """A write into a slot whose finest data has partly left the ring."""
 
 
 class NoSuchSeries(KeyError):
@@ -100,7 +103,8 @@ class RetentionSpec:
     def __post_init__(self):
         if not self.archives:
             raise BadSpec("retention needs at least one archive")
-        finest_interval = self.archives[0][0]
+        finest_interval, finest_points = self.archives[0]
+        finest_coverage = finest_interval * finest_points
         prev_interval = 0
         prev_coverage = 0
         for interval, points in self.archives:
@@ -113,11 +117,9 @@ class RetentionSpec:
             coverage = interval * points
             if coverage <= prev_coverage:
                 raise BadSpec(f"archive coverage must strictly increase ({coverage}s after {prev_coverage}s)")
+            if interval > finest_coverage:
+                raise BadSpec(f"{interval}s slots are longer than the finest coverage ({finest_coverage}s)")
             prev_interval, prev_coverage = interval, coverage
-
-    def coverage(self, index: int = 0) -> int:
-        interval, points = self.archives[index]
-        return interval * points
 
 
 def parse_retention(text: str) -> RetentionSpec:
@@ -145,30 +147,17 @@ def parse_retention(text: str) -> RetentionSpec:
 
 class _Archive:
     """One fixed-size ring. Slot i is valid iff ts[i] equals the aligned
-    timestamp being asked about; coarse archives also carry running
-    (sum, count) aggregates per slot so downsampling is O(archives) per
-    write instead of a rescan of the finest ring. Only (ts, vals) are
-    persisted; agg_t[j] names the slot whose aggregate position j holds,
-    and a write to any other slot seeds it from the finest ring.
+    timestamp being asked about. ``ts`` and ``vals`` are strided views over
+    the series' mapping, which holds the (t, v) pairs exactly as the file's
+    slot table does."""
 
-    The rings are strided views over the series' one anonymous mapping:
-    ``slots`` holds the (t, v) pairs exactly as the file's slot table does,
-    ``aggs`` the (agg_t, agg_sum, agg_cnt) triples. A page of either costs
-    memory only once a slot on it is written."""
+    __slots__ = ("interval", "points", "ts", "vals")
 
-    __slots__ = ("interval", "points", "ts", "vals", "agg_t", "agg_sum", "agg_cnt")
-
-    def __init__(self, interval: int, points: int, slots: memoryview, aggs: memoryview | None):
+    def __init__(self, interval: int, points: int, slots: memoryview):
         self.interval = interval
         self.points = points
         self.ts = slots.cast("q")[0::2]
         self.vals = slots.cast("d")[1::2]
-        if aggs is not None:
-            self.agg_t = aggs.cast("q")[0::3]
-            self.agg_sum = aggs.cast("d")[1::3]
-            self.agg_cnt = aggs.cast("q")[2::3]
-        else:
-            self.agg_t = self.agg_sum = self.agg_cnt = None
 
     def align(self, t: int) -> int:
         return t - t % self.interval
@@ -184,20 +173,14 @@ class _Series:
         self.name = name
         self.retention = retention
         table_bytes = _PAIR_BYTES * sum(points for _, points in retention.archives)
-        agg_bytes = _AGG_BYTES * sum(points for _, points in retention.archives[1:])
-        # Private and anonymous, so only pages with a written slot are resident.
-        mem = memoryview(mmap.mmap(-1, table_bytes + agg_bytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
-        self.table = mem[:table_bytes]  # the file's slot table, in native byte order
+        # The file's slot table in native byte order. Private and anonymous,
+        # so only pages with a written slot are resident.
+        self.table = memoryview(mmap.mmap(-1, table_bytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
         self.archives = []
-        slot_off, agg_off = 0, table_bytes
-        for k, (interval, points) in enumerate(retention.archives):
-            slots = mem[slot_off : slot_off + _PAIR_BYTES * points]
-            slot_off += _PAIR_BYTES * points
-            aggs = None
-            if k > 0:
-                aggs = mem[agg_off : agg_off + _AGG_BYTES * points]
-                agg_off += _AGG_BYTES * points
-            self.archives.append(_Archive(interval, points, slots, aggs))
+        off = 0
+        for interval, points in retention.archives:
+            self.archives.append(_Archive(interval, points, self.table[off : off + _PAIR_BYTES * points]))
+            off += _PAIR_BYTES * points
         self.latest = 0  # newest finest-aligned timestamp ever written
         self.dirty = False
 
@@ -208,59 +191,45 @@ class _Series:
         if aligned <= 0:
             raise TooOld(f"timestamp {t} is before the epoch")
         latest = self.latest
-        if latest and latest - aligned >= interval * fin.points:
-            raise TooOld(
-                f"timestamp {t} older than finest coverage "
-                f"({interval * fin.points}s behind {latest})"
-            )
+        closed = ()
+        if aligned > latest:
+            # Close the open coarse slots this write moves past, while the
+            # finest ring still holds all of their points.
+            for ar in self.archives[1:]:
+                if aligned - ar.align(latest) >= ar.interval:
+                    self._consolidate(ar, ar.align(latest))
+            self.latest = aligned
+        else:
+            horizon = latest - interval * fin.points
+            if any(ar.align(aligned) <= horizon for ar in self.archives):
+                raise TooOld(
+                    f"timestamp {t} lands in a slot older than finest coverage "
+                    f"({interval * fin.points}s behind {latest})"
+                )
+            closed = [ar for ar in self.archives[1:] if ar.align(aligned) != ar.align(latest)]
         i = (aligned // interval) % fin.points
-        old = fin.vals[i] if fin.ts[i] == aligned else None
         fin.ts[i] = aligned
         fin.vals[i] = v
-        if aligned > latest:
-            self.latest = aligned
-        for ar in self.archives[1:]:
-            slot_t = aligned - aligned % ar.interval
-            j = (slot_t // ar.interval) % ar.points
-            if ar.agg_t[j] == slot_t:
-                if old is None:
-                    ar.agg_sum[j] += v
-                    ar.agg_cnt[j] += 1
-                else:
-                    ar.agg_sum[j] += v - old
-            elif not self._aggregate(ar, fin, slot_t, j):
-                continue
-            count = ar.agg_cnt[j]
-            if count * 2 >= ar.interval // interval:
-                ar.ts[j] = slot_t
-                ar.vals[j] = ar.agg_sum[j] / count
+        for ar in closed:
+            self._consolidate(ar, ar.align(aligned))
         self.dirty = True
 
-    @staticmethod
-    def _aggregate(ar: _Archive, fin: _Archive, slot_t: int, j: int) -> bool:
-        """Seed the aggregate at position ``j`` for coarse slot ``slot_t``;
-        False when that slot is already gone from the ring."""
-        if slot_t < ar.agg_t[j]:
-            # This write belongs to an epoch this ring position has
-            # already evicted; its coarse slot is gone for good and must
-            # not claw back the newer occupant.
-            return False
-        # The ring position moved on to a new slot, or the store was
-        # just opened: seed the aggregate from the finest points under
-        # the slot, the write just made included. A value loaded from disk
-        # for this very slot stays until the seed re-materializes it.
-        if ar.ts[j] != slot_t:
-            ar.ts[j] = 0
+    def _consolidate(self, ar: _Archive, slot_t: int) -> None:
+        """Set coarse slot ``slot_t`` to the mean of the finest points under
+        it, summed oldest first, when at least half of them exist."""
+        fin = self.archives[0]
         total, count = 0.0, 0
         for t in range(slot_t, slot_t + ar.interval, fin.interval):
             i = fin.idx(t)
-            if fin.ts[i] == t:
+            if fin.ts[i] == t and t:  # t = 0 is what an empty slot holds
                 total += fin.vals[i]
                 count += 1
-        ar.agg_t[j] = slot_t
-        ar.agg_sum[j] = total
-        ar.agg_cnt[j] = count
-        return True
+        j = ar.idx(slot_t)
+        if count * 2 >= ar.interval // fin.interval:
+            ar.ts[j] = slot_t
+            ar.vals[j] = total / count
+        elif ar.ts[j] != slot_t:
+            ar.ts[j] = 0  # the position held an older slot
 
     def choose_archive(self, from_t: int) -> _Archive:
         for ar in self.archives:
@@ -331,6 +300,8 @@ class Store:
             if s is None:
                 raise NoSuchSeries(series)
             ar = s.choose_archive(from_t)
+            if ar is not s.archives[0]:
+                s._consolidate(ar, ar.align(s.latest))  # the open slot
             start = ar.align(from_t)
             if (to_t - start) // ar.interval > _MAX_READ_POINTS:
                 raise ValueError("read range spans too many slots")
@@ -379,6 +350,8 @@ class Store:
         head = bytearray(_HEAD.pack(_MAGIC, _VERSION, len(s.archives)))
         for interval, points in s.retention.archives:
             head += _ARCH.pack(interval, points)
+        for ar in s.archives[1:]:
+            s._consolidate(ar, ar.align(s.latest))  # the open slots
         tmp = path.with_suffix(".dat.tmp")
         with open(tmp, "wb") as fh:
             fh.write(head)

@@ -26,7 +26,8 @@ class FlatStore:
     recomputes each read answer from scratch:
 
     * a write is refused when its finest-aligned time is <= 0 or lags the
-      newest accepted write by at least the finest coverage;
+      newest accepted write by at least the finest coverage, or when a
+      coarser slot it lands in starts that far behind;
     * a read picks the finest archive whose coverage reaches back to the
       range start (relative to the newest write), else the coarsest;
     * a finest slot holds its last written value while the slot is within
@@ -48,6 +49,8 @@ class FlatStore:
         if aligned <= 0:
             return False
         if self.latest and self.latest - aligned >= interval * points:
+            return False
+        if any(aligned - aligned % iv <= self.latest - interval * points for iv, _ in self.archives[1:]):
             return False
         self.flat[aligned] = v
         self.latest = max(self.latest, aligned)

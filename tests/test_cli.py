@@ -378,10 +378,33 @@ def test_server_config_refuses_repeated_names(tmp_path, sections, message):
 
 def test_server_invalid_prefix_is_config_error_naming_its_line(tmp_path):
     cfg = tmp_path / "server.cfg"
-    cfg.write_text("[server]\nretention = 1m:1h\nprefix = bad prefix\n\n[host]\nname = h1\naddress = 127.0.0.1:1\n")
+    root = tmp_path / "store"
+    cfg.write_text(
+        f"[server]\nretention = 1m:1h\nprefix = bad prefix\nstore_root = {root}\n\n"
+        "[host]\nname = h1\naddress = 127.0.0.1:1\n"
+    )
     proc = run_cli("server", "--config", str(cfg), timeout=30)  # a usable config polls forever
     assert proc.returncode == 2
     assert "line 3: [server] prefix 'bad prefix' is not a valid series path" in proc.stderr
+    assert not root.exists()  # refused before the store opened
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("retention = 10s:2d,1m:1d", "line 2: [server] retention: archive coverage must strictly increase"),
+        ("retention = 10s:1m,1h:1d", "line 2: [server] retention: 3600s slots are longer than the finest coverage"),
+        ("api_bind = nonsense", "line 2: [server] bad bind address 'nonsense'"),
+    ],
+    ids=["coverage-shrinks", "coarse-slot-beyond-finest-coverage", "api-bind"],
+)
+def test_server_bad_retention_or_api_bind_is_config_error_naming_its_line(tmp_path, line, message):
+    cfg = tmp_path / "server.cfg"
+    cfg.write_text(f"[server]\n{line}\nstore_root = {tmp_path / 'store'}\n\n[host]\nname = h1\naddress = 127.0.0.1:1\n")
+    proc = run_cli("server", "--config", str(cfg), timeout=30)  # a usable config polls forever
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert not (tmp_path / "store").exists()
 
 
 # -- long-running commands and signals ---------------------------------------------

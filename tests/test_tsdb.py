@@ -69,6 +69,7 @@ def test_parse_retention_rounds_down_partial_slots():
     "10s:1d,10s:2d",     # intervals must strictly increase
     "10s:2d,1m:1d",      # coverage must strictly increase
     "1m:1h,30s:1d",      # coarser first
+    "10s:1m,1h:1d",      # a coarse slot longer than the finest coverage
 ])
 def test_parse_retention_rejects(bad):
     with pytest.raises(BadSpec):
@@ -241,20 +242,14 @@ def assert_reads_match(st_, ref):
         got_interval, got = st_.read(S, from_t, to_t)
         assert got_interval == want_interval
         assert len(got) == len(want)
-        for (gt, gv), (wt, wv) in zip(got, want):
-            assert gt == wt
-            if wv is None:
-                assert gv is None
-            else:
-                assert gv == pytest.approx(wv, rel=1e-9)
+        assert got == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_matches_flat_reference_across_a_reopen(data):
-    """Flush and reopen at a drawn point; later writes start at the
-    reopen-time latest and only move forward, as a restarted server's
-    polls do (a backfill after a reopen is the caveat in the README)."""
+    """Flush and reopen at a drawn point; writes after the reopen move
+    back and forth just as those before it do."""
     archives = ((10, 30), (60, 20), (300, 12))
     ref = FlatStore(archives)
     base = data.draw(st.integers(min_value=1, max_value=10_000)) * 10
@@ -262,14 +257,12 @@ def test_matches_flat_reference_across_a_reopen(data):
     reopen_at = data.draw(st.integers(min_value=0, max_value=n))
     with tempfile.TemporaryDirectory() as root:
         st_ = Store(root, default_retention=RetentionSpec(archives))
-        t, floor = base, 0
+        t = base
         for k in range(n):
             if k == reopen_at:
                 st_.flush()
                 st_ = Store(root, default_retention=RetentionSpec(archives))
-                floor = ref.latest
-            step = data.draw(st.integers(min_value=-40 if k < reopen_at else 0, max_value=60))
-            t = max(t + step, floor)
+            t += data.draw(st.integers(min_value=-40, max_value=60))
             v = data.draw(st.integers(min_value=-100, max_value=100)) / 4.0
             if ref.write(t, v):
                 st_.write(MetricSample(S, t, v))
@@ -277,6 +270,28 @@ def test_matches_flat_reference_across_a_reopen(data):
                 with pytest.raises(TooOld):
                     st_.write(MetricSample(S, t, v))
         assert_reads_match(st_, ref)
+
+
+def test_backfill_after_a_reopen_is_refused_or_exact(tmp_path):
+    archives = ((10, 30), (60, 20))  # finest coverage: 300 s
+    ref = FlatStore(archives)
+    st_ = Store(tmp_path, default_retention=RetentionSpec(archives))
+    for t in range(600, 1010, 10):
+        assert ref.write(t, (t % 60) / 10)
+        put(st_, t, (t % 60) / 10)
+    st_.flush()
+    st_ = Store(tmp_path)
+    # The 60 s slot at 660 starts 340 s behind latest = 1000: some of its
+    # finest points have left the ring, so a write into it is refused.
+    assert not ref.write(710, 100.0)
+    with pytest.raises(TooOld):
+        put(st_, 710, 100.0)
+    # The closed slot at 900 is still whole in the finest ring.
+    assert ref.write(910, 100.0)
+    put(st_, 910, 100.0)
+    want = ref.read(600, 1020)
+    assert want[0] == 60 and dict(want[1])[900] == (0.0 + 100.0 + 2.0 + 3.0 + 4.0 + 5.0) / 6
+    assert st_.read(S, 600, 1020) == want
 
 
 # -- persistence --------------------------------------------------------------
