@@ -2,22 +2,21 @@
 
 Every environment touch (files, subprocesses, ssh probes, name lookups)
 goes through a DataSource so the same checks run unmodified against a real
-host or against the simulator. The agent holds no state between polls: a
-connection triggers a fresh collection and gets one payload back.
+host or against the simulator. The agent keeps no results between polls: a
+connection triggers a fresh collection and gets one payload back. All it
+carries over is which checks are still running.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import queue
 import socket
 import socketserver
 import subprocess
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,11 +51,14 @@ _STATE_FLAGS = "*~#!%$@^+&-"
 BUILTIN_CHECKS = ("power", "node_state", "login", "dns", "memory")
 
 _MAX_RECTIFIERS = 1024  # sanity bound when probing numbered rectifier files
-_CHECK_WORKERS = 8  # threads an agent may spend on concurrent checks
 
 
 class DataSource(ABC):
     """Everything a check may ask of the host it runs on."""
+
+    # Whether a call may wait on the outside world (a hung mount, a stuck
+    # command); a collection runs checks on threads only when one may.
+    blocking = True
 
     @abstractmethod
     def read_file(self, path: str) -> bytes:
@@ -329,7 +331,7 @@ def run_local_checks(
     *,
     builtins=(),
     timeout_s: float = DEFAULT_CHECK_TIMEOUT_S,
-    pool: futures.Executor | None = None,
+    running: "dict[str, threading.Thread] | None" = None,
     clock=time.time,
     agent_version: str = __version__,
 ) -> AgentPayload:
@@ -337,45 +339,60 @@ def run_local_checks(
 
     ``builtins`` is a sequence of (name, thunk) pairs, each thunk returning
     one CheckResult. External executables run through the data source and
-    may print several check lines. Checks run one after another, or on
-    ``pool`` when one is given. A check that fails or exceeds the timeout
+    may print several check lines. A check that fails or exceeds the timeout
     is demoted to a single UNKNOWN result named after it; nothing a check
     does can make the collection raise.
+
+    When ``sources`` may block, each check runs on its own daemon thread, all
+    under one deadline ``timeout_s`` away. ``running`` keeps each check's last
+    thread (a built-in keyed by name, a script by path) across collections,
+    which must not overlap; a check whose last thread is alive is reported at
+    once, not started again. Otherwise the checks run on the calling thread.
     """
-    tasks: list[tuple[str, object]] = [(name, thunk) for name, thunk in builtins]
+    tasks: list[tuple[str, str, object]] = [(name, name, thunk) for name, thunk in builtins]
     if check_dir is not None:
         dir_path = Path(check_dir)
         if dir_path.is_dir():
             for script in sorted(dir_path.iterdir()):
                 if script.is_file() and os.access(script, os.X_OK):
-                    tasks.append((script.name, _script_thunk(sources, script, timeout_s)))
+                    tasks.append((str(script), script.name, _script_thunk(sources, script, timeout_s)))
         else:
             log.warning("check_dir %s missing; running built-ins only", check_dir)
 
     results: list[CheckResult] = []
-    if pool is None:
-        for name, thunk in tasks:
-            results.extend(_run_one(name, thunk))
-    else:
-        pending = [(name, pool.submit(_run_one, name, thunk)) for name, thunk in tasks]
-        deadline = time.monotonic() + timeout_s
-        for name, fut in pending:
-            try:
-                results.extend(fut.result(timeout=max(0.0, deadline - time.monotonic())))
-            except futures.TimeoutError:
-                fut.cancel()  # a check still queued never starts; a running one is left to end
-                results.append(_failed(name, f"timed out after {timeout_s:g}s"))
+    if not sources.blocking:
+        for _, name, thunk in tasks:
+            _run_one(name, thunk, results)
+        return AgentPayload(agent_version, int(clock()), results)
+
+    running = {} if running is None else running
+    deadline = time.monotonic() + timeout_s
+    started = []
+    for key, name, thunk in tasks:
+        if key in running and running[key].is_alive():
+            started.append((name, None, None))
+            continue
+        out: list[CheckResult] = []
+        running[key] = threading.Thread(target=_run_one, args=(name, thunk, out), name=f"check-{name}", daemon=True)
+        running[key].start()
+        started.append((name, running[key], out))
+    for name, thread, out in started:
+        if thread is None:
+            results.append(_failed(name, "still running since an earlier poll"))
+            continue
+        thread.join(max(0.0, deadline - time.monotonic()))
+        results.extend([_failed(name, f"timed out after {timeout_s:g}s")] if thread.is_alive() else out)
     return AgentPayload(agent_version, int(clock()), results)
 
 
-def _run_one(name: str, thunk) -> list[CheckResult]:
+def _run_one(name: str, thunk, out: list[CheckResult]) -> None:
     try:
-        out = thunk()
+        result = thunk()
     except subprocess.TimeoutExpired:
-        return [_failed(name, "timed out")]
+        result = _failed(name, "timed out")
     except Exception as exc:
-        return [_failed(name, f"{type(exc).__name__}: {exc}")]
-    return out if isinstance(out, list) else [out]
+        result = _failed(name, f"{type(exc).__name__}: {exc}")
+    out.extend(result if isinstance(result, list) else [result])
 
 
 def _script_thunk(sources: DataSource, script: Path, timeout_s: float):
@@ -403,36 +420,6 @@ def _script_thunk(sources: DataSource, script: Path, timeout_s: float):
     return run
 
 
-class _DaemonPool(futures.Executor):
-    """A fixed set of daemon threads fed from one queue. A ThreadPoolExecutor's workers are
-    joined at interpreter exit, so a check hung for good would keep the agent from exiting."""
-
-    def __init__(self, workers: int):
-        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
-        self._workers = workers
-        for _ in range(workers):
-            threading.Thread(target=self._work, name="check", daemon=True).start()
-
-    def submit(self, fn, /, *args, **kwargs) -> futures.Future:
-        fut = futures.Future()
-        self._tasks.put((fut, fn, args, kwargs))
-        return fut
-
-    def _work(self) -> None:
-        for fut, fn, args, kwargs in iter(self._tasks.get, None):
-            if fut.set_running_or_notify_cancel():
-                try:
-                    fut.set_result(fn(*args, **kwargs))
-                except BaseException as exc:
-                    fut.set_exception(exc)
-
-    def shutdown(self, wait=True, *, cancel_futures=False) -> None:
-        """Ends each thread once it is free, after the tasks queued before this call;
-        never waits or cancels, since a thread held by a hung check may never be free."""
-        for _ in range(self._workers):
-            self._tasks.put(None)
-
-
 @dataclass(frozen=True)
 class AgentConfig:
     """Static agent setup, normally read from the [agent] config section."""
@@ -442,7 +429,6 @@ class AgentConfig:
     checks: tuple[str, ...] = ()
     check_dir: str | None = None
     check_timeout_s: float = DEFAULT_CHECK_TIMEOUT_S
-    concurrent_checks: bool = True
     cabinets: tuple[str, ...] = ()
     cec_root: str = DEFAULT_CEC_ROOT
     power_warn_w: float | None = None
@@ -468,20 +454,16 @@ def agent_config_from_sections(sections: list[Section]) -> AgentConfig:
 
 
 class Agent:
-    """Binds a config and a data source into a payload factory; with ``concurrent_checks``
-    every collection shares one pool of daemon threads, so a hung check holds one thread,
-    not one per poll, and never keeps the agent from exiting."""
+    """Binds a config and a data source into a payload factory. It keeps each
+    check's last thread between collections, so a check hung for good holds
+    one thread, not one per poll, and never keeps the agent from exiting."""
 
     def __init__(self, cfg: AgentConfig, sources: DataSource, *, clock=time.time, version: str = __version__):
         self.cfg = cfg
         self.sources = sources
         self.clock = clock
         self.version = version
-        self._pool = _DaemonPool(_CHECK_WORKERS) if cfg.concurrent_checks else None
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
+        self._running: dict[str, threading.Thread] = {}
 
     def _builtins(self):
         cfg, src = self.cfg, self.sources
@@ -507,7 +489,7 @@ class Agent:
             self.sources,
             builtins=self._builtins(),
             timeout_s=self.cfg.check_timeout_s,
-            pool=self._pool,
+            running=self._running,
             clock=self.clock,
             agent_version=self.version,
         )

@@ -18,7 +18,7 @@ import threading
 
 from . import __version__
 from .agent import Agent, AgentServer, HostDataSource, agent_config_from_sections
-from .config import ConfigError, Section, all_named, bind, first, load_config
+from .config import ConfigError, Section, all_named, bind, first, host_port, load_config
 from .model import valid_series
 from .plot import render_svg, sparkline
 from .report import DEFAULT_STALENESS_S, ApiServer, EmptyWindow, ReportConfig, contractual_report
@@ -46,13 +46,6 @@ def _iso(t: int) -> str:
     return datetime.datetime.fromtimestamp(t, tz=datetime.timezone.utc).strftime(
         "%Y-%m-%dT%H:%M:%SZ"
     )
-
-
-def _parse_bind(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ConfigError(f"bad bind address {text!r} (want host:port)")
-    return host, int(port)
 
 
 def _check_window(args) -> None:
@@ -109,7 +102,6 @@ def cmd_agent(args) -> int:
         listener.serve_forever(poll_interval=0.2)
     finally:
         listener.server_close()
-        agent.close()
     return 0
 
 
@@ -122,8 +114,8 @@ def _hosts_from(sections) -> list[HostConfig]:
         cfg = bind(sec, HostConfig)
         try:
             cfg.endpoint()
-        except ValueError as exc:
-            raise ConfigError(str(exc), sec.line) from None
+        except ConfigError as exc:
+            raise ConfigError(f"[host] {cfg.name}: {exc}", sec.lines["address"]) from None
         if cfg.poll_interval_s < 1:
             raise ConfigError(f"poll_interval_s must be >= 1 for host {cfg.name}", sec.line)
         if any(h.name == cfg.name for h in hosts):
@@ -188,7 +180,7 @@ def cmd_server(args) -> int:
     staleness_factor = server_sec.get_float("staleness_factor", DEFAULT_STALENESS_FACTOR)
     raw_bind = server_sec.get("api_bind")
     try:
-        api_bind = _parse_bind(raw_bind) if raw_bind else None
+        api_bind = host_port(raw_bind, "bind address") if raw_bind else None
     except ConfigError as exc:
         raise ConfigError(f"[server] {exc}", server_sec.lines["api_bind"]) from None
 
@@ -224,7 +216,7 @@ def cmd_sim(args) -> int:
         raise ConfigError(f"--poll-every-ticks {args.poll_every_ticks} must be >= 1")
     if not valid_series(args.prefix):
         raise ConfigError(f"--prefix {args.prefix!r} is not a valid series prefix")
-    api_bind = _parse_bind(args.api_bind) if args.api_bind else None
+    api_bind = host_port(args.api_bind, "bind address") if args.api_bind else None
     scenario = load_scenario(args.scenario)
     stack = StackConfig(prefix=args.prefix, poll_every_ticks=args.poll_every_ticks)
     store = Store(args.store, default_retention=stack.retention)

@@ -115,6 +115,14 @@ def load_config(path: str | Path) -> list[Section]:
     return parse_config(text)
 
 
+def host_port(text: str, what: str = "address") -> tuple[str, int]:
+    """Split ``host:port``; refuses an empty host and a port that is not 0-65535."""
+    host, _, port = text.rpartition(":")
+    if not host or not re.fullmatch(r"[0-9]{1,5}", port) or int(port) > 65535:
+        raise ConfigError(f"bad {what} {text!r} (want host:port, port at most 65535)")
+    return host, int(port)
+
+
 def first(sections: list[Section], name: str) -> Section | None:
     for s in sections:
         if s.name == name:

@@ -24,6 +24,7 @@ from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import host_port
 from .model import (
     AgentPayload,
     CheckResult,
@@ -58,10 +59,7 @@ class HostConfig:
     connect_timeout_s: float = 5.0
 
     def endpoint(self) -> tuple[str, int]:
-        host, sep, port = self.address.rpartition(":")
-        if not sep or not host:
-            raise ValueError(f"bad address {self.address!r} for host {self.name} (want host:port)")
-        return host, int(port)
+        return host_port(self.address)
 
 
 def tcp_fetch(cfg: HostConfig) -> bytes:

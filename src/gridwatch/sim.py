@@ -153,6 +153,13 @@ class Scenario:
 
 def validate_scenario(sc: Scenario) -> None:
     """Raise BadScenario on anything out of bounds; no-op when valid."""
+    _validate_frame(sc)
+    for event in sc.events:
+        _validate_event(event, sc)
+
+
+def _validate_frame(sc: Scenario) -> None:
+    """The scenario's own fields and its shape, which every event check relies on."""
     if sc.tick_s < 1 or sc.duration_ticks < 1:
         raise BadScenario("tick_s and duration_ticks must be >= 1")
     if sc.seed < 0:
@@ -164,8 +171,6 @@ def validate_scenario(sc: Scenario) -> None:
         raise BadScenario("shape counts must all be >= 1")
     if not shape.partitions:
         raise BadScenario("shape needs at least one partition")
-    for event in sc.events:
-        _validate_event(event, sc)
 
 
 def _validate_event(event: Event, sc: Scenario) -> None:
@@ -220,12 +225,12 @@ def scenario_from_sections(sections: list[Section]) -> Scenario:
         scenario = bind(first(sections, "scenario"), Scenario, shape=shape, events=events)
     except ConfigError as exc:
         raise BadScenario(str(exc)) from None
+    _validate_frame(scenario)
     for sec, event in zip(all_named(sections, "event"), scenario.events):
         try:
             _validate_event(event, scenario)
         except BadScenario as exc:
             raise BadScenario(f"line {sec.line}: {exc}") from None
-    validate_scenario(scenario)
     return scenario
 
 
@@ -421,6 +426,8 @@ class SimDataSource(DataSource):
     the current ``tick``, however ``tick`` was set.
     """
 
+    blocking = False  # answers from memory, so its agents run checks inline
+
     def __init__(self, scenario: Scenario, tick: int = 0):
         self.scenario = scenario
         self.tick = tick
@@ -538,14 +545,13 @@ def report_config(stack: StackConfig, scenario: Scenario) -> ReportConfig:
 
 def _agent_configs(scenario: Scenario, stack: StackConfig) -> list[tuple[str, AgentConfig]]:
     shape = scenario.shape
-    admin = AgentConfig(checks=("power",), cabinets=shape.cabinet_ids(), concurrent_checks=False)
+    admin = AgentConfig(checks=("power",), cabinets=shape.cabinet_ids())
     login = AgentConfig(
         checks=("node_state", "login", "dns", "memory"),
         down_warn=stack.down_warn,
         down_crit=stack.down_crit,
         login_target=LOGIN_PROBE_TARGET,
         dns_name=DNS_CHECK_NAME,
-        concurrent_checks=False,
     )
     return [("admin", admin)] + [(name, login) for name in shape.login_names()]
 

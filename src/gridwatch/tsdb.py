@@ -280,8 +280,11 @@ class Store:
             if s is None:
                 if not valid_series(sample.series):
                     raise ValueError(f"bad series path {sample.series!r}")
-                s = self._series[sample.series] = _Series(sample.series, self._default_retention)
-            s.write(int(sample.t), v)
+                s = _Series(sample.series, self._default_retention)
+                s.write(int(sample.t), v)  # before listing it: a refused first write leaves no series
+                self._series[sample.series] = s
+            else:
+                s.write(int(sample.t), v)
             self.write_count += 1
 
     # -- reading ---------------------------------------------------------

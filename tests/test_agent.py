@@ -3,12 +3,10 @@
 import socket
 import threading
 import time
-from concurrent import futures
 
 import pytest
 
 from gridwatch.agent import (
-    _CHECK_WORKERS,
     Agent,
     AgentConfig,
     AgentServer,
@@ -25,7 +23,7 @@ from gridwatch.agent import (
     run_local_checks,
 )
 from gridwatch.config import ConfigError, parse_config
-from gridwatch.model import CheckState, parse_agent_payload
+from gridwatch.model import CheckResult, CheckState, parse_agent_payload
 from reference_impls import serving
 
 SINFO = """\
@@ -324,46 +322,100 @@ def test_hanging_script_is_demoted_not_fatal(tmp_path):
     assert "timed out" in payload.results[0].summary
 
 
+def quick():
+    return CheckResult(CheckState.OK, "quick", [], "fast")
+
+
 def test_hanging_builtin_is_demoted_when_concurrent():
-    def hang():
-        time.sleep(5)
-
-    def quick():
-        from gridwatch.model import CheckResult
-        return CheckResult(CheckState.OK, "quick", [], "fast")
-
-    started = time.monotonic()
-    pool = futures.ThreadPoolExecutor(max_workers=2)
-    payload = run_local_checks(
-        None, FakeSources(), builtins=[("hang", hang), ("quick", quick)],
-        timeout_s=0.3, pool=pool,
-    )
-    pool.shutdown(wait=False)
-    assert time.monotonic() - started < 4.0
-    by_service = {r.service: r for r in payload.results}
-    assert by_service["quick"].state is CheckState.OK
-    assert by_service["_check_failed_hang"].state is CheckState.UNKNOWN
-
-
-def test_hung_check_costs_at_most_the_pool_not_a_thread_per_poll():
     release = threading.Event()
 
-    class HungSinfo(FakeSources):
-        def run_command(self, argv, timeout=None):
-            release.wait(10)
-            return 127, ""
+    def hang():
+        release.wait(30)
+        return CheckResult(CheckState.OK, "hang", [], "ended")
 
-    agent = Agent(AgentConfig(checks=("node_state",), check_timeout_s=0.05), HungSinfo())
-    before = threading.active_count()
+    builtins = [("hang", hang), ("quick", quick)]
+    running = {}
+    started = time.monotonic()
     try:
-        for _ in range(_CHECK_WORKERS + 4):
-            (result,) = agent.build_payload().results
-            assert result.service == "_check_failed_node_state"
-            assert result.summary == "timed out after 0.05s"
-        assert threading.active_count() - before <= _CHECK_WORKERS
+        payload = run_local_checks(None, FakeSources(), builtins=builtins, timeout_s=0.3, running=running)
+        assert time.monotonic() - started < 4.0
+        by_service = {r.service: r for r in payload.results}
+        assert by_service["quick"].state is CheckState.OK
+        assert by_service["_check_failed_hang"].summary == "timed out after 0.3s"
     finally:
         release.set()
-        agent.close()
+    running["hang"].join(5)
+    assert not running["hang"].is_alive()
+    again = run_local_checks(None, FakeSources(), builtins=builtins, timeout_s=5, running=running)
+    assert [r.summary for r in again.results] == ["ended", "fast"]  # an ended check runs again
+
+
+class HungSinfo(FakeSources):
+    """sinfo blocks until ``release`` is set; everything else answers at once."""
+
+    def __init__(self, release):
+        super().__init__(files={"/proc/meminfo": meminfo(1000, 500)})
+        self.release = release
+
+    def run_command(self, argv, timeout=None):
+        self.release.wait(30)
+        return 127, ""
+
+
+def test_hung_check_costs_one_thread_and_blinds_no_other_check():
+    release = threading.Event()
+    before = threading.active_count()
+    cfg = AgentConfig(checks=("node_state", "memory", "dns", "login"), check_timeout_s=1.0)
+    agent = Agent(cfg, HungSinfo(release))
+    collections, extra_threads = [], []
+    try:
+        for _ in range(12):
+            collections.append(agent.build_payload().results)
+            extra_threads.append(threading.active_count() - before)
+    finally:
+        release.set()
+    for n, (_, *others) in enumerate(collections):
+        assert [(r.service, r.state) for r in others] == [
+            ("memory", CheckState.OK), ("dns", CheckState.OK), ("login", CheckState.OK)
+        ], n
+    assert [(hung.service, hung.summary) for hung, *_ in collections] == [
+        ("_check_failed_node_state", "timed out after 1s")
+    ] + [("_check_failed_node_state", "still running since an earlier poll")] * 11
+    assert extra_threads == [1] * 12
+
+
+def test_a_collection_does_not_wait_on_a_check_still_running():
+    release = threading.Event()
+    agent = Agent(AgentConfig(checks=("node_state", "memory"), check_timeout_s=2.0), HungSinfo(release))
+    try:
+        agent.build_payload()  # node_state times out here and runs on
+        started = time.monotonic()
+        results = agent.build_payload().results
+        assert time.monotonic() - started < 1.0
+        assert [(r.service, r.summary) for r in results] == [
+            ("_check_failed_node_state", "still running since an earlier poll"),
+            ("memory", "50.0% memory used"),
+        ]
+    finally:
+        release.set()
+
+
+def test_a_script_does_not_share_a_builtins_guard(tmp_path):
+    write_script(tmp_path, "memory", 'echo "0 memory_script - ok"')
+    release = threading.Event()
+    still_running = threading.Thread(target=release.wait, args=(30,), daemon=True)
+    still_running.start()
+    try:
+        payload = run_local_checks(
+            tmp_path, HostDataSource(), builtins=[("memory", quick)], timeout_s=5,
+            running={"memory": still_running},
+        )
+    finally:
+        release.set()
+    assert [(r.service, r.summary) for r in payload.results] == [
+        ("_check_failed_memory", "still running since an earlier poll"),
+        ("memory_script", "ok"),
+    ]
 
 
 def test_node_state_bounds_sinfo_by_the_check_timeout():
@@ -374,7 +426,7 @@ def test_node_state_bounds_sinfo_by_the_check_timeout():
             timeouts.append(timeout)
             return super().run_command(argv, timeout)
 
-    cfg = AgentConfig(checks=("node_state",), check_timeout_s=2.5, concurrent_checks=False)
+    cfg = AgentConfig(checks=("node_state",), check_timeout_s=2.5)
     Agent(cfg, Recording(commands={"sinfo": (0, SINFO)})).build_payload()
     assert timeouts == [2.5]
 
@@ -404,7 +456,6 @@ def test_agent_config_from_section():
     checks = power, memory
     cabinets = x1000, x1001
     power_warn_w = 4500000
-    concurrent_checks = no
     down_states = down, fail
     """
     cfg = agent_config_from_sections(parse_config(text))
@@ -412,7 +463,6 @@ def test_agent_config_from_section():
     assert cfg.checks == ("power", "memory")
     assert cfg.cabinets == ("x1000", "x1001")
     assert cfg.power_warn_w == 4_500_000.0
-    assert cfg.concurrent_checks is False
     assert cfg.down_states == frozenset({"down", "fail"})
 
 
@@ -423,7 +473,7 @@ def test_agent_config_rejects_unknown_check():
 
 def test_agent_builds_configured_checks_only():
     src = FakeSources(commands={"sinfo": (0, SINFO)}, files={"/proc/meminfo": meminfo(1000, 500)})
-    agent = Agent(AgentConfig(checks=("node_state", "memory"), concurrent_checks=False), src, clock=lambda: 7)
+    agent = Agent(AgentConfig(checks=("node_state", "memory")), src, clock=lambda: 7)
     payload = agent.build_payload()
     assert [r.service for r in payload.results] == ["node_state", "memory"]
     assert payload.host_time == 7
@@ -446,7 +496,7 @@ def poll(address):
 def test_poll_listener_serves_fresh_payload_per_connection():
     ticker = iter(range(100, 200))
     src = FakeSources(files={"/proc/meminfo": meminfo(1000, 500)})
-    agent = Agent(AgentConfig(checks=("memory",), concurrent_checks=False), src, clock=lambda: next(ticker))
+    agent = Agent(AgentConfig(checks=("memory",)), src, clock=lambda: next(ticker))
     with serving(AgentServer(("127.0.0.1", 0), agent.payload_text)) as srv:
         first = parse_agent_payload(poll(srv.address))
         second = parse_agent_payload(poll(srv.address))

@@ -214,6 +214,8 @@ def test_sim_bad_api_bind_is_config_error(tmp_path, capsys):
     scn.write_text(TINY_SCENARIO)
     assert main(["sim", "--scenario", str(scn), "--api-bind", "nonsense"]) == 2
     assert "bad bind address" in capsys.readouterr().err
+    assert main(["sim", "--scenario", str(scn), "--api-bind", "127.0.0.1:70000"]) == 2
+    assert "bad bind address '127.0.0.1:70000'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("prefix", ["bad prefix", ""])
@@ -376,6 +378,15 @@ def test_server_config_refuses_repeated_names(tmp_path, sections, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("address", ["127.0.0.1:70000", "127.0.0.1:-1", "127.0.0.1:", ":6556", "noport"])
+def test_server_bad_host_address_is_config_error_naming_its_line(tmp_path, address):
+    cfg = tmp_path / "server.cfg"
+    cfg.write_text(f"[host]\nname = h1\naddress = {address}\n")
+    proc = run_cli("server", "--config", str(cfg), timeout=30)  # a usable config polls forever
+    assert proc.returncode == 2
+    assert f"line 3: [host] h1: bad address {address!r}" in proc.stderr
+
+
 def test_server_invalid_prefix_is_config_error_naming_its_line(tmp_path):
     cfg = tmp_path / "server.cfg"
     root = tmp_path / "store"
@@ -395,8 +406,9 @@ def test_server_invalid_prefix_is_config_error_naming_its_line(tmp_path):
         ("retention = 10s:2d,1m:1d", "line 2: [server] retention: archive coverage must strictly increase"),
         ("retention = 10s:1m,1h:1d", "line 2: [server] retention: 3600s slots are longer than the finest coverage"),
         ("api_bind = nonsense", "line 2: [server] bad bind address 'nonsense'"),
+        ("api_bind = 127.0.0.1:70000", "line 2: [server] bad bind address '127.0.0.1:70000'"),
     ],
-    ids=["coverage-shrinks", "coarse-slot-beyond-finest-coverage", "api-bind"],
+    ids=["coverage-shrinks", "coarse-slot-beyond-finest-coverage", "api-bind", "api-bind-port-too-high"],
 )
 def test_server_bad_retention_or_api_bind_is_config_error_naming_its_line(tmp_path, line, message):
     cfg = tmp_path / "server.cfg"

@@ -10,7 +10,7 @@ import pytest
 
 from gridwatch import cli
 from gridwatch.agent import AgentConfig, agent_config_from_sections
-from gridwatch.config import ConfigError, Section, all_named, bind, first, load_config, parse_config
+from gridwatch.config import ConfigError, Section, all_named, bind, first, host_port, load_config, parse_config
 from gridwatch.report import ReportConfig
 from gridwatch.server import HostConfig
 from gridwatch.sim import ClusterShape, Event, EventKind, Scenario, scenario_from_sections
@@ -142,7 +142,7 @@ def test_every_readme_ini_block_loads():
 
     server_sec = first(server, "server")
     parse_retention(server_sec.get("retention"))
-    assert cli._parse_bind(server_sec.get("api_bind")) == ("127.0.0.1", 8080)
+    assert host_port(server_sec.get("api_bind")) == ("127.0.0.1", 8080)
     hosts = cli._hosts_from(server)
     assert [h.name for h in hosts] == ["login1", "login2"]
     assert [c.name for c in cli._clusters_from(server, hosts)] == ["login_cluster"]
@@ -182,7 +182,6 @@ port = 7001
 checks = power, memory
 check_dir = /etc/gridwatch/local
 check_timeout_s = 2.5
-concurrent_checks = no
 cabinets = x1000, x1001
 cec_root = /srv/cec
 power_warn_w = 4500000

@@ -122,6 +122,16 @@ def test_bad_events_are_rejected(event_body, match):
         scenario_from_sections(parse_config(text))
 
 
+@pytest.mark.parametrize("shape,event_body,match", [
+    ("partitions =", "kind = node_drain\nfrom_tick = 0\nto_tick = 1\ncount = 1", "shape needs at least one partition"),
+    ("cabinets = 0", "kind = power_dip\nfrom_tick = 0\nto_tick = 1\ncabinets = x1000", "shape counts must all be >= 1"),
+], ids=["no-partitions", "no-cabinets"])
+def test_shape_is_checked_before_the_events(shape, event_body, match):
+    text = f"[shape]\n{shape}\n[event]\n{event_body}\n"
+    with pytest.raises(BadScenario, match=match):
+        scenario_from_sections(parse_config(text))
+
+
 def test_bad_event_error_carries_line_number():
     text = "[scenario]\nduration_ticks = 100\n\n[event]\nkind = power_dip\nfrom_tick = 50\nto_tick = 200\n"
     with pytest.raises(BadScenario, match="line 4"):
