@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import datetime
 import logging
+import math
 import os
 import signal
 import sys
@@ -23,9 +24,7 @@ from .model import valid_series
 from .plot import render_svg, sparkline
 from .report import DEFAULT_STALENESS_S, ApiServer, EmptyWindow, ReportConfig, contractual_report
 from .server import (
-    DEFAULT_PARALLELISM,
     DEFAULT_PREFIX,
-    DEFAULT_STALENESS_FACTOR,
     DEFAULT_WEBHOOK_TIMEOUT_S,
     ClusterServiceConfig,
     FileSink,
@@ -79,6 +78,12 @@ def _serving_api(bind: tuple[str, int] | None, store: Store, report_cfg: ReportC
         thread.join(timeout=5.0)
 
 
+def _require_timeout(sec: Section, key: str, value: float) -> None:
+    """Refuses a timeout that is not a finite number of seconds above 0."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"[{sec.name}] {key} = {sec.values[key]} must be a finite number above 0", sec.lines[key])
+
+
 def _need_config(args) -> list:
     path = args.config or os.environ.get(ENV_CONFIG)
     if not path:
@@ -92,8 +97,13 @@ def _need_config(args) -> list:
 def cmd_agent(args) -> int:
     sections = _need_config(args)
     cfg = agent_config_from_sections(sections)
+    sec = first(sections, "agent")
+    _require_timeout(sec, "check_timeout_s", cfg.check_timeout_s)
     bind = args.bind if args.bind is not None else cfg.bind
     port = args.port if args.port is not None else cfg.port
+    if not 0 <= port <= 65535:
+        where, line = ("--port", None) if args.port is not None else ("[agent] port", sec.lines["port"])
+        raise ConfigError(f"{where} {port} is not 0-65535", line)
     agent = Agent(cfg, HostDataSource())
     listener = AgentServer((bind, port), agent.payload_text)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
@@ -118,6 +128,7 @@ def _hosts_from(sections) -> list[HostConfig]:
             raise ConfigError(f"[host] {cfg.name}: {exc}", sec.lines["address"]) from None
         if cfg.poll_interval_s < 1:
             raise ConfigError(f"poll_interval_s must be >= 1 for host {cfg.name}", sec.line)
+        _require_timeout(sec, "connect_timeout_s", cfg.connect_timeout_s)
         if any(h.name == cfg.name for h in hosts):
             raise ConfigError(f"[host] {cfg.name!r} is named twice", sec.line)
         hosts.append(cfg)
@@ -154,8 +165,9 @@ def _sinks_from(sections) -> list:
         if kind == "file":
             sinks.append(FileSink(sec.require("path")))
         elif kind == "webhook":
-            url = sec.require("url")
-            sinks.append(WebhookSink(url, sec.get_float("timeout_s", DEFAULT_WEBHOOK_TIMEOUT_S)))
+            timeout_s = sec.get_float("timeout_s", DEFAULT_WEBHOOK_TIMEOUT_S)
+            _require_timeout(sec, "timeout_s", timeout_s)
+            sinks.append(WebhookSink(sec.require("url"), timeout_s))
         else:
             raise ConfigError(f"unknown sink type {kind!r} (known: file, webhook)", sec.line)
     return sinks
@@ -176,8 +188,6 @@ def cmd_server(args) -> int:
     prefix = server_sec.get("prefix", DEFAULT_PREFIX)
     if not valid_series(prefix):
         raise ConfigError(f"[server] prefix {prefix!r} is not a valid series path", server_sec.lines["prefix"])
-    parallelism = server_sec.get_int("parallelism", DEFAULT_PARALLELISM)
-    staleness_factor = server_sec.get_float("staleness_factor", DEFAULT_STALENESS_FACTOR)
     raw_bind = server_sec.get("api_bind")
     try:
         api_bind = host_port(raw_bind, "bind address") if raw_bind else None
@@ -194,15 +204,7 @@ def cmd_server(args) -> int:
     signal.signal(signal.SIGINT, lambda *_: stop.set())
 
     with Store(server_sec.get("store_root"), default_retention=retention) as store:
-        monitor = MonitoringServer(
-            hosts,
-            clusters=clusters,
-            sinks=sinks,
-            store=store,
-            prefix=prefix,
-            parallelism=parallelism,
-            staleness_factor=staleness_factor,
-        )
+        monitor = MonitoringServer(hosts, clusters=clusters, sinks=sinks, store=store, prefix=prefix)
         with _serving_api(api_bind, store, report_cfg):
             monitor.run(stop)
     return 0

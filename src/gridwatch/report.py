@@ -298,6 +298,8 @@ class _ApiHandler(BaseHTTPRequestHandler):
                 self._series(name, parts)
             else:
                 self._send(404, json.dumps({"error": "not found"}))
+        except NoSuchSeries as exc:
+            self._send(404, json.dumps({"error": f"no such series: {exc.args[0]}"}))
         except _BadQuery as exc:
             self._send(400, json.dumps({"error": str(exc)}))
         except Exception as exc:  # never let a handler kill the server thread
@@ -319,9 +321,6 @@ class _ApiHandler(BaseHTTPRequestHandler):
         from_t, to_t = self._window(parts)
         try:
             interval, points = self.server.store.read(name, from_t, to_t)
-        except NoSuchSeries:
-            self._send(404, json.dumps({"error": f"no such series: {name}"}))
-            return
         except ValueError as exc:
             raise _BadQuery(str(exc)) from None
         body = json.dumps(
@@ -339,12 +338,11 @@ class _ApiHandler(BaseHTTPRequestHandler):
             return
         try:
             report = contractual_report(self.server.store, cfg, window)
-        except NoSuchSeries as exc:
-            self._send(404, json.dumps({"error": f"no such series: {exc.args[0]}"}))
-            return
         except EmptyWindow as exc:
             self._send(404, json.dumps({"error": str(exc)}))
             return
+        except ValueError as exc:  # a window too long to read, as in _series
+            raise _BadQuery(str(exc)) from None
         self._send(200, report.to_json())
 
     def _send(self, code: int, body: str) -> None:

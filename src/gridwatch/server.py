@@ -20,7 +20,6 @@ import threading
 import time
 import urllib.request
 from collections import Counter
-from concurrent import futures
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,8 +39,7 @@ from .tsdb import Store
 log = logging.getLogger(__name__)
 
 DEFAULT_POLL_INTERVAL_S = 60
-DEFAULT_PARALLELISM = 8
-DEFAULT_STALENESS_FACTOR = 2.0
+STALE_AFTER_INTERVALS = 2  # a record this many of its host's poll intervals old is stale
 DEFAULT_PREFIX = "hpc"
 DEFAULT_WEBHOOK_TIMEOUT_S = 5.0
 # Far above any real payload (the demo's largest, the admin host's, is
@@ -65,9 +63,11 @@ class HostConfig:
 def tcp_fetch(cfg: HostConfig) -> bytes:
     """Read one payload from the agent at ``cfg.address``: connect, read to EOF.
 
-    The whole poll, connect included, must finish within
-    ``cfg.connect_timeout_s`` and send at most MAX_PAYLOAD_BYTES; breaking
-    either limit raises OSError. A bad address raises ValueError.
+    Each address the name resolves to gets ``cfg.connect_timeout_s`` to
+    connect and the reads end that long after the call began, so an IP
+    address bounds the whole call by it; name resolution has no bound. A
+    late read or a payload over MAX_PAYLOAD_BYTES raises OSError, a bad
+    address ValueError.
     """
     deadline = time.monotonic() + cfg.connect_timeout_s
     with socket.create_connection(cfg.endpoint(), timeout=cfg.connect_timeout_s) as sock:
@@ -216,8 +216,6 @@ class MonitoringServer:
         *,
         prefix: str = DEFAULT_PREFIX,
         clock=time.time,
-        parallelism: int = DEFAULT_PARALLELISM,
-        staleness_factor: float = DEFAULT_STALENESS_FACTOR,
         fetch=tcp_fetch,
     ):
         """``fetch(cfg) -> bytes`` reads one host's payload; it signals an
@@ -240,8 +238,6 @@ class MonitoringServer:
         self.store = store if store is not None else Store()
         self.prefix = prefix
         self.clock = clock
-        self.parallelism = parallelism
-        self.staleness_factor = staleness_factor
         self.fetch = fetch
         # A cluster's record, refreshed on every member poll, ages at its fastest member's interval.
         polled = {h.name: h.poll_interval_s for h in hosts}
@@ -323,7 +319,7 @@ class MonitoringServer:
 
     def _is_stale(self, record: ServiceRecord, now: float) -> bool:
         interval = self._intervals.get(record.host, DEFAULT_POLL_INTERVAL_S)
-        return record.stale or (now - record.last_seen_t) > self.staleness_factor * interval
+        return record.stale or (now - record.last_seen_t) > STALE_AFTER_INTERVALS * interval
 
     # -- clusters --------------------------------------------------------
 
@@ -404,14 +400,15 @@ class MonitoringServer:
     def run(self, stop: threading.Event, sleep=time.sleep) -> None:
         """Poll every host on its own cadence until ``stop`` is set.
 
-        Polls run on a bounded worker pool; a host whose last poll is still
-        in flight when it falls due again is skipped, so one stuck host can
-        never stall the others. The store is flushed to disk once per
-        shortest poll interval, so a killed server loses at most that much data.
+        Each poll runs on its own thread; a host whose last poll is still
+        running when it falls due again is skipped, so a stuck host holds one
+        thread and never delays the others. The store is flushed to disk once
+        per shortest poll interval, so a killed server loses at most that much
+        data. Returns once every poll thread has ended.
         """
         if not self.hosts:
             raise ValueError("no hosts configured")
-        last_poll: dict[str, futures.Future] = {}  # touched by this thread only
+        last_poll: dict[str, threading.Thread] = {}  # touched by this thread only
         next_due = {name: self.clock() for name in self.hosts}
         checkpoint_s = min(h.poll_interval_s for h in self.hosts.values())
         next_checkpoint = self.clock() + checkpoint_s
@@ -423,18 +420,20 @@ class MonitoringServer:
             except Exception:
                 log.exception("poll of %s failed", cfg.name)
 
-        with futures.ThreadPoolExecutor(max_workers=self.parallelism, thread_name_prefix="poll") as pool:
-            while not stop.is_set():
-                now = self.clock()
-                for name, cfg in self.hosts.items():
-                    if now < next_due[name] or (name in last_poll and not last_poll[name].done()):
-                        continue
-                    next_due[name] = now + cfg.poll_interval_s
-                    last_poll[name] = pool.submit(work, cfg)
-                if now >= next_checkpoint:
-                    next_checkpoint = now + checkpoint_s
-                    try:
-                        self.store.flush()
-                    except OSError:
-                        log.exception("store checkpoint failed; retrying at the next one")
-                sleep(quantum)
+        while not stop.is_set():
+            now = self.clock()
+            for name, cfg in self.hosts.items():
+                if now < next_due[name] or (name in last_poll and last_poll[name].is_alive()):
+                    continue
+                next_due[name] = now + cfg.poll_interval_s
+                last_poll[name] = threading.Thread(target=work, args=(cfg,), name=f"poll-{name}", daemon=True)
+                last_poll[name].start()
+            if now >= next_checkpoint:
+                next_checkpoint = now + checkpoint_s
+                try:
+                    self.store.flush()
+                except OSError:
+                    log.exception("store checkpoint failed; retrying at the next one")
+            sleep(quantum)
+        for thread in last_poll.values():
+            thread.join()

@@ -419,6 +419,51 @@ def test_server_bad_retention_or_api_bind_is_config_error_naming_its_line(tmp_pa
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("[agent]\nbind = 127.0.0.1\nport = 70000\n", [], "line 3: [agent] port 70000 is not 0-65535"),
+        ("[agent]\nbind = 127.0.0.1\n", ["--port", "70000"], "--port 70000 is not 0-65535"),
+        ("[agent]\nbind = 127.0.0.1\n", ["--port", "-5"], "--port -5 is not 0-65535"),
+    ],
+    ids=["config", "flag", "negative-flag"],
+)
+def test_agent_port_out_of_range_is_config_error(tmp_path, capsys, text, flags, message):
+    cfg = tmp_path / "agent.cfg"
+    cfg.write_text(text)
+    assert main(["agent", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err
+
+
+HOST = "[host]\nname = h1\naddress = 127.0.0.1:1\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("server", HOST + "connect_timeout_s = 0\n",
+         "line 4: [host] connect_timeout_s = 0 must be a finite number above 0"),
+        ("server", HOST + "connect_timeout_s = -1\n",
+         "line 4: [host] connect_timeout_s = -1 must be a finite number above 0"),
+        ("server", HOST + "[sink]\ntype = webhook\nurl = http://127.0.0.1:1/\ntimeout_s = 0\n",
+         "line 7: [sink] timeout_s = 0 must be a finite number above 0"),
+        ("agent", "[agent]\nbind = 127.0.0.1\nport = 0\ncheck_timeout_s = 0\n",
+         "line 4: [agent] check_timeout_s = 0 must be a finite number above 0"),
+        ("agent", "[agent]\nbind = 127.0.0.1\nport = 0\ncheck_timeout_s = inf\n",
+         "line 4: [agent] check_timeout_s = inf must be a finite number above 0"),
+    ],
+    ids=["connect-zero", "connect-negative", "webhook-zero", "check-zero", "check-infinite"],
+)
+def test_bad_timeout_is_config_error_naming_its_line(tmp_path, command, text, message):
+    cfg = tmp_path / "gridwatch.cfg"
+    cfg.write_text(text)
+    proc = run_cli(command, "--config", str(cfg), timeout=30)  # a usable config runs forever
+    assert proc.returncode == 2
+    assert message in proc.stderr
+
+
 # -- long-running commands and signals ---------------------------------------------
 
 

@@ -369,6 +369,14 @@ def test_api_bad_queries_are_400(api, query):
     assert "error" in json.loads(body)
 
 
+def test_api_window_too_long_to_read_is_400(api):
+    base, _ = api
+    for path in ("/api/v1/series/hpc.node_cluster.node_state.avail_standard", "/api/v1/report"):
+        status, body = fetch(base, f"{path}?from=0&to=1000000000000")
+        assert status == 400, path
+        assert "too many slots" in json.loads(body)["error"]
+
+
 def test_api_report_window_without_data_is_404(api):
     base, _ = api
     far = T0 + 10_000_000

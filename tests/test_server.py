@@ -564,6 +564,65 @@ def test_scheduler_skips_a_host_whose_poll_is_still_in_flight():
     assert srv.poll_counts == {"stuck": 1, "live": fetched.count("live")}
 
 
+def test_nine_hung_polls_never_delay_a_tenth_host():
+    fake = FakeTime(1_000_000.0)
+    text = payload_text(7, ["0 beat up=1 ok"]).encode()
+    release, stop = threading.Event(), threading.Event()
+    fetched = []
+
+    def fetch(cfg):
+        fetched.append(cfg.name)
+        if cfg.name != "live":
+            assert release.wait(10), "stuck poll never released"
+        return text
+
+    hosts = [HostConfig(f"stuck{i}", "in-process", poll_interval_s=60) for i in range(9)]
+    hosts.append(HostConfig("live", "in-process", poll_interval_s=60))
+    srv = MonitoringServer(hosts, store=Store(default_retention="10s:1h"), clock=fake.time, fetch=fetch)
+    fake.on_advance = lambda now: stop.set() if now >= fake.start + 600 else None
+    runner = threading.Thread(target=srv.run, args=(stop,), kwargs={"sleep": fake.sleep}, daemon=True)
+    runner.start()
+    try:
+        assert stop.wait(30), "the fake clock never reached 10 minutes"
+    finally:
+        release.set()
+        stop.set()
+        runner.join(30)
+    assert not runner.is_alive()
+    live = fetched.count("live")
+    assert 10 <= live <= 11, f"live polled {live} times in 10 fake minutes"
+    assert srv.poll_counts == {**{f"stuck{i}": 1 for i in range(9)}, "live": live}
+
+
+def test_run_returns_only_after_its_in_flight_poll_is_stored():
+    fake = FakeTime(1_000_000.0)
+    text = payload_text(7, ["0 beat up=1 ok"]).encode()
+    entered, release, stop = threading.Event(), threading.Event(), threading.Event()
+
+    def fetch(cfg):
+        entered.set()
+        assert release.wait(10), "poll never released"
+        return text
+
+    host = HostConfig("h1", "in-process", poll_interval_s=60)
+    srv = MonitoringServer([host], store=Store(default_retention="10s:1h"), clock=fake.time, fetch=fetch)
+    fake.on_advance = lambda now: stop.set() if entered.is_set() else None
+    runner = threading.Thread(target=srv.run, args=(stop,), kwargs={"sleep": fake.sleep}, daemon=True)
+    runner.start()
+    try:
+        assert stop.wait(10), "the poll never started"
+        runner.join(0.2)
+        assert runner.is_alive(), "run returned while its poll was still in flight"
+        assert srv.store.write_count == 0
+    finally:
+        release.set()
+        runner.join(10)
+    assert not runner.is_alive()
+    assert srv.poll_counts == {"h1": 1}
+    assert srv.store.write_count == 1
+    assert srv.store.list_series() == ["hpc.h1.beat.up"]
+
+
 def test_scheduler_requires_hosts():
     srv = MonitoringServer([], store=Store())
     with pytest.raises(ValueError):
