@@ -78,10 +78,15 @@ def _serving_api(bind: tuple[str, int] | None, store: Store, report_cfg: ReportC
         thread.join(timeout=5.0)
 
 
+def _require_number(sec: Section, key: str, ok: bool, want: str) -> None:
+    """Refuses the number at ``key`` unless ``ok``, naming its line and what it must be."""
+    if not ok:
+        raise ConfigError(f"[{sec.name}] {key} = {sec.values[key]} must be {want}", sec.lines[key])
+
+
 def _require_timeout(sec: Section, key: str, value: float) -> None:
     """Refuses a timeout that is not a finite number of seconds above 0."""
-    if not 0 < value < math.inf:
-        raise ConfigError(f"[{sec.name}] {key} = {sec.values[key]} must be a finite number above 0", sec.lines[key])
+    _require_number(sec, key, 0 < value < math.inf, "a finite number above 0")
 
 
 def _need_config(args) -> list:
@@ -175,7 +180,12 @@ def _sinks_from(sections) -> list:
 
 def _report_cfg_from(sections) -> ReportConfig | None:
     sec = first(sections, "report")
-    return None if sec is None else bind(sec, ReportConfig)
+    if sec is None:
+        return None
+    cfg = bind(sec, ReportConfig)
+    _require_number(sec, "threshold_nodes", math.isfinite(cfg.threshold_nodes), "a finite number")
+    _require_number(sec, "staleness_s", 0 <= cfg.staleness_s < math.inf, "a finite number, 0 or more")
+    return cfg
 
 
 def cmd_server(args) -> int:
@@ -238,6 +248,11 @@ def cmd_sim(args) -> int:
 
 def cmd_report(args) -> int:
     _check_window(args)
+    # NaN compares false with every count, so it would judge every slot down.
+    if not math.isfinite(args.threshold):
+        raise ConfigError(f"--threshold {args.threshold} must be a finite number")
+    if not 0 <= args.staleness_s < math.inf:
+        raise ConfigError(f"--staleness-s {args.staleness_s} must be a finite number, 0 or more")
     cfg = ReportConfig(
         node_series=args.node_series,
         login_series=args.login_series,

@@ -10,6 +10,7 @@ breach either way, so monitoring outages are never silent.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import statistics
@@ -123,56 +124,38 @@ def availability(
 ) -> AvailabilityResult:
     """Fraction of time the predicate held, over slot-extended values.
 
-    ``points`` is the dense ``[(slot_t, value_or_None), ...]`` list a store
-    read returns. Edge slots only count for the seconds they overlap the
-    window. Violation runs become breaches of ``violation_kind``; absent
-    runs longer than ``staleness_s`` become breaches of ``gap_kind``.
+    ``points`` must be the dense, aligned ``[(slot_t, value_or_None), ...]``
+    list a store read returns, one slot per ``interval`` with none missing:
+    only the first slot's time is read, and each run of absent, up or down
+    slots is clipped to the window once, so edge slots count only for the
+    seconds they overlap it. Violation runs become breaches of
+    ``violation_kind``; absent runs longer than ``staleness_s`` become
+    breaches of ``gap_kind``.
     """
     from_t, to_t = window
     if from_t >= to_t:
         raise ValueError(f"empty window [{from_t}, {to_t})")
     up = data = total = 0
     breaches: list[Breach] = []
-    run_start = run_end = None  # current predicate-violation run
-    gap_start = gap_end = None  # current absent run
-
-    def close_violation():
-        nonlocal run_start, run_end
-        if run_start is not None:
-            breaches.append(Breach(run_start, run_end, violation_kind))
-            run_start = run_end = None
-
-    def close_gap():
-        nonlocal gap_start, gap_end
-        if gap_start is not None:
-            if gap_end - gap_start > staleness_s:
-                breaches.append(Breach(gap_start, gap_end, gap_kind))
-            gap_start = gap_end = None
-
-    for slot_t, value in points:
-        lo = max(slot_t, from_t)
-        hi = min(slot_t + interval, to_t)
-        overlap = hi - lo
-        if overlap <= 0:
+    states = [None if v is None else bool(predicate(v)) for _, v in points]
+    t = points[0][0] if points else 0  # where the next run starts
+    for state, run in itertools.groupby(states):
+        lo = max(t, from_t)
+        t += interval * len(list(run))
+        hi = min(t, to_t)
+        span = hi - lo
+        if span <= 0:
             continue
-        total += overlap
-        if value is None:
-            close_violation()
-            if gap_start is None:
-                gap_start = lo
-            gap_end = hi
+        total += span
+        if state is None:
+            if span > staleness_s:
+                breaches.append(Breach(lo, hi, gap_kind))
             continue
-        data += overlap
-        close_gap()
-        if predicate(value):
-            up += overlap
-            close_violation()
+        data += span
+        if state:
+            up += span
         else:
-            if run_start is None:
-                run_start = lo
-            run_end = hi
-    close_violation()
-    close_gap()
+            breaches.append(Breach(lo, hi, violation_kind))
 
     if data == 0:
         raise EmptyWindow(f"no populated slots in [{from_t}, {to_t})")
@@ -324,7 +307,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
         except ValueError as exc:
             raise _BadQuery(str(exc)) from None
         body = json.dumps(
-            {"series": name, "interval": interval, "points": [[t, v] for t, v in points]},
+            {"series": name, "interval": interval, "points": points},
             sort_keys=True,
             separators=(",", ":"),
         )

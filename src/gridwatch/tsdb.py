@@ -237,24 +237,15 @@ class _Series:
                 return ar
         return self.archives[-1]
 
-    def slot_value(self, ar: _Archive, aligned_t: int) -> float | None:
-        i = ar.idx(aligned_t)
-        if ar.ts[i] != aligned_t or aligned_t == 0:
-            return None
-        # A slot can still sit in the ring after the window has slid past
-        # it (nothing newer claimed its position yet); treat it as gone.
-        if ar.align(self.latest) - aligned_t >= ar.interval * ar.points:
-            return None
-        return ar.vals[i]
-
 
 class Store:
     """Series store; in memory by default, file-backed when given a root.
 
     File-backed mode keeps the working set in memory and rewrites dirty
     series on flush()/close(), so a crash loses at most the samples since
-    the last flush. One writer at a time; reads are cheap and locked only
-    long enough to copy the requested slots.
+    the last flush. One writer at a time. A read holds the lock only while
+    it copies the requested slots out of one archive's ring, as at most two
+    contiguous slices (before and after the wrap) of its stamps and values.
     """
 
     def __init__(self, root: "str | Path | None" = None, default_retention: "str | RetentionSpec" = DEFAULT_RETENTION):
@@ -308,11 +299,21 @@ class Store:
             start = ar.align(from_t)
             if (to_t - start) // ar.interval > _MAX_READ_POINTS:
                 raise ValueError("read range spans too many slots")
-            out = []
-            t = start
-            while t < to_t:
-                out.append((t, s.slot_value(ar, t)))
-                t += ar.interval
+            times = range(start, to_t, ar.interval)
+            # Only a slot after the epoch that the ring window has not slid past can hold
+            # data, though its stamp may linger until a newer slot claims its position.
+            # The window is one ring long: at most two slices, before and after the wrap.
+            oldest = max(ar.align(s.latest) - ar.interval * (ar.points - 1), ar.interval)
+            lo = min(len(times), max(0, (oldest - start) // ar.interval))
+            hi = min(len(times), lo + ar.points)
+            out = [(t, None) for t in times[:lo]]
+            while lo < hi:
+                i = ar.idx(times[lo])
+                m = min(hi - lo, ar.points - i)
+                stamps, values = ar.ts[i : i + m].tolist(), ar.vals[i : i + m].tolist()
+                out += [(t, v if stamp == t else None) for t, stamp, v in zip(times[lo : lo + m], stamps, values)]
+                lo += m
+            out += [(t, None) for t in times[hi:]]
             return ar.interval, out
 
     def list_series(self, prefix: str = "") -> list[str]:

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from gridwatch.model import InvalidResult, MalformedLine, Perfdata
+from gridwatch.report import DEFAULT_STALENESS_S, AvailabilityResult, Breach, EmptyWindow
 
 
 class FlatStore:
@@ -167,6 +168,94 @@ def per_second_availability(points, predicate, window, interval, gaps_as_down=Fa
         return None
     denominator = (to_t - from_t) if gaps_as_down else data
     return 100.0 * int(ok.sum()) / denominator
+
+
+def per_slot_availability(
+    points,
+    predicate,
+    window: tuple[int, int],
+    interval: int,
+    *,
+    staleness_s: float = DEFAULT_STALENESS_S,
+    gaps_as_down: bool = False,
+    violation_kind: str = "below-threshold",
+    gap_kind: str = "no-data",
+) -> AvailabilityResult:
+    """``availability`` one slot at a time: each slot is clipped to the
+    window on its own, by its own time, and the current violation or absent
+    run is opened, extended or closed slot by slot."""
+    from_t, to_t = window
+    if from_t >= to_t:
+        raise ValueError(f"empty window [{from_t}, {to_t})")
+    up = data = total = 0
+    breaches: list[Breach] = []
+    run_start = run_end = None  # current predicate-violation run
+    gap_start = gap_end = None  # current absent run
+
+    def close_violation():
+        nonlocal run_start, run_end
+        if run_start is not None:
+            breaches.append(Breach(run_start, run_end, violation_kind))
+            run_start = run_end = None
+
+    def close_gap():
+        nonlocal gap_start, gap_end
+        if gap_start is not None:
+            if gap_end - gap_start > staleness_s:
+                breaches.append(Breach(gap_start, gap_end, gap_kind))
+            gap_start = gap_end = None
+
+    for slot_t, value in points:
+        lo = max(slot_t, from_t)
+        hi = min(slot_t + interval, to_t)
+        overlap = hi - lo
+        if overlap <= 0:
+            continue
+        total += overlap
+        if value is None:
+            close_violation()
+            if gap_start is None:
+                gap_start = lo
+            gap_end = hi
+            continue
+        data += overlap
+        close_gap()
+        if predicate(value):
+            up += overlap
+            close_violation()
+        else:
+            if run_start is None:
+                run_start = lo
+            run_end = hi
+    close_violation()
+    close_gap()
+
+    if data == 0:
+        raise EmptyWindow(f"no populated slots in [{from_t}, {to_t})")
+    denominator = total if gaps_as_down else data
+    breaches.sort(key=lambda b: (b.start_t, b.kind))
+    return AvailabilityResult(100.0 * up / denominator, up, data, total, breaches)
+
+
+def per_slot_read(store, series, from_t, to_t):
+    """``Store.read`` one slot at a time, straight from a series' rings.
+
+    Picks the archive and consolidates its open slot as ``Store.read`` does,
+    then looks up each slot's ring position on its own: a slot reads its
+    value when the stamp there equals the slot time, the time is after the
+    epoch, and the slot is not older than one ring behind the newest
+    timestamp.
+    """
+    s = store._series[series]
+    ar = s.choose_archive(from_t)
+    if ar is not s.archives[0]:
+        s._consolidate(ar, ar.align(s.latest))
+    out = []
+    for t in range(ar.align(from_t), to_t, ar.interval):
+        i = (t // ar.interval) % ar.points
+        in_window = ar.align(s.latest) - t < ar.interval * ar.points
+        out.append((t, ar.vals[i] if ar.ts[i] == t and t != 0 and in_window else None))
+    return ar.interval, out
 
 
 class FakeTime:

@@ -464,6 +464,45 @@ def test_bad_timeout_is_config_error_naming_its_line(tmp_path, command, text, me
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--threshold", "nan"], "--threshold nan must be a finite number"),
+        (["--threshold", "inf"], "--threshold inf must be a finite number"),
+        (["--staleness-s", "-1"], "--staleness-s -1.0 must be a finite number, 0 or more"),
+        (["--staleness-s", "inf"], "--staleness-s inf must be a finite number, 0 or more"),
+        (["--staleness-s", "nan"], "--staleness-s nan must be a finite number, 0 or more"),
+    ],
+    ids=["threshold-nan", "threshold-infinite", "staleness-negative", "staleness-infinite", "staleness-nan"],
+)
+def test_report_bad_threshold_or_staleness_is_config_error(sim_store, capsys, flags, message):
+    store, (from_t, to_t), _ = sim_store
+    argv = ["report", "--store", str(store), "--from", str(from_t), "--to", str(to_t), *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("threshold_nodes = nan\n", "line 7: [report] threshold_nodes = nan must be a finite number"),
+        ("threshold_nodes = 481\nstaleness_s = -1\n",
+         "line 8: [report] staleness_s = -1 must be a finite number, 0 or more"),
+        ("threshold_nodes = 481\nstaleness_s = inf\n",
+         "line 8: [report] staleness_s = inf must be a finite number, 0 or more"),
+    ],
+    ids=["threshold-nan", "staleness-negative", "staleness-infinite"],
+)
+def test_server_bad_report_number_is_config_error_naming_its_line(tmp_path, text, message):
+    cfg = tmp_path / "server.cfg"
+    cfg.write_text(HOST + "[report]\nnode_series = a.b\nlogin_series = a.c\n" + text)
+    proc = run_cli("server", "--config", str(cfg), timeout=30)  # a usable config polls forever
+    assert proc.returncode == 2
+    assert message in proc.stderr
+
+
 # -- long-running commands and signals ---------------------------------------------
 
 

@@ -22,7 +22,7 @@ from gridwatch.report import (
     detect_dips,
 )
 from gridwatch.tsdb import Store
-from reference_impls import per_second_availability, serving
+from reference_impls import per_second_availability, per_slot_availability, serving
 
 UP = 1.0
 DOWN = 0.0
@@ -130,6 +130,35 @@ def test_availability_matches_per_second_reference(data):
         return
     got = availability(points, is_up, (from_t, to_t), 60, gaps_as_down=gaps_as_down)
     assert got.pct == pytest.approx(want, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_availability_matches_per_slot_reference(data):
+    runs = data.draw(
+        st.lists(st.tuples(st.sampled_from([UP, DOWN, None]), st.integers(min_value=1, max_value=15)),
+                 min_size=1, max_size=10)
+    )
+    values = [v for v, length in runs for _ in range(length)]
+    points = slots(*values)
+    end = T0 + 60 * len(values)
+    # Windows may start or end inside a slot, or reach past either end of the points.
+    from_t = data.draw(st.integers(min_value=T0 - 90, max_value=end - 1))
+    to_t = data.draw(st.integers(min_value=from_t + 1, max_value=end + 90))
+    gaps = [60 * length for v, length in runs if v is None]
+    if gaps:  # just above, at or just below the length of some absent run
+        staleness_s = data.draw(st.sampled_from(gaps)) + data.draw(st.sampled_from([-1, -0.5, 0, 0.5, 1]))
+    else:
+        staleness_s = data.draw(st.floats(min_value=0, max_value=1200))
+    kwargs = dict(staleness_s=staleness_s, gaps_as_down=data.draw(st.booleans()),
+                  violation_kind="login-down", gap_kind="login-no-data")
+    try:
+        want = per_slot_availability(points, is_up, (from_t, to_t), 60, **kwargs)
+    except EmptyWindow:
+        with pytest.raises(EmptyWindow):
+            availability(points, is_up, (from_t, to_t), 60, **kwargs)
+        return
+    assert availability(points, is_up, (from_t, to_t), 60, **kwargs) == want
 
 
 # -- dip detection ---------------------------------------------------------------

@@ -22,7 +22,7 @@ from gridwatch.tsdb import (
     TooOld,
     parse_retention,
 )
-from reference_impls import FlatStore
+from reference_impls import FlatStore, per_slot_read
 
 S = "hpc.host.svc.key"
 
@@ -297,6 +297,75 @@ def test_backfill_after_a_reopen_is_refused_or_exact(tmp_path):
     want = ref.read(600, 1020)
     assert want[0] == 60 and dict(want[1])[900] == (0.0 + 100.0 + 2.0 + 3.0 + 4.0 + 5.0) / 6
     assert st_.read(S, 600, 1020) == want
+
+
+# -- reads at the ring's edges, against the per-slot walk ------------------------
+
+RING = RetentionSpec(((10, 30), (60, 20)))  # the finest ring holds 300 s, the coarse one 1,200 s
+
+
+def read_as_per_slot(st_, from_t, to_t):
+    got = st_.read(S, from_t, to_t)
+    assert got == per_slot_read(st_, S, from_t, to_t)
+    return got
+
+
+def test_read_across_the_finest_ring_wrap():
+    st_ = store(RING)
+    for t in range(1000, 1450, 10):  # 45 slots into a ring of 30
+        put(st_, t, t / 10)
+    # 1150..1190 sit at the ring's last five positions, 1200 at its first.
+    interval, points = read_as_per_slot(st_, 1150, 1300)
+    assert interval == 10
+    assert points == [(t, t / 10) for t in range(1150, 1300, 10)]
+
+
+def test_read_from_before_the_ring_window_reads_slid_out_slots_as_none():
+    st_ = store(RING)
+    for t in range(1000, 1500, 10):
+        put(st_, t, 1.0)
+    put(st_, 2400, 2.0)  # the coarse window now starts after 1200
+    coarse = st_._series[S].archives[1]
+    interval, points = read_as_per_slot(st_, 1000, 2460)
+    assert interval == 60
+    values = dict(points)
+    # Nothing newer claimed the positions of 1020..1140, so their stamps are
+    # still in the ring, but the window has slid past them.
+    assert {1020, 1080, 1140} <= set(coarse.ts.tolist())
+    assert all(values[t] is None for t in range(960, 1260, 60))
+    assert [values[t] for t in range(1260, 1500, 60)] == [1.0] * 4
+    assert all(values[t] is None for t in range(1500, 2460, 60))
+
+
+def test_read_reaching_past_latest_reads_none_there():
+    st_ = store(RING)
+    for t in range(1000, 1450, 10):
+        put(st_, t, t / 10)
+    # From the oldest finest slot to ten rings past the newest one.
+    interval, points = read_as_per_slot(st_, 1150, 1440 + 3000)
+    assert interval == 10
+    assert points[:30] == [(t, t / 10) for t in range(1150, 1450, 10)]
+    assert points[30:] == [(t, None) for t in range(1450, 4440, 10)]
+
+
+def test_read_from_a_coarse_archive_includes_its_open_slot():
+    st_ = store(RING)
+    for t in range(1000, 1620, 10):
+        put(st_, t, float(t % 60))
+    # The coarse slot at 1560 holds 1560..1610: all six finest points, still open.
+    interval, points = read_as_per_slot(st_, 1000, 1620)
+    assert interval == 60
+    assert points[-1] == (1560, (0 + 10 + 20 + 30 + 40 + 50) / 6)
+    assert points[0] == (960, None)  # 1000..1010 is two finest points of six
+
+
+def test_read_after_a_reopen_matches_the_per_slot_walk(tmp_path):
+    with store(RING, tmp_path) as st_:
+        for t in range(1000, 2000, 10):
+            put(st_, t, t / 10)
+        before = [st_.read(S, *w) for w in ((1700, 2000), (1000, 2100))]
+    again = Store(tmp_path)
+    assert [read_as_per_slot(again, *w) for w in ((1700, 2000), (1000, 2100))] == before
 
 
 # -- persistence --------------------------------------------------------------
