@@ -277,9 +277,8 @@ def cmd_report(args) -> int:
         else:
             print("breaches            none")
     if args.svg:
-        interval, points = store.read(cfg.node_series, args.from_t, args.to_t)
         svg = render_svg(
-            {cfg.node_series: points},
+            {cfg.node_series: report.node_points},
             title=f"node availability, threshold {cfg.threshold_nodes:g}",
             threshold=cfg.threshold_nodes,
         )

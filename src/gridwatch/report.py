@@ -16,7 +16,7 @@ import logging
 import statistics
 import urllib.parse
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .tsdb import NoSuchSeries, Store
@@ -93,6 +93,7 @@ class AvailabilityReport:
     node_availability_pct: float
     login_availability_pct: float
     breaches: list[Breach]
+    node_points: list = field(default_factory=list, repr=False, compare=False)  # the slots judged; not in the JSON
 
     def to_json(self) -> str:
         """Canonical serialization: sorted keys, no whitespace."""
@@ -256,6 +257,7 @@ def contractual_report(store: Store, cfg: ReportConfig, window: tuple[int, int])
         node_availability_pct=node.pct,
         login_availability_pct=login.pct,
         breaches=breaches,
+        node_points=node_points,
     )
 
 

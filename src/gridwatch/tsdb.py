@@ -21,16 +21,16 @@ range, so old ranges degrade to coarser resolution instead of vanishing.
 
 Persistence is one flat binary file per series (header + fixed-size slot
 table, timestamp zero meaning "empty"), rewritten on flush/close. The file
-is the series' whole state: opening a store reads each file into its rings
-and nothing more. With no root directory the store is purely in memory,
-which is what the tests and the simulator use.
+is the series' whole state. Opening a store lists its files and checks
+each header against the file's size; a series' file is read into its rings
+on the first read or write of that series. With no root directory the
+store is purely in memory, which is what the tests and the simulator use.
 
 In memory, each series keeps its slot table, laid out as in the file, in
 one private anonymous mapping. The kernel hands out a page on its first
 write, so a series costs memory only where slots were written, while
 reading a page never written (as a flush does) maps the shared zero page.
-A store opened from disk copies each file into its mapping and is resident
-in full. The rings need POSIX ``mmap``.
+A series read from disk is resident in full. The rings need POSIX ``mmap``.
 """
 
 from __future__ import annotations
@@ -241,11 +241,12 @@ class _Series:
 class Store:
     """Series store; in memory by default, file-backed when given a root.
 
-    File-backed mode keeps the working set in memory and rewrites dirty
-    series on flush()/close(), so a crash loses at most the samples since
-    the last flush. One writer at a time. A read holds the lock only while
-    it copies the requested slots out of one archive's ring, as at most two
-    contiguous slices (before and after the wrap) of its stamps and values.
+    File-backed mode lists the series files at open and reads a series'
+    file on its first read or write. It keeps what it read in memory and
+    rewrites dirty series on flush()/close(), so a crash loses at most the
+    samples since the last flush. One writer at a time. A read holds the
+    lock only while it copies the requested slots out of one archive's
+    ring, as at most two contiguous slices (before and after the wrap).
     """
 
     def __init__(self, root: "str | Path | None" = None, default_retention: "str | RetentionSpec" = DEFAULT_RETENTION):
@@ -253,12 +254,13 @@ class Store:
             default_retention = parse_retention(default_retention)
         self._default_retention = default_retention
         self._series: dict[str, _Series] = {}
+        self._unloaded: dict[str, Path] = {}  # listed at open, not yet read
         self._lock = threading.Lock()
         self._root = Path(root) if root is not None else None
         self.write_count = 0
         if self._root is not None:
             self._root.mkdir(parents=True, exist_ok=True)
-            self._load_all()
+            self._list_files()
 
     # -- writing ---------------------------------------------------------
 
@@ -268,6 +270,8 @@ class Store:
             raise NonFiniteValue(f"refusing {sample.v!r} for {sample.series}")
         with self._lock:
             s = self._series.get(sample.series)
+            if s is None:
+                s = self._first_touch(sample.series)
             if s is None:
                 if not valid_series(sample.series):
                     raise ValueError(f"bad series path {sample.series!r}")
@@ -291,6 +295,8 @@ class Store:
             raise ValueError(f"empty read range [{from_t}, {to_t})")
         with self._lock:
             s = self._series.get(series)
+            if s is None:
+                s = self._first_touch(series)
             if s is None:
                 raise NoSuchSeries(series)
             ar = s.choose_archive(from_t)
@@ -318,7 +324,7 @@ class Store:
 
     def list_series(self, prefix: str = "") -> list[str]:
         with self._lock:
-            return sorted(n for n in self._series if n.startswith(prefix))
+            return sorted(n for n in self._series.keys() | self._unloaded.keys() if n.startswith(prefix))
 
     # -- persistence -----------------------------------------------------
 
@@ -362,33 +368,51 @@ class Store:
             fh.write(_file_order(s.table))
         os.replace(tmp, path)
 
-    def _load_all(self) -> None:
+    def _list_files(self) -> None:
         for path in sorted(self._root.rglob("*.dat")):
             rel = path.relative_to(self._root)
             name = ".".join(rel.parts[:-1] + (rel.stem,))
             try:
-                self._series[name] = self._load(name, path)
+                with open(path, "rb") as fh:
+                    _read_head(fh, path)
             except (OSError, ValueError, struct.error) as exc:
                 log.warning("skipping unreadable series file %s: %s", path, exc)
+                continue
+            self._unloaded[name] = path
 
-    def _load(self, name: str, path: Path) -> _Series:
-        blob = path.read_bytes()
-        magic, version, n_archives = _HEAD.unpack_from(blob, 0)
-        if magic != _MAGIC or version != _VERSION:
-            raise ValueError(f"bad series file header in {path}")
-        off = _HEAD.size
-        archives = []
-        for _ in range(n_archives):
-            interval, points = _ARCH.unpack_from(blob, off)
-            off += _ARCH.size
-            archives.append((interval, points))
-        expected = off + _PAIR_BYTES * sum(points for _, points in archives)
-        if len(blob) != expected:
-            raise ValueError(f"{path} holds {len(blob)} bytes, its header says {expected}")
-        s = _Series(name, RetentionSpec(tuple(archives)))
-        s.table[:] = _file_order(memoryview(blob)[off:])
+    def _first_touch(self, name: str) -> "_Series | None":
+        """Read a listed series' file into a new loaded series; called under
+        the lock. A file that has gone bad since the open is dropped."""
+        path = self._unloaded.pop(name, None)
+        if path is None:
+            return None
+        try:
+            with open(path, "rb") as fh:
+                s = _Series(name, _read_head(fh, path))
+                blob = fh.read()
+            if len(blob) != len(s.table):
+                raise ValueError(f"{path} changed size while it was read")
+        except (OSError, ValueError, struct.error) as exc:
+            log.warning("skipping unreadable series file %s: %s", path, exc)
+            return None
+        s.table[:] = _file_order(memoryview(blob))
         s.latest = max(s.archives[0].ts, default=0)
+        self._series[name] = s
         return s
+
+
+def _read_head(fh, path: Path) -> RetentionSpec:
+    """Read a series file's header and archive table, leaving ``fh`` at its
+    slot table; refuse the file unless its size is what the header says."""
+    magic, version, n_archives = _HEAD.unpack(fh.read(_HEAD.size))
+    if magic != _MAGIC or version != _VERSION:
+        raise ValueError(f"bad series file header in {path}")
+    archives = tuple(_ARCH.iter_unpack(fh.read(_ARCH.size * n_archives)))
+    expected = _HEAD.size + _ARCH.size * n_archives + _PAIR_BYTES * sum(points for _, points in archives)
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise ValueError(f"{path} holds {size} bytes, its header says {expected}")
+    return RetentionSpec(archives)
 
 
 def _file_order(table: memoryview) -> memoryview:

@@ -167,6 +167,25 @@ def test_report_svg_output(sim_store, tmp_path):
     assert body.startswith("<svg") and 'class="threshold"' in body
 
 
+def test_report_with_svg_reads_each_series_once(sim_store, tmp_path, monkeypatch, capsys):
+    store, (from_t, to_t), _ = sim_store
+    reads = []
+    read = Store.read
+
+    def counted_read(self, series, *window):
+        reads.append(series)
+        return read(self, series, *window)
+
+    monkeypatch.setattr(Store, "read", counted_read)
+    svg = tmp_path / "node.svg"
+    assert main([
+        "report", "--store", str(store), "--from", str(from_t), "--to", str(to_t),
+        "--threshold", "10", "--json", "--svg", str(svg),
+    ]) == 0
+    assert reads == ["hpc.node_cluster.node_state.avail_standard", "hpc.login_cluster.login.login_up"]
+    assert "<polyline" in svg.read_text()
+
+
 def test_plot_sparkline_output(sim_store):
     store, (from_t, to_t), _ = sim_store
     out = run_cli(

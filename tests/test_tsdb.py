@@ -436,6 +436,50 @@ def test_series_file_whose_length_disagrees_with_its_header_is_skipped(tmp_path,
     assert str(bad) in caplog.text
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda path: path.write_bytes(path.read_bytes()[:-16]),
+    lambda path: path.unlink(),
+], ids=["truncated", "removed"])
+def test_series_file_spoiled_between_open_and_first_touch_is_dropped(tmp_path, caplog, spoil):
+    with Store(tmp_path, default_retention="10s:2m,1m:1h") as st_:
+        put(st_, 60_000, 1.0)
+    path = tmp_path / "hpc" / "host" / "svc" / "key.dat"
+    again = Store(tmp_path, default_retention="10s:2m,1m:1h")
+    assert again.list_series() == [S]
+    spoil(path)
+    with caplog.at_level(logging.WARNING, logger="gridwatch.tsdb"):
+        with pytest.raises(NoSuchSeries):
+            again.read(S, 60_000, 60_010)
+    assert "skipping unreadable series file" in caplog.text
+    assert str(path) in caplog.text
+    assert again.list_series() == []
+    put(again, 60_010, 2.0)  # a fresh series, whose flush replaces the file
+    assert again.flush() == 1
+    assert Store(tmp_path).read(S, 60_000, 60_020)[1] == [(60_000, None), (60_010, 2.0)]
+
+
+def test_first_touch_reads_a_file_another_store_replaced_after_the_open(tmp_path):
+    with Store(tmp_path, default_retention="10s:2m,1m:1h") as st_:
+        put(st_, 60_000, 1.0)
+    reader = Store(tmp_path)
+    with Store(tmp_path) as writer:
+        put(writer, 60_010, 2.0)  # flushed through a temp file and a rename
+    assert reader.read(S, 60_000, 60_020)[1] == [(60_000, 1.0), (60_010, 2.0)]
+
+
+def test_list_series_prefix_lists_loaded_and_unloaded_names_alike(tmp_path):
+    with Store(tmp_path, default_retention="10s:1h") as st_:
+        for name in ("hpc.a.s.k", "hpc.b.s.k", "other.c.s.k"):
+            st_.write(MetricSample(name, 60_000, 1.0))
+    again = Store(tmp_path, default_retention="10s:1h")
+    again.read("hpc.b.s.k", 60_000, 60_010)
+    again.write(MetricSample("hpc.d.s.k", 60_000, 1.0))
+    assert sorted(again._series) == ["hpc.b.s.k", "hpc.d.s.k"]  # the others are listed, not read
+    assert again.list_series("hpc.") == ["hpc.a.s.k", "hpc.b.s.k", "hpc.d.s.k"]
+    assert again.list_series("other.") == ["other.c.s.k"]
+    assert again.list_series() == ["hpc.a.s.k", "hpc.b.s.k", "hpc.d.s.k", "other.c.s.k"]
+
+
 def test_write_count_and_list_series_prefix():
     st_ = Store(default_retention="10s:1h")
     st_.write(MetricSample("hpc.a.s.k", 60_000, 1.0))
@@ -503,6 +547,30 @@ def test_a_day_in_each_of_100_series_costs_memory_only_where_written():
     assert st_.read(names[-1], 86_400, 86_520)[1] == [(86_400, 0.0), (86_460, 1.0)]
     # Every ring whole would be about 150 MB; a day of minutes touches well under a tenth.
     assert grown < 30, f"VmRSS grew {grown:.1f} MB"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc/self/status")
+def test_reopening_100_full_series_and_reading_2_costs_memory_only_for_the_2(tmp_path):
+    last = 86_400 + 60 * 20_159  # 20,160 minutes fill the one-minute ring
+    with Store(tmp_path / "one", default_retention=DEMO_RETENTION) as st_:
+        for t in range(86_400, last + 60, 60):
+            put(st_, t, float(t % 7))
+    blob = (tmp_path / "one" / "hpc" / "host" / "svc" / "key.dat").read_bytes()
+    root = tmp_path / "many"
+    names = [f"hpc.host{k}.svc.key" for k in range(100)]
+    for name in names:
+        path = root.joinpath(*name.split(".")[:-1], "key.dat")
+        path.parent.mkdir(parents=True)
+        path.write_bytes(blob)
+    del blob
+    before = vm_rss_mb()
+    again = Store(root)
+    for name in (names[0], names[-1]):
+        assert again.read(name, last, last + 60)[1] == [(last, float(last % 7))]
+    grown = vm_rss_mb() - before
+    assert again.list_series() == sorted(names)
+    # Every file read in would be about 80 MB; two series are under 2 MB.
+    assert grown < 10, f"VmRSS grew {grown:.1f} MB"
 
 
 def test_store_reopened_from_disk_reads_back_every_slot_and_flushes_identical_files(tmp_path):
