@@ -167,7 +167,7 @@ class _Archive:
 
 
 class _Series:
-    __slots__ = ("name", "retention", "archives", "latest", "dirty", "table")
+    __slots__ = ("name", "retention", "archives", "latest", "open_end", "dirty", "table")
 
     def __init__(self, name: str, retention: RetentionSpec):
         self.name = name
@@ -182,12 +182,21 @@ class _Series:
             self.archives.append(_Archive(interval, points, self.table[off : off + _PAIR_BYTES * points]))
             off += _PAIR_BYTES * points
         self.latest = 0  # newest finest-aligned timestamp ever written
+        self.open_end = 0  # end of the earliest-closing open coarse slot; 0 until a first write
         self.dirty = False
 
     def write(self, t: int, v: float) -> None:
         fin = self.archives[0]
         interval = fin.interval
         aligned = t - t % interval
+        if self.latest <= aligned < self.open_end:
+            # An append inside every open coarse slot closes none and cannot be TooOld.
+            i = (aligned // interval) % fin.points
+            fin.ts[i] = aligned
+            fin.vals[i] = v
+            self.latest = aligned
+            self.dirty = True
+            return
         if aligned <= 0:
             raise TooOld(f"timestamp {t} is before the epoch")
         latest = self.latest
@@ -199,6 +208,7 @@ class _Series:
                 if aligned - ar.align(latest) >= ar.interval:
                     self._consolidate(ar, ar.align(latest))
             self.latest = aligned
+            self._set_open_end()
         else:
             horizon = latest - interval * fin.points
             if any(ar.align(aligned) <= horizon for ar in self.archives):
@@ -214,16 +224,29 @@ class _Series:
             self._consolidate(ar, ar.align(aligned))
         self.dirty = True
 
+    def _set_open_end(self) -> None:
+        latest = self.latest
+        self.open_end = min((latest - latest % ar.interval + ar.interval for ar in self.archives[1:]), default=math.inf)
+
     def _consolidate(self, ar: _Archive, slot_t: int) -> None:
         """Set coarse slot ``slot_t`` to the mean of the finest points under
-        it, summed oldest first, when at least half of them exist."""
+        it, summed oldest first, when at least half of them exist. The points
+        are at most two slices of the finest ring, before and after the wrap."""
         fin = self.archives[0]
+        step = fin.interval
         total, count = 0.0, 0
-        for t in range(slot_t, slot_t + ar.interval, fin.interval):
+        t, end = slot_t, slot_t + ar.interval
+        while t < end:
             i = fin.idx(t)
-            if fin.ts[i] == t and t:  # t = 0 is what an empty slot holds
-                total += fin.vals[i]
-                count += 1
+            m = min((end - t) // step, fin.points - i)
+            times = range(t, t + m * step, step)
+            stamps, values = fin.ts[i : i + m].tolist(), fin.vals[i : i + m].tolist()
+            if not t or stamps != list(times):  # some point is missing; t = 0 is what an empty slot holds
+                values = [v for u, stamp, v in zip(times, stamps, values) if stamp == u and u]
+            for v in values:
+                total += v  # not sum(): its compensated float sum would change the bits
+            count += len(values)
+            t += m * step
         j = ar.idx(slot_t)
         if count * 2 >= ar.interval // fin.interval:
             ar.ts[j] = slot_t
@@ -268,7 +291,8 @@ class Store:
         v = float(sample.v)
         if not math.isfinite(v):
             raise NonFiniteValue(f"refusing {sample.v!r} for {sample.series}")
-        with self._lock:
+        self._lock.acquire()  # not `with`: this is the per-sample path, and `with` costs more per call
+        try:
             s = self._series.get(sample.series)
             if s is None:
                 s = self._first_touch(sample.series)
@@ -281,6 +305,8 @@ class Store:
             else:
                 s.write(int(sample.t), v)
             self.write_count += 1
+        finally:
+            self._lock.release()
 
     # -- reading ---------------------------------------------------------
 
@@ -397,6 +423,8 @@ class Store:
             return None
         s.table[:] = _file_order(memoryview(blob))
         s.latest = max(s.archives[0].ts, default=0)
+        if s.latest:
+            s._set_open_end()
         self._series[name] = s
         return s
 

@@ -237,6 +237,29 @@ def per_slot_availability(
     return AvailabilityResult(100.0 * up / denominator, up, data, total, breaches)
 
 
+def per_slot_consolidate(series, ar, slot_t):
+    """``_Series._consolidate`` one finest slot at a time.
+
+    Sums the finest points under coarse slot ``slot_t`` oldest first from
+    ``0.0``, looking up each point's ring position on its own, and sets the
+    slot to their mean when at least half of them exist; otherwise it zeroes
+    the slot's stamp only when the position held another slot.
+    """
+    fin = series.archives[0]
+    total, count = 0.0, 0
+    for t in range(slot_t, slot_t + ar.interval, fin.interval):
+        i = (t // fin.interval) % fin.points
+        if fin.ts[i] == t and t:  # t = 0 is what an empty slot holds
+            total += fin.vals[i]
+            count += 1
+    j = (slot_t // ar.interval) % ar.points
+    if count * 2 >= ar.interval // fin.interval:
+        ar.ts[j] = slot_t
+        ar.vals[j] = total / count
+    elif ar.ts[j] != slot_t:
+        ar.ts[j] = 0
+
+
 def per_slot_read(store, series, from_t, to_t):
     """``Store.read`` one slot at a time, straight from a series' rings.
 

@@ -1,5 +1,6 @@
 """Deterministic cluster simulator: scenarios, physics, and full-stack runs."""
 
+import dataclasses
 import json
 import socket
 import threading
@@ -75,6 +76,38 @@ def test_load_bundled_quick_scenario():
     sc = load_scenario(SCENARIOS / "quick.scn")
     assert sc.events == ()
     assert sc.duration_ticks * sc.tick_s == 3600
+
+
+def test_archer2_scenario_is_the_demo_timeline_at_paper_shape():
+    demo = load_scenario(SCENARIOS / "demo.scn")
+    sc = load_scenario(SCENARIOS / "archer2.scn")
+    assert sc.name == "archer2"
+    assert sc.shape == dataclasses.replace(demo.shape, cabinets=23, nodes=5_860)
+    assert (sc.seed, sc.tick_s, sc.duration_ticks, sc.events) == (demo.seed, demo.tick_s, demo.duration_ticks, demo.events)
+
+
+def test_archer2_first_hour_reconciles_every_power_series():
+    """The first simulated hour of archer2.scn through the full stack: the
+    system series is the generator's system power, and every cabinet series
+    is the sum of its rectifiers, bit for bit."""
+    sc = load_scenario(SCENARIOS / "archer2.scn")
+    assert min(e.from_tick for e in sc.events) >= 720  # the timeline's first event is on day 2
+    hour = dataclasses.replace(sc, duration_ticks=720, events=())
+    result = run(hour)
+    assert result.summary.polls == 60 * 5 and result.summary.hosts_down == 0
+    shape = hour.shape
+    _, system = result.store.read("hpc.admin.power.system", *result.window)
+    cabinets = [dict(result.store.read(f"hpc.admin.power.cab_{cab}", *result.window)[1]) for cab in shape.cabinet_ids()]
+    polled = [(t, v) for t, v in system if v is not None]
+    assert len(polled) == 60 and len(cabinets) == 23
+    for t, v in polled:
+        tick = (t - SIM_EPOCH) // hour.tick_s
+        assert v == expected_system_power_w(hour, tick)
+        for cab_index, cabinet in enumerate(cabinets):
+            want = 0.0
+            for r in range(shape.rectifiers_per_cabinet):
+                want += rectifier_power_w(hour, tick, cab_index, r)
+            assert cabinet[t] == want, (t, shape.cabinet_id(cab_index))
 
 
 def test_minimal_scenario_text_uses_defaults():

@@ -20,9 +20,10 @@ from gridwatch.tsdb import (
     RetentionSpec,
     Store,
     TooOld,
+    _Series,
     parse_retention,
 )
-from reference_impls import FlatStore, per_slot_read
+from reference_impls import FlatStore, per_slot_consolidate, per_slot_read
 
 S = "hpc.host.svc.key"
 
@@ -297,6 +298,104 @@ def test_backfill_after_a_reopen_is_refused_or_exact(tmp_path):
     want = ref.read(600, 1020)
     assert want[0] == 60 and dict(want[1])[900] == (0.0 + 100.0 + 2.0 + 3.0 + 4.0 + 5.0) / 6
     assert st_.read(S, 600, 1020) == want
+
+
+# -- the fast append against the full path -------------------------------------
+
+SIM_RETENTION = "1m:14d,10m:90d,1h:2y"
+# The finest ring spans 1,455 minutes, a multiple of neither coarse interval,
+# so some coarse slots straddle its wrap.
+ODD_RETENTION = "1m:1455m,10m:90d,1h:2y"
+
+
+class FullPathSeries(_Series):
+    """A series whose every write walks the archives, and whose coarse slots
+    are summed one finest slot at a time."""
+
+    __slots__ = ()
+    _consolidate = per_slot_consolidate
+
+    def write(self, t, v):
+        self.open_end = 0  # no write is an append inside the open coarse slots
+        super().write(t, v)
+
+
+def draw_write(data, latest, coverage):
+    """A write time relative to the newest written slot, or the first write."""
+    if not latest:
+        return data.draw(st.integers(1, 3)) * coverage - data.draw(st.integers(1, 3_600))  # within an hour of a wrap
+    kind = data.draw(st.sampled_from(["append", "append", "append", "repeat", "backfill", "too old", "leap"]))
+    if kind == "append":  # many in a row cross 10 m and 1 h edges and the finest wrap
+        return latest + data.draw(st.integers(60, 240))
+    if kind == "repeat":
+        return latest + data.draw(st.integers(0, 59))
+    if kind == "backfill":
+        return latest - data.draw(st.integers(1, coverage))
+    if kind == "too old":
+        return latest - data.draw(st.integers(coverage, 2 * coverage))
+    return latest + data.draw(st.integers(3_600, coverage + 7_200))
+
+
+@pytest.mark.parametrize("retention", [SIM_RETENTION, ODD_RETENTION])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fast_append_leaves_the_bytes_of_the_full_path(retention, data):
+    """After every write the series' slot table is byte for byte that of a
+    series that always takes the full path, and both refuse the same writes.
+    A flush and reopen at a drawn point makes the first touch set the bound."""
+    retention = parse_retention(retention)
+    interval, points = retention.archives[0]
+    ref = FullPathSeries(S, retention)
+    n = data.draw(st.integers(1, 120))
+    reopen_at = data.draw(st.integers(1, n))
+    with tempfile.TemporaryDirectory() as root:
+        st_ = Store(root, default_retention=retention)
+        for k in range(n):
+            if k == reopen_at:
+                st_.flush()
+                for ar in ref.archives[1:]:  # the flush consolidates the open slots
+                    per_slot_consolidate(ref, ar, ar.align(ref.latest))
+                st_ = Store(root)
+            t = draw_write(data, ref.latest, interval * points)
+            v = data.draw(st.floats(-1e6, 1e6))
+            try:
+                ref.write(t, v)
+            except TooOld:
+                with pytest.raises(TooOld):
+                    put(st_, t, v)
+            else:
+                put(st_, t, v)
+            s = st_._series[S]
+            assert s.latest == ref.latest
+            assert bytes(s.table) == bytes(ref.table)
+
+
+def test_the_coarse_slot_at_the_epoch_counts_no_point_at_t_0():
+    """Position 0 of the finest ring holds stamp 0 while it is empty, which is
+    the time of the first finest slot under the coarse slot at t = 0."""
+    retention = RetentionSpec(((10, 12), (60, 60)))
+    st_ = Store(default_retention=retention)
+    ref = FullPathSeries(S, retention)
+    for t in range(10, 130, 10):  # the write at 60 closes the coarse slot at 0
+        put(st_, t, t / 10)
+        ref.write(t, t / 10)
+        assert bytes(st_._series[S].table) == bytes(ref.table)
+
+
+def test_first_append_after_a_reopen_closes_the_10m_slot(tmp_path):
+    """The newest write before the flush sits just before a 10 m edge that is
+    not an hour edge. After the reopen the newest slot is rewritten, and the
+    first write past the edge must close the 10 m slot with the new point."""
+    edge = 1_609_459_200 + 5 * 3_600 + 1_200
+    with Store(tmp_path, default_retention=SIM_RETENTION) as st_:
+        for k in range(10):
+            put(st_, edge - 600 + 60 * k, float(k))
+    again = Store(tmp_path)
+    put(again, edge - 60, 100.0)  # the newest slot: an append inside every open coarse slot
+    put(again, edge, 0.0)
+    interval, points = again.read(S, edge - 20 * 86_400, edge + 1)  # before the finest coverage: the 10 m archive
+    assert interval == 600
+    assert dict(points)[edge - 600] == (0.0 + 1 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 100) / 10
 
 
 # -- reads at the ring's edges, against the per-slot walk ------------------------
