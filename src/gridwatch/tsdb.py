@@ -244,7 +244,7 @@ class _Series:
             if not t or stamps != list(times):  # some point is missing; t = 0 is what an empty slot holds
                 values = [v for u, stamp, v in zip(times, stamps, values) if stamp == u and u]
             for v in values:
-                total += v  # not sum(): its compensated float sum would change the bits
+                total += v  # not sum(): from Python 3.12 it compensates, which changes the bits
             count += len(values)
             t += m * step
         j = ar.idx(slot_t)

@@ -302,7 +302,7 @@ def test_backfill_after_a_reopen_is_refused_or_exact(tmp_path):
 
 # -- the fast append against the full path -------------------------------------
 
-SIM_RETENTION = "1m:14d,10m:90d,1h:2y"
+DEMO_RETENTION = "1m:14d,10m:90d,1h:2y"  # 50,640 slots, about 1.5 MB of rings per series
 # The finest ring spans 1,455 minutes, a multiple of neither coarse interval,
 # so some coarse slots straddle its wrap.
 ODD_RETENTION = "1m:1455m,10m:90d,1h:2y"
@@ -336,7 +336,7 @@ def draw_write(data, latest, coverage):
     return latest + data.draw(st.integers(3_600, coverage + 7_200))
 
 
-@pytest.mark.parametrize("retention", [SIM_RETENTION, ODD_RETENTION])
+@pytest.mark.parametrize("retention", [DEMO_RETENTION, ODD_RETENTION])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_fast_append_leaves_the_bytes_of_the_full_path(retention, data):
@@ -387,7 +387,7 @@ def test_first_append_after_a_reopen_closes_the_10m_slot(tmp_path):
     not an hour edge. After the reopen the newest slot is rewritten, and the
     first write past the edge must close the 10 m slot with the new point."""
     edge = 1_609_459_200 + 5 * 3_600 + 1_200
-    with Store(tmp_path, default_retention=SIM_RETENTION) as st_:
+    with Store(tmp_path, default_retention=DEMO_RETENTION) as st_:
         for k in range(10):
             put(st_, edge - 600 + 60 * k, float(k))
     again = Store(tmp_path)
@@ -623,8 +623,6 @@ def test_mean_preservation_on_randomized_full_slots():
 
 
 # -- memory -----------------------------------------------------------------------
-
-DEMO_RETENTION = "1m:14d,10m:90d,1h:2y"  # 50,640 slots, about 1.5 MB of rings per series
 
 
 def vm_rss_mb() -> float:
