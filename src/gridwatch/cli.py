@@ -22,7 +22,7 @@ from .agent import Agent, AgentServer, HostDataSource, agent_config_from_section
 from .config import ConfigError, Section, all_named, bind, first, host_port, load_config
 from .model import valid_series
 from .plot import render_svg, sparkline
-from .report import DEFAULT_STALENESS_S, ApiServer, EmptyWindow, ReportConfig, contractual_report
+from .report import ApiServer, EmptyWindow, ReportConfig, contractual_report
 from .server import (
     DEFAULT_PREFIX,
     DEFAULT_WEBHOOK_TIMEOUT_S,
@@ -32,7 +32,7 @@ from .server import (
     MonitoringServer,
     WebhookSink,
 )
-from .sim import BadScenario, StackConfig, load_scenario, report_config
+from .sim import BadScenario, Scenario, StackConfig, load_scenario, report_config
 from .sim import run as sim_run
 from .tsdb import DEFAULT_RETENTION, BadSpec, NoSuchSeries, Store, parse_retention
 
@@ -350,16 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("report", help="contractual availability over a window")
+    contract = report_config(StackConfig(), Scenario())
     p.add_argument("--store", required=True, help="store directory")
     p.add_argument("--from", dest="from_t", type=int, required=True, help="window start (epoch s)")
     p.add_argument("--to", dest="to_t", type=int, required=True, help="window end (epoch s)")
-    p.add_argument("--node-series", default="hpc.node_cluster.node_state.avail_standard",
-                   help="series holding available node counts")
-    p.add_argument("--login-series", default="hpc.login_cluster.login.login_up",
-                   help="series holding the login up/down flag")
-    p.add_argument("--threshold", type=float, default=481.0,
+    p.add_argument("--node-series", default=contract.node_series, help="series holding available node counts")
+    p.add_argument("--login-series", default=contract.login_series, help="series holding the login up/down flag")
+    p.add_argument("--threshold", type=float, default=float(contract.threshold_nodes),
                    help="contractual node-count threshold")
-    p.add_argument("--staleness-s", dest="staleness_s", type=float, default=DEFAULT_STALENESS_S,
+    p.add_argument("--staleness-s", dest="staleness_s", type=float, default=contract.staleness_s,
                    help="gap length that counts as a monitoring outage")
     p.add_argument("--gaps-as-down", dest="gaps_as_down", action="store_true",
                    help="count monitoring gaps as downtime (default: excluded)")

@@ -271,14 +271,9 @@ def parse_agent_payload(data: "bytes | str") -> AgentPayload:
     instead of crashing the poller. Raises EmptyPayload only for empty
     input.
     """
-    if isinstance(data, bytes):
-        if not data:
-            raise EmptyPayload("zero-byte payload")
-        text = data.decode("utf-8", errors="replace")
-    else:
-        if not data:
-            raise EmptyPayload("zero-byte payload")
-        text = data
+    if not data:
+        raise EmptyPayload("zero-byte payload")
+    text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
 
     version = ""
     host_time = 0

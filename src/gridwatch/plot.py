@@ -75,8 +75,6 @@ def render_svg(
     *,
     title: str = "",
     threshold: float | None = None,
-    width: int = _SVG_W,
-    height: int = _SVG_H,
 ) -> str:
     """Render one or more series to a self-contained SVG document.
 
@@ -86,13 +84,13 @@ def render_svg(
     """
     all_t = [t for pts in series.values() for t, _ in pts]
     all_v = [v for pts in series.values() for _, v in pts if v is not None]
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
+    plot_h = _SVG_H - _MARGIN_T - _MARGIN_B
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W} {_SVG_H}" '
         f'font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
     ]
     if title:
         parts.append(f'<text x="{_MARGIN_L}" y="18" font-size="13">{escape(title)}</text>')
@@ -137,12 +135,12 @@ def render_svg(
                     f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'
                 )
             parts.append(
-                f'<text x="{_MARGIN_L + 6 + 150 * i}" y="{height - 10}" '
+                f'<text x="{_MARGIN_L + 6 + 150 * i}" y="{_SVG_H - 10}" '
                 f'fill="{color}">{escape(label)}</text>'
             )
     else:
         parts.append(
-            f'<text x="{width // 2}" y="{height // 2}" text-anchor="middle">no data</text>'
+            f'<text x="{_SVG_W // 2}" y="{_SVG_H // 2}" text-anchor="middle">no data</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -13,6 +13,7 @@ the cluster name, so a service survives individual host outages.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import socket
@@ -45,6 +46,14 @@ DEFAULT_WEBHOOK_TIMEOUT_S = 5.0
 # Far above any real payload (the demo's largest, the admin host's, is
 # about 1.2 KB); a larger one is a misbehaving agent.
 MAX_PAYLOAD_BYTES = 1 << 20
+
+
+# Bounded because an agent can send a new service name on every poll, and
+# many raw names sanitize to one series; the ARCHER2-shape store has 246
+# series and the demo 75.
+@functools.lru_cache(maxsize=1 << 14)
+def _series_name(prefix: str, host: str, service: str, key: str) -> str:
+    return ".".join((prefix, _segment(host), _segment(service), _segment(key)))
 
 
 @dataclass(frozen=True)
@@ -247,11 +256,6 @@ class MonitoringServer:
         }
         self.sink_failures: Counter = Counter()
         self._records: dict[tuple[str, str], ServiceRecord] = {}
-        # Series name per (host, service, perfdata key). A name is kept only
-        # once the store has taken a sample under it, and only when no part
-        # needed sanitizing, so no two entries share a series and there are
-        # never more entries than the store has series.
-        self._names: dict[tuple[str, str, str], str] = {}
         self._lock = threading.RLock()
         self._poll_counts: Counter = Counter()
         self._host_down_counts: Counter = Counter()
@@ -282,7 +286,6 @@ class MonitoringServer:
             t = int(now)
             notifications: list[Notification] = []
             samples: list[MetricSample] = []
-            named = []  # (host, service, key) -> name pairs new to self._names
             for result in results:
                 service = result.service
                 old = self._records.get((host, service))
@@ -291,17 +294,8 @@ class MonitoringServer:
                     notifications.append(Notification(t, host, service, prev, result.state, result.summary))
                 self._records[host, service] = ServiceRecord(host, service, result, now)
                 for perf in result.perfdata:
-                    parts = (host, service, perf.key)
-                    name = self._names.get(parts)
-                    if name is None:
-                        name = ".".join((self.prefix, *map(_segment, parts)))
-                        if name == ".".join((self.prefix, *parts)):
-                            named.append((parts, name))
-                    samples.append(MetricSample(name, t, perf.value))
-            rejected = self.samples_rejected
+                    samples.append(MetricSample(_series_name(self.prefix, host, service, perf.key), t, perf.value))
             self.flush_metrics(samples)
-            if self.samples_rejected == rejected:
-                self._names.update(named)
         return notifications
 
     def mark_host_stale(self, host: str) -> None:

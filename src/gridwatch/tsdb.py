@@ -165,12 +165,20 @@ class _Archive:
     def idx(self, aligned_t: int) -> int:
         return (aligned_t // self.interval) % self.points
 
+    def slots(self, t: int, n: int) -> tuple[list, list]:
+        """Stamps and values of the ``n <= points`` slots from aligned time
+        ``t`` on, copied as at most two slices, before and after the wrap."""
+        i = self.idx(t)
+        wrapped = i + n - self.points
+        if wrapped <= 0:
+            return self.ts[i : i + n].tolist(), self.vals[i : i + n].tolist()
+        return self.ts[i:].tolist() + self.ts[:wrapped].tolist(), self.vals[i:].tolist() + self.vals[:wrapped].tolist()
+
 
 class _Series:
-    __slots__ = ("name", "retention", "archives", "latest", "open_end", "dirty", "table")
+    __slots__ = ("retention", "archives", "latest", "open_end", "dirty", "table")
 
-    def __init__(self, name: str, retention: RetentionSpec):
-        self.name = name
+    def __init__(self, retention: RetentionSpec):
         self.retention = retention
         table_bytes = _PAIR_BYTES * sum(points for _, points in retention.archives)
         # The file's slot table in native byte order. Private and anonymous,
@@ -230,23 +238,15 @@ class _Series:
 
     def _consolidate(self, ar: _Archive, slot_t: int) -> None:
         """Set coarse slot ``slot_t`` to the mean of the finest points under
-        it, summed oldest first, when at least half of them exist. The points
-        are at most two slices of the finest ring, before and after the wrap."""
+        it, summed oldest first, when at least half of them exist."""
         fin = self.archives[0]
-        step = fin.interval
-        total, count = 0.0, 0
-        t, end = slot_t, slot_t + ar.interval
-        while t < end:
-            i = fin.idx(t)
-            m = min((end - t) // step, fin.points - i)
-            times = range(t, t + m * step, step)
-            stamps, values = fin.ts[i : i + m].tolist(), fin.vals[i : i + m].tolist()
-            if not t or stamps != list(times):  # some point is missing; t = 0 is what an empty slot holds
-                values = [v for u, stamp, v in zip(times, stamps, values) if stamp == u and u]
-            for v in values:
-                total += v  # not sum(): from Python 3.12 it compensates, which changes the bits
-            count += len(values)
-            t += m * step
+        times = range(slot_t, slot_t + ar.interval, fin.interval)
+        stamps, values = fin.slots(slot_t, len(times))  # RetentionSpec keeps len(times) <= fin.points
+        if not slot_t or stamps != list(times):  # some point is missing; t = 0 is what an empty slot holds
+            values = [v for t, stamp, v in zip(times, stamps, values) if stamp == t and t]
+        total, count = 0.0, len(values)
+        for v in values:
+            total += v  # not sum(): from Python 3.12 it compensates, which changes the bits
         j = ar.idx(slot_t)
         if count * 2 >= ar.interval // fin.interval:
             ar.ts[j] = slot_t
@@ -293,13 +293,11 @@ class Store:
             raise NonFiniteValue(f"refusing {sample.v!r} for {sample.series}")
         self._lock.acquire()  # not `with`: this is the per-sample path, and `with` costs more per call
         try:
-            s = self._series.get(sample.series)
-            if s is None:
-                s = self._first_touch(sample.series)
+            s = self._series.get(sample.series) or self._first_touch(sample.series)
             if s is None:
                 if not valid_series(sample.series):
                     raise ValueError(f"bad series path {sample.series!r}")
-                s = _Series(sample.series, self._default_retention)
+                s = _Series(self._default_retention)
                 s.write(int(sample.t), v)  # before listing it: a refused first write leaves no series
                 self._series[sample.series] = s
             else:
@@ -320,9 +318,7 @@ class Store:
         if from_t >= to_t:
             raise ValueError(f"empty read range [{from_t}, {to_t})")
         with self._lock:
-            s = self._series.get(series)
-            if s is None:
-                s = self._first_touch(series)
+            s = self._series.get(series) or self._first_touch(series)
             if s is None:
                 raise NoSuchSeries(series)
             ar = s.choose_archive(from_t)
@@ -334,17 +330,12 @@ class Store:
             times = range(start, to_t, ar.interval)
             # Only a slot after the epoch that the ring window has not slid past can hold
             # data, though its stamp may linger until a newer slot claims its position.
-            # The window is one ring long: at most two slices, before and after the wrap.
             oldest = max(ar.align(s.latest) - ar.interval * (ar.points - 1), ar.interval)
             lo = min(len(times), max(0, (oldest - start) // ar.interval))
-            hi = min(len(times), lo + ar.points)
+            hi = min(len(times), lo + ar.points)  # the window is one ring long
+            stamps, values = ar.slots(start + lo * ar.interval, hi - lo)
             out = [(t, None) for t in times[:lo]]
-            while lo < hi:
-                i = ar.idx(times[lo])
-                m = min(hi - lo, ar.points - i)
-                stamps, values = ar.ts[i : i + m].tolist(), ar.vals[i : i + m].tolist()
-                out += [(t, v if stamp == t else None) for t, stamp, v in zip(times[lo : lo + m], stamps, values)]
-                lo += m
+            out += [(t, v if stamp == t else None) for t, stamp, v in zip(times[lo:hi], stamps, values)]
             out += [(t, None) for t in times[hi:]]
             return ar.interval, out
 
@@ -414,7 +405,7 @@ class Store:
             return None
         try:
             with open(path, "rb") as fh:
-                s = _Series(name, _read_head(fh, path))
+                s = _Series(_read_head(fh, path))
                 blob = fh.read()
             if len(blob) != len(s.table):
                 raise ValueError(f"{path} changed size while it was read")

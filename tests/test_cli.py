@@ -19,7 +19,7 @@ from gridwatch import cli
 from gridwatch.agent import AgentServer
 from gridwatch.cli import build_parser, main
 from gridwatch.model import MetricSample, parse_agent_payload
-from gridwatch.sim import SIM_EPOCH
+from gridwatch.sim import SIM_EPOCH, Scenario, StackConfig, report_config
 from gridwatch.tsdb import Store
 from reference_impls import payload_text, serving
 
@@ -81,6 +81,14 @@ def test_every_subcommand_documents_exactly_the_expected_flags():
         text = subparser.format_help()
         for flag in EXPECTED_FLAGS[name]:
             assert flag in text
+
+
+def test_report_defaults_are_the_simulated_contract():
+    args = build_parser().parse_args(["report", "--store", "s", "--from", "0", "--to", "1"])
+    contract = report_config(StackConfig(), Scenario())
+    assert (args.node_series, args.login_series, args.staleness_s) == (
+        contract.node_series, contract.login_series, contract.staleness_s)
+    assert args.threshold == contract.threshold_nodes and type(args.threshold) is float
 
 
 def test_version_flag():

@@ -27,6 +27,7 @@ from gridwatch.server import (
     MonitoringServer,
     Notification,
     WebhookSink,
+    _series_name,
     dispatch,
 )
 from gridwatch.tsdb import Store
@@ -80,7 +81,7 @@ def test_series_names_are_sanitized():
     assert srv.store.list_series() == ["hpc.host_one.weird_svc_1.k"]
 
 
-def test_series_name_cache_never_outgrows_the_store():
+def test_series_names_come_from_a_bounded_memo_keyed_by_prefix():
     clock = FakeTime(1_000_000.0)
     srv = make_server(clock=clock.time)
     polls = [
@@ -91,12 +92,19 @@ def test_series_name_cache_never_outgrows_the_store():
     ]
     for results in polls * 2:
         srv.apply_payload(payload(*results), "h1")
-        assert len(srv._names) <= len(srv.store.list_series())
         clock.sleep(10)
     assert srv.store.list_series() == ["hpc.h1.a_b.k", "hpc.h1.s.k"]
     assert srv.store.read("hpc.h1.a_b.k", 1_000_000, 1_000_060)[1][1:4] == [
         (1_000_010, 2.0), (1_000_020, None), (1_000_030, None)]
     assert srv.store.read("hpc.h1.s.k", 1_000_000, 1_000_060)[1][5] == (1_000_050, 4.0)
+
+    # The same host, service and key under another prefix is another series.
+    hpc, lab = make_server(), make_server(prefix="lab")
+    for server in (hpc, lab):
+        server.apply_payload(payload(result(CheckState.OK, "s", [Perfdata("k", 5.0)])), "h1")
+    assert hpc.store.list_series() == ["hpc.h1.s.k"]
+    assert lab.store.list_series() == ["lab.h1.s.k"]
+    assert _series_name.cache_info().maxsize is not None
 
 
 def test_notification_fires_exactly_on_state_change():

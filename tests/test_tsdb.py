@@ -345,7 +345,7 @@ def test_fast_append_leaves_the_bytes_of_the_full_path(retention, data):
     A flush and reopen at a drawn point makes the first touch set the bound."""
     retention = parse_retention(retention)
     interval, points = retention.archives[0]
-    ref = FullPathSeries(S, retention)
+    ref = FullPathSeries(retention)
     n = data.draw(st.integers(1, 120))
     reopen_at = data.draw(st.integers(1, n))
     with tempfile.TemporaryDirectory() as root:
@@ -375,7 +375,7 @@ def test_the_coarse_slot_at_the_epoch_counts_no_point_at_t_0():
     the time of the first finest slot under the coarse slot at t = 0."""
     retention = RetentionSpec(((10, 12), (60, 60)))
     st_ = Store(default_retention=retention)
-    ref = FullPathSeries(S, retention)
+    ref = FullPathSeries(retention)
     for t in range(10, 130, 10):  # the write at 60 closes the coarse slot at 0
         put(st_, t, t / 10)
         ref.write(t, t / 10)
