@@ -226,28 +226,16 @@ def detect_dips(
 def contractual_report(store: Store, cfg: ReportConfig, window: tuple[int, int]) -> AvailabilityReport:
     """Node and login availability over a window, with every breach listed."""
     from_t, to_t = window
-    node_interval, node_points = store.read(cfg.node_series, from_t, to_t)
-    node = availability(
-        node_points,
-        lambda v: v >= cfg.threshold_nodes,
-        window,
-        node_interval,
-        staleness_s=cfg.staleness_s,
-        gaps_as_down=cfg.gaps_as_down,
-        violation_kind="node-below-threshold",
-        gap_kind="node-no-data",
-    )
-    login_interval, login_points = store.read(cfg.login_series, from_t, to_t)
-    login = availability(
-        login_points,
-        lambda v: v >= LOGIN_UP_THRESHOLD,
-        window,
-        login_interval,
-        staleness_s=cfg.staleness_s,
-        gaps_as_down=cfg.gaps_as_down,
-        violation_kind="login-down",
-        gap_kind="login-no-data",
-    )
+    judged = []
+    for series, predicate, violation_kind, gap_kind in (
+        (cfg.node_series, lambda v: v >= cfg.threshold_nodes, "node-below-threshold", "node-no-data"),
+        (cfg.login_series, lambda v: v >= LOGIN_UP_THRESHOLD, "login-down", "login-no-data"),
+    ):
+        interval, points = store.read(series, from_t, to_t)
+        result = availability(points, predicate, window, interval, staleness_s=cfg.staleness_s,
+                              gaps_as_down=cfg.gaps_as_down, violation_kind=violation_kind, gap_kind=gap_kind)
+        judged.append((result, points))
+    (node, node_points), (login, _) = judged
     breaches = sorted(node.breaches + login.breaches, key=lambda b: (b.start_t, b.kind))
     return AvailabilityReport(
         from_t=from_t,

@@ -27,9 +27,9 @@ from .agent import DEFAULT_CEC_ROOT, Agent, AgentConfig, DataSource
 from .config import ConfigError, Section, all_named, bind, first, load_config
 from .report import ReportConfig
 from .server import (
-    DEFAULT_PREFIX, ClusterServiceConfig, HostConfig, MemorySink, MonitoringServer, Notification,
+    DEFAULT_PREFIX, ClusterServiceConfig, HostConfig, MemorySink, MonitoringServer, Notification, _series_name,
 )
-from .tsdb import Store
+from .tsdb import DEFAULT_RETENTION, Store
 
 __all__ = [
     "BadScenario",
@@ -467,11 +467,15 @@ class SimDataSource(DataSource):
             return 0, self._sinfo
         return 127, ""
 
+    def dark_hosts(self) -> frozenset[str]:
+        """The login hosts a LOGIN_OUTAGE covers at the current tick."""
+        self._render()
+        return self._dark
+
     def probe_login(self, target, timeout=None):
         # The probe target is a rotating alias over the login hosts, so it
         # answers as long as any of them is alive.
-        self._render()
-        return 0 if self._logins - self._dark else 255
+        return 0 if self._logins - self.dark_hosts() else 255
 
     def resolve_name(self, name):
         self._render()
@@ -496,7 +500,7 @@ class StackConfig:
 
     prefix: str = DEFAULT_PREFIX
     poll_every_ticks: int = 12
-    retention: str = "1m:14d,10m:90d,1h:2y"
+    retention: str = DEFAULT_RETENTION
     down_warn: int = 10
     down_crit: int = 100
 
@@ -533,11 +537,18 @@ def scenario_window(scenario: Scenario) -> tuple[int, int]:
     return SIM_EPOCH, SIM_EPOCH + scenario.duration_ticks * scenario.tick_s
 
 
+def _clusters(scenario: Scenario) -> tuple[ClusterServiceConfig, ClusterServiceConfig]:
+    """The login and node-state services a run republishes over its login hosts."""
+    logins = scenario.shape.login_names()
+    return ClusterServiceConfig("login_cluster", logins, "login"), ClusterServiceConfig("node_cluster", logins, "node_state")
+
+
 def report_config(stack: StackConfig, scenario: Scenario) -> ReportConfig:
-    partition = scenario.shape.partitions[0]
+    """The contract a run reports against, read from the series its clusters write."""
+    login, nodes = _clusters(scenario)
     return ReportConfig(
-        node_series=f"{stack.prefix}.node_cluster.node_state.avail_{partition}",
-        login_series=f"{stack.prefix}.login_cluster.login.login_up",
+        node_series=_series_name(stack.prefix, nodes.name, nodes.service, f"avail_{scenario.shape.partitions[0]}"),
+        login_series=_series_name(stack.prefix, login.name, login.service, "login_up"),
         threshold_nodes=round(0.94 * scenario.shape.nodes),
         gaps_as_down=True,
     )
@@ -586,18 +597,13 @@ def run(
     def fetch(cfg: HostConfig) -> bytes:
         # During a LOGIN_OUTAGE covering the host the whole box is dark: its
         # poll fails with a connection error, exactly like a crashed machine's.
-        if cfg.name in dark:
+        if cfg.name in sources.dark_hosts():
             raise ConnectionAbortedError(f"{cfg.name} is down at tick {sources.tick}")
         return agents[cfg.name].payload_text().encode("utf-8")
 
-    login_names = scenario.shape.login_names()
-    clusters = (
-        ClusterServiceConfig("login_cluster", login_names, "login"),
-        ClusterServiceConfig("node_cluster", login_names, "node_state"),
-    )
     monitor = MonitoringServer(
         hosts,
-        clusters=clusters,
+        clusters=_clusters(scenario),
         sinks=(collector,),
         store=store,
         prefix=stack.prefix,
@@ -607,7 +613,6 @@ def run(
     try:
         for tick in range(0, scenario.duration_ticks, stack.poll_every_ticks):
             sources.tick = tick
-            dark = _outage_hosts(scenario, _events_at(scenario, tick))  # read by fetch
             for host_cfg in hosts:
                 monitor.process_host(host_cfg)
             if on_tick is not None:

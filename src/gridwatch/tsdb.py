@@ -62,7 +62,7 @@ __all__ = [
     "DEFAULT_RETENTION",
 ]
 
-DEFAULT_RETENTION = "10s:2d,1m:30d,1h:1y"
+DEFAULT_RETENTION = "1m:14d,10m:90d,1h:2y"
 
 _UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "y": 365 * 86400}
 _TERM_RE = re.compile(r"^(\d+)([smhdy]):(\d+)([smhdy])$")
@@ -123,7 +123,7 @@ class RetentionSpec:
 
 
 def parse_retention(text: str) -> RetentionSpec:
-    """Parse e.g. ``10s:2d,1m:30d,1h:1y`` into a RetentionSpec.
+    """Parse a spec such as DEFAULT_RETENTION into a RetentionSpec.
 
     Each term is ``<slot width>:<total length>``; units s/m/h/d/y with a
     365-day year. Slot counts round down when the length is not an exact
@@ -165,14 +165,16 @@ class _Archive:
     def idx(self, aligned_t: int) -> int:
         return (aligned_t // self.interval) % self.points
 
-    def slots(self, t: int, n: int) -> tuple[list, list]:
-        """Stamps and values of the ``n <= points`` slots from aligned time
-        ``t`` on, copied as at most two slices, before and after the wrap."""
+    def slots(self, t: int, n: int):
+        """Walk the ``n <= points`` slots from aligned time ``t`` on as at most
+        two slices, before and after the wrap: yields ``(times, stamps,
+        values)`` per slice, each slice copied only when its turn comes."""
         i = self.idx(t)
-        wrapped = i + n - self.points
-        if wrapped <= 0:
-            return self.ts[i : i + n].tolist(), self.vals[i : i + n].tolist()
-        return self.ts[i:].tolist() + self.ts[:wrapped].tolist(), self.vals[i:].tolist() + self.vals[:wrapped].tolist()
+        m = min(n, self.points - i)
+        end = t + m * self.interval
+        yield range(t, end, self.interval), self.ts[i : i + m].tolist(), self.vals[i : i + m].tolist()
+        if m < n:
+            yield range(end, t + n * self.interval, self.interval), self.ts[: n - m].tolist(), self.vals[: n - m].tolist()
 
 
 class _Series:
@@ -240,13 +242,14 @@ class _Series:
         """Set coarse slot ``slot_t`` to the mean of the finest points under
         it, summed oldest first, when at least half of them exist."""
         fin = self.archives[0]
-        times = range(slot_t, slot_t + ar.interval, fin.interval)
-        stamps, values = fin.slots(slot_t, len(times))  # RetentionSpec keeps len(times) <= fin.points
-        if not slot_t or stamps != list(times):  # some point is missing; t = 0 is what an empty slot holds
-            values = [v for t, stamp, v in zip(times, stamps, values) if stamp == t and t]
-        total, count = 0.0, len(values)
-        for v in values:
-            total += v  # not sum(): from Python 3.12 it compensates, which changes the bits
+        total, count = 0.0, 0
+        # RetentionSpec keeps a coarse slot no longer than the finest ring.
+        for times, stamps, values in fin.slots(slot_t, ar.interval // fin.interval):
+            if not slot_t or stamps != list(times):  # some point is missing; t = 0 is what an empty slot holds
+                values = [v for t, stamp, v in zip(times, stamps, values) if stamp == t and t]
+            for v in values:
+                total += v  # not sum(): from Python 3.12 it compensates, which changes the bits
+            count += len(values)
         j = ar.idx(slot_t)
         if count * 2 >= ar.interval // fin.interval:
             ar.ts[j] = slot_t
@@ -268,8 +271,8 @@ class Store:
     file on its first read or write. It keeps what it read in memory and
     rewrites dirty series on flush()/close(), so a crash loses at most the
     samples since the last flush. One writer at a time. A read holds the
-    lock only while it copies the requested slots out of one archive's
-    ring, as at most two contiguous slices (before and after the wrap).
+    lock while it builds its whole result from one archive's ring, copying
+    at most two contiguous slices (before and after the wrap) one at a time.
     """
 
     def __init__(self, root: "str | Path | None" = None, default_retention: "str | RetentionSpec" = DEFAULT_RETENTION):
@@ -333,9 +336,9 @@ class Store:
             oldest = max(ar.align(s.latest) - ar.interval * (ar.points - 1), ar.interval)
             lo = min(len(times), max(0, (oldest - start) // ar.interval))
             hi = min(len(times), lo + ar.points)  # the window is one ring long
-            stamps, values = ar.slots(start + lo * ar.interval, hi - lo)
             out = [(t, None) for t in times[:lo]]
-            out += [(t, v if stamp == t else None) for t, stamp, v in zip(times[lo:hi], stamps, values)]
+            for run, stamps, values in ar.slots(start + lo * ar.interval, hi - lo):
+                out += [(t, v if stamp == t else None) for t, stamp, v in zip(run, stamps, values)]
             out += [(t, None) for t in times[hi:]]
             return ar.interval, out
 

@@ -10,6 +10,7 @@ import pytest
 
 from gridwatch.agent import check_power
 from gridwatch.model import CheckState
+from gridwatch.report import contractual_report
 from gridwatch.sim import (
     SIM_EPOCH,
     BadScenario,
@@ -478,6 +479,15 @@ def test_total_login_outage_interrupts_cluster_series():
     _, points = result.store.read("hpc.login_cluster.login.login_up", *result.window)
     gap = [t for t, v in points if v is None]
     assert gap, "outage must leave a hole in the cluster login series"
+
+
+def test_report_config_reads_the_series_a_run_writes_for_a_dotted_partition():
+    shape = ClusterShape(cabinets=2, rectifiers_per_cabinet=2, nodes=16, partitions=("gpu.a100", "standard"), login_hosts=2)
+    result = run(tiny(shape=shape), FAST_STACK)
+    report = contractual_report(result.store, result.report_cfg, result.window)
+    assert report.node_series == "hpc.node_cluster.node_state.avail_gpu_a100"
+    assert {v for _, v in report.node_points} == {8.0}
+    assert report.login_availability_pct == 100.0
 
 
 def test_run_without_api_opens_no_socket_and_starts_no_thread(monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridwatch.model import MetricSample
+from gridwatch.server import DEFAULT_POLL_INTERVAL_S
 from gridwatch.tsdb import (
     DEFAULT_RETENTION,
     BadSpec,
@@ -54,7 +55,21 @@ def test_parse_retention_example():
 
 
 def test_parse_retention_default():
-    assert parse_retention(DEFAULT_RETENTION).archives == ((10, 17280), (60, 43200), (3600, 8760))
+    assert parse_retention(DEFAULT_RETENTION).archives == ((60, 20160), (600, 12960), (3600, 17520))
+
+
+def test_default_retention_fills_every_archive_at_the_default_poll_interval():
+    # A coarse slot needs half of its finest points, so a finest interval
+    # finer than the poll would leave every coarse slot empty.
+    st_ = Store()
+    t0 = 86400 * 400
+    end = t0 + 3 * 86400
+    for t in range(t0, end, DEFAULT_POLL_INTERVAL_S):
+        put(st_, t, 1.0)
+    interval, day1 = st_.read(S, t0, t0 + 86400)
+    assert [v for _, v in day1] == [1.0] * (86400 // interval)
+    for interval, points in archive_reads(st_, S, end - DEFAULT_POLL_INTERVAL_S, DEFAULT_RETENTION):
+        assert [v for t, v in points if t >= t0 and t + interval <= end] == [1.0] * ((end - t0) // interval), interval
 
 
 def test_parse_retention_rounds_down_partial_slots():
