@@ -540,7 +540,8 @@ def scenario_window(scenario: Scenario) -> tuple[int, int]:
 def _clusters(scenario: Scenario) -> tuple[ClusterServiceConfig, ClusterServiceConfig]:
     """The login and node-state services a run republishes over its login hosts."""
     logins = scenario.shape.login_names()
-    return ClusterServiceConfig("login_cluster", logins, "login"), ClusterServiceConfig("node_cluster", logins, "node_state")
+    return (ClusterServiceConfig("login_cluster", logins, "login"),
+            ClusterServiceConfig("node_cluster", logins, "node_state"))
 
 
 def report_config(stack: StackConfig, scenario: Scenario) -> ReportConfig:

@@ -174,7 +174,8 @@ class _Archive:
         end = t + m * self.interval
         yield range(t, end, self.interval), self.ts[i : i + m].tolist(), self.vals[i : i + m].tolist()
         if m < n:
-            yield range(end, t + n * self.interval, self.interval), self.ts[: n - m].tolist(), self.vals[: n - m].tolist()
+            yield (range(end, t + n * self.interval, self.interval),
+                   self.ts[: n - m].tolist(), self.vals[: n - m].tolist())
 
 
 class _Series:

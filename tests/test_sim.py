@@ -482,7 +482,8 @@ def test_total_login_outage_interrupts_cluster_series():
 
 
 def test_report_config_reads_the_series_a_run_writes_for_a_dotted_partition():
-    shape = ClusterShape(cabinets=2, rectifiers_per_cabinet=2, nodes=16, partitions=("gpu.a100", "standard"), login_hosts=2)
+    shape = ClusterShape(cabinets=2, rectifiers_per_cabinet=2, nodes=16, login_hosts=2,
+                         partitions=("gpu.a100", "standard"))
     result = run(tiny(shape=shape), FAST_STACK)
     report = contractual_report(result.store, result.report_cfg, result.window)
     assert report.node_series == "hpc.node_cluster.node_state.avail_gpu_a100"
