@@ -141,9 +141,10 @@ def read_rectifiers(sources: DataSource, root: str, cabinet: str) -> list[tuple[
     that lacks either reading or holds a negative one.
     """
     readings = []
+    prefix = f"{root}/{cabinet}/rectifiers/"
     for n in range(_MAX_RECTIFIERS):
         try:
-            raw = sources.read_file(f"{root}/{cabinet}/rectifiers/{n}")
+            raw = sources.read_file(prefix + str(n))
         except OSError:
             if n == 0:
                 raise
@@ -464,30 +465,27 @@ class Agent:
         self.clock = clock
         self.version = version
         self._running: dict[str, threading.Thread] = {}
-
-    def _builtins(self):
-        cfg, src = self.cfg, self.sources
         table = {
             "power": lambda: check_power(
-                src, cfg.cabinets, root=cfg.cec_root, warn_w=cfg.power_warn_w, crit_w=cfg.power_crit_w
+                sources, cfg.cabinets, root=cfg.cec_root, warn_w=cfg.power_warn_w, crit_w=cfg.power_crit_w
             ),
             "node_state": lambda: check_node_state(
-                src, cfg.down_states, warn_down=cfg.down_warn, crit_down=cfg.down_crit,
+                sources, cfg.down_states, warn_down=cfg.down_warn, crit_down=cfg.down_crit,
                 timeout_s=cfg.check_timeout_s,
             ),
-            "login": lambda: check_login(src, cfg.login_target, timeout_s=cfg.check_timeout_s),
-            "dns": lambda: check_dns(src, cfg.dns_name),
+            "login": lambda: check_login(sources, cfg.login_target, timeout_s=cfg.check_timeout_s),
+            "dns": lambda: check_dns(sources, cfg.dns_name),
             "memory": lambda: check_memory(
-                src, cfg.meminfo_path, warn_pct=cfg.mem_warn_pct, crit_pct=cfg.mem_crit_pct
+                sources, cfg.meminfo_path, warn_pct=cfg.mem_warn_pct, crit_pct=cfg.mem_crit_pct
             ),
         }
-        return [(name, table[name]) for name in cfg.checks]
+        self._builtins = [(name, table[name]) for name in cfg.checks]
 
     def build_payload(self) -> AgentPayload:
         return run_local_checks(
             self.cfg.check_dir,
             self.sources,
-            builtins=self._builtins(),
+            builtins=self._builtins,
             timeout_s=self.cfg.check_timeout_s,
             running=self._running,
             clock=self.clock,

@@ -13,6 +13,7 @@ Serialization is loss-free: ``parse(serialize(x)) == x`` for every valid x.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -95,7 +96,7 @@ def worst_state(states) -> CheckState:
     return max(states, key=lambda s: s.severity)
 
 
-@dataclass
+@dataclass(slots=True)
 class Perfdata:
     """One measured value attached to a check result.
 
@@ -131,12 +132,13 @@ class AgentPayload:
     results: list[CheckResult] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MetricSample:
     """One point destined for the series store.
 
     ``series`` is a dotted path whose segments match ``[A-Za-z0-9_-]+``;
-    ``v`` must be finite. Both are enforced at store ingest.
+    ``v`` must be finite. Both are enforced at store ingest. Not frozen, so
+    it is cheap to build, one per stored value.
     """
 
     series: str
@@ -153,8 +155,16 @@ def _segment(text: str) -> str:
     return _NON_SEGMENT_RE.sub("_", text) or "x"
 
 
+# Bounded because an agent can send any key; the same few come back every poll.
+@functools.lru_cache(maxsize=1 << 14)
+def _valid_key(key: str) -> bool:
+    return _KEY_RE.match(key) is not None
+
+
 def _fmt_num(v: float) -> str:
     """Shortest decimal text that parses back to exactly the same float."""
+    if type(v) is float and math.isfinite(v):  # the common case
+        return str(int(v)) if v.is_integer() and -1e15 < v < 1e15 else repr(v)
     if not math.isfinite(v):
         raise InvalidResult(f"non-finite number {v!r} cannot go on the wire")
     i = int(v)
@@ -177,12 +187,18 @@ def _parse_perf_item(text: str) -> Perfdata:
     key, sep, rest = text.partition("=")
     if not sep:
         raise MalformedLine(f"perfdata item without '=': {text!r}")
-    if not _KEY_RE.match(key):
+    if not _valid_key(key):
         raise MalformedLine(f"bad perfdata key {key!r}")
     if ";" not in rest:  # a bare value, the common case
-        if rest == "":
-            raise MalformedLine(f"perfdata item without a value: {text!r}")
-        return Perfdata(key, _parse_num(rest))
+        try:
+            v = float(rest)
+        except ValueError:
+            if rest == "":
+                raise MalformedLine(f"perfdata item without a value: {text!r}") from None
+            raise MalformedLine(f"unparsable number {rest!r}") from None
+        if not math.isfinite(v):
+            raise MalformedLine(f"non-finite number {rest!r}")
+        return Perfdata(key, v)
     slots = rest.split(";")
     if len(slots) > 5:
         raise MalformedLine(f"too many ';' fields in perfdata item {text!r}")
@@ -194,7 +210,7 @@ def _parse_perf_item(text: str) -> Perfdata:
 
 
 def _serialize_perf_item(p: Perfdata) -> str:
-    if not _KEY_RE.match(p.key):
+    if not _valid_key(p.key):
         raise InvalidResult(f"bad perfdata key {p.key!r}")
     if p.warn is None and p.crit is None and p.min is None and p.max is None:
         return f"{p.key}={_fmt_num(p.value)}"
@@ -238,12 +254,12 @@ def serialize_check_line(result: CheckResult) -> str:
     the line ends with a single space; that round-trips cleanly.
     """
     svc = result.service
-    if not svc or any(c.isspace() for c in svc):
+    if svc.split() != [svc]:  # empty, or holds a character str.isspace() accepts
         raise InvalidResult(f"service name {svc!r} is empty or contains whitespace")
     if "\n" in result.summary or "\r" in result.summary:
         raise InvalidResult("summary must not contain line breaks")
     if result.perfdata:
-        perf_field = "|".join(_serialize_perf_item(p) for p in result.perfdata)
+        perf_field = "|".join([_serialize_perf_item(p) for p in result.perfdata])
     else:
         perf_field = "-"
     return f"{result.state.value} {svc} {perf_field} {result.summary}"

@@ -285,17 +285,17 @@ class MonitoringServer:
             now = self.clock()
             t = int(now)
             notifications: list[Notification] = []
-            samples: list[MetricSample] = []
+            records = self._records
             for result in results:
                 service = result.service
-                old = self._records.get((host, service))
+                old = records.get((host, service))
                 if old is not None and old.last_result.state != result.state:
                     prev = old.last_result.state
                     notifications.append(Notification(t, host, service, prev, result.state, result.summary))
-                self._records[host, service] = ServiceRecord(host, service, result, now)
-                for perf in result.perfdata:
-                    samples.append(MetricSample(_series_name(self.prefix, host, service, perf.key), t, perf.value))
-            self.flush_metrics(samples)
+                records[host, service] = ServiceRecord(host, service, result, now)
+            prefix = self.prefix
+            self.flush_metrics([MetricSample(_series_name(prefix, host, r.service, p.key), t, p.value)
+                                for r in results for p in r.perfdata])
         return notifications
 
     def mark_host_stale(self, host: str) -> None:
@@ -368,9 +368,10 @@ class MonitoringServer:
         """Write ``samples`` to the store in order; a sample the store
         refuses is logged and counted in ``samples_rejected``, and the
         rest are still written. The caller holds the lock."""
+        write = self.store.write
         for sample in samples:
             try:
-                self.store.write(sample)
+                write(sample)
             except ValueError as exc:  # TooOld, NonFiniteValue or a bad name
                 self.samples_rejected += 1
                 log.warning("store refused %s: %s", sample.series, exc)

@@ -340,7 +340,8 @@ def _rectifier_files(scenario: Scenario, tick: int, active) -> dict[str, bytes]:
 
     The same arithmetic as ``rectifier_power_w`` and ``rectifier_voltage_v``,
     with the noise hash of ``(seed, stream, tick, cabinet)`` taken once per
-    cabinet instead of once per rectifier.
+    cabinet instead of once per rectifier. The last ``_mix64`` step and
+    ``_to_unit`` are inlined: this is the simulator's innermost loop.
     """
     shape = scenario.shape
     base = _rectifier_base_w(scenario, active)
@@ -353,11 +354,17 @@ def _rectifier_files(scenario: Scenario, tick: int, active) -> dict[str, bytes]:
         scaled = base * _dip_factor(active, cab_id)
         cab_power_h = _mix64(power_h ^ cab_index)
         cab_volt_h = _mix64(volt_h ^ cab_index)
+        prefix = f"{DEFAULT_CEC_ROOT}/{cab_id}/rectifiers/"
         for rect in range(shape.rectifiers_per_cabinet):
-            power = scaled * (1.0 + POWER_NOISE_FRACTION * _to_unit(_mix64(cab_power_h ^ rect)))
-            volt = NOMINAL_VOLTAGE_V + VOLTAGE_NOISE_V * _to_unit(_mix64(cab_volt_h ^ rect))
-            files[f"{DEFAULT_CEC_ROOT}/{cab_id}/rectifiers/{rect}"] = (
-                f"power_w {power!r}\nvoltage_v {volt!r}\n".encode("ascii"))
+            z = ((cab_power_h ^ rect) + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            power = scaled * (1.0 + POWER_NOISE_FRACTION * (((z ^ (z >> 31)) >> 11) / _TWO_53 * 2.0 - 1.0))
+            z = ((cab_volt_h ^ rect) + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            volt = NOMINAL_VOLTAGE_V + VOLTAGE_NOISE_V * (((z ^ (z >> 31)) >> 11) / _TWO_53 * 2.0 - 1.0)
+            files[prefix + str(rect)] = f"power_w {power!r}\nvoltage_v {volt!r}\n".encode("ascii")
     return files
 
 
@@ -547,10 +554,11 @@ def _clusters(scenario: Scenario) -> tuple[ClusterServiceConfig, ClusterServiceC
 def report_config(stack: StackConfig, scenario: Scenario) -> ReportConfig:
     """The contract a run reports against, read from the series its clusters write."""
     login, nodes = _clusters(scenario)
+    partition = scenario.shape.partitions[0]
     return ReportConfig(
-        node_series=_series_name(stack.prefix, nodes.name, nodes.service, f"avail_{scenario.shape.partitions[0]}"),
+        node_series=_series_name(stack.prefix, nodes.name, nodes.service, f"avail_{partition}"),
         login_series=_series_name(stack.prefix, login.name, login.service, "login_up"),
-        threshold_nodes=round(0.94 * scenario.shape.nodes),
+        threshold_nodes=round(0.94 * scenario.shape.partition_nodes()[partition]),
         gaps_as_down=True,
     )
 

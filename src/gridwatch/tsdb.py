@@ -295,20 +295,22 @@ class Store:
         v = float(sample.v)
         if not math.isfinite(v):
             raise NonFiniteValue(f"refusing {sample.v!r} for {sample.series}")
-        self._lock.acquire()  # not `with`: this is the per-sample path, and `with` costs more per call
+        name = sample.series
+        lock = self._lock
+        lock.acquire()  # not `with`: this is the per-sample path, and `with` costs more per call
         try:
-            s = self._series.get(sample.series) or self._first_touch(sample.series)
+            s = self._series.get(name) or self._first_touch(name)
             if s is None:
-                if not valid_series(sample.series):
-                    raise ValueError(f"bad series path {sample.series!r}")
+                if not valid_series(name):
+                    raise ValueError(f"bad series path {name!r}")
                 s = _Series(self._default_retention)
                 s.write(int(sample.t), v)  # before listing it: a refused first write leaves no series
-                self._series[sample.series] = s
+                self._series[name] = s
             else:
                 s.write(int(sample.t), v)
             self.write_count += 1
         finally:
-            self._lock.release()
+            lock.release()
 
     # -- reading ---------------------------------------------------------
 

@@ -16,7 +16,15 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from gridwatch.model import InvalidResult, MalformedLine, Perfdata
+from gridwatch.model import (
+    AgentPayload,
+    CheckResult,
+    CheckState,
+    EmptyPayload,
+    InvalidResult,
+    MalformedLine,
+    Perfdata,
+)
 from gridwatch.report import DEFAULT_STALENESS_S, AvailabilityResult, Breach, EmptyWindow
 
 
@@ -147,6 +155,92 @@ def serialize_perf_item(p: Perfdata) -> str:
     while len(slots) > 1 and slots[-1] == "":
         slots.pop()
     return f"{p.key}=" + ";".join(slots)
+
+
+# -- whole payloads on the wire, one line at a time, on the item references ----
+
+_STATE_CODES = {str(state.value): state for state in CheckState}
+_SECTION_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+def serialize_check_line(result: CheckResult) -> str:
+    svc = result.service
+    if svc == "" or any(c.isspace() for c in svc):
+        raise InvalidResult(f"service name {svc!r} is empty or contains whitespace")
+    if "\n" in result.summary or "\r" in result.summary:
+        raise InvalidResult("summary must not contain line breaks")
+    items = [serialize_perf_item(p) for p in result.perfdata]
+    perf_field = "|".join(items) if items else "-"
+    return f"{result.state.value} {svc} {perf_field} {result.summary}"
+
+
+def serialize_agent_payload(payload: AgentPayload) -> str:
+    """Meta block, then one line per result, each line ended by a newline."""
+    if "\n" in payload.agent_version or "\r" in payload.agent_version:
+        raise InvalidResult("agent_version must not contain line breaks")
+    out = "<<<meta>>>\n"
+    out += f"version: {payload.agent_version}\n"
+    out += f"host_time: {payload.host_time}\n"
+    out += "<<<local>>>\n"
+    for result in payload.results:
+        out += serialize_check_line(result) + "\n"
+    return out
+
+
+def parse_check_line(line: str) -> CheckResult:
+    parts = line.split(" ", 3)
+    if len(parts) < 3:
+        raise MalformedLine(f"expected '<state> <service> <perfdata> [summary]', got {line!r}")
+    code, service, perf_field = parts[0], parts[1], parts[2]
+    if code not in _STATE_CODES:
+        raise MalformedLine(f"bad state code {code!r}")
+    if service == "":
+        raise MalformedLine("empty service field")
+    if perf_field == "":
+        raise MalformedLine("empty perfdata field")
+    perfdata = [] if perf_field == "-" else [parse_perf_item(item) for item in perf_field.split("|")]
+    return CheckResult(_STATE_CODES[code], service, perfdata, parts[3] if len(parts) == 4 else "")
+
+
+def _section_name(line: str):
+    """The name in a ``<<<name>>>`` header line, else None."""
+    if len(line) >= 6 and line.startswith("<<<") and line.endswith(">>>"):
+        name = line[3:-3]
+        if all(c in _SECTION_CHARS for c in name):
+            return name
+    return None
+
+
+def parse_agent_payload(data) -> AgentPayload:
+    """Every line on its own: headers switch section, meta lines set fields,
+    local lines parse or become numbered parse errors, the rest is ignored."""
+    if len(data) == 0:
+        raise EmptyPayload("zero-byte payload")
+    text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
+    version, host_time, results, bad, section = "", 0, [], 0, None
+    for line in text.split("\n"):
+        while line.endswith("\r"):
+            line = line[:-1]
+        name = _section_name(line)
+        if name is not None:
+            section = name
+        elif section == "meta" and ":" in line:
+            key, value = line.split(":", 1)
+            if key.strip() == "version":
+                version = value.strip()
+            elif key.strip() == "host_time":
+                try:
+                    host_time = int(value.strip())
+                except ValueError:
+                    pass
+        elif section == "local" and line != "":
+            try:
+                results.append(parse_check_line(line))
+            except MalformedLine as exc:
+                bad += 1
+                reason = f"unparsable check line: {str(exc)[:200]}"
+                results.append(CheckResult(CheckState.UNKNOWN, f"_parse_error_{bad}", [], reason))
+    return AgentPayload(version, host_time, results)
 
 
 def per_second_availability(points, predicate, window, interval, gaps_as_down=False):

@@ -23,6 +23,7 @@ from gridwatch.model import (
     valid_series,
     worst_state,
 )
+import reference_impls as ref
 from reference_impls import fmt_num, parse_perf_item, serialize_perf_item
 
 # -- frozen examples -------------------------------------------------------
@@ -333,3 +334,65 @@ def test_numbers_render_as_the_reference(v):
 ])
 def test_perf_item_texts_parse_as_the_reference(text):
     assert outcome(_parse_perf_item, text) == outcome(parse_perf_item, text)
+
+
+# -- whole payloads against the line-by-line reference -------------------------
+
+# A small pool, so keys repeat within a payload and across examples, as an
+# agent's keys do from one poll to the next.
+_pool_keys = st.sampled_from(["system", "cab_x1000", "avail_standard", "k-1", "bad key", "", "k=v", "k\n"])
+# Unicode whitespace that is no line break for str.split("\n"): "\x1c" to "\x1f", "\x85", "\u2028"...
+_odd_spaces = "\t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
+_any_services = _services | st.text(alphabet="ab_." + _odd_spaces, max_size=5)
+_any_texts = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20)
+_any_results = st.builds(
+    CheckResult,
+    state=st.sampled_from(CheckState),
+    service=_any_services,
+    perfdata=st.lists(_any_perfdata | st.builds(Perfdata, key=_pool_keys, value=_numbers), max_size=4),
+    summary=_summaries | _any_texts,
+)
+_any_payloads = st.builds(
+    AgentPayload,
+    agent_version=_versions | _any_texts,
+    host_time=st.integers(min_value=-(2**64), max_value=2**64),
+    results=st.lists(_any_results, max_size=5),
+)
+
+
+@settings(max_examples=200)
+@given(_any_payloads)
+def test_payload_serializes_as_the_line_by_line_reference(payload):
+    assert outcome(serialize_agent_payload, payload) == outcome(ref.serialize_agent_payload, payload)
+
+
+_good_lines = _any_results.map(lambda r: outcome(ref.serialize_check_line, r)).filter(
+    lambda o: o[0] == "value").map(lambda o: o[1])
+_item_junk = st.sampled_from(["k=1_0", "k=nan", "k=-inf", "k=1e999", "k= 1", "k=1;;", "k=;1", "k=1;2;3;4;5;6",
+                              "system=1", "system=0x10", "k", "=1", "bad key=1", "k=\u0661"])
+_junk_lines = st.one_of(
+    st.builds(lambda code, svc, items, rest: f"{code} {svc} {'|'.join(items)}{rest}",
+              st.sampled_from(["0", "1", "2", "3", "4", "", "01"]), _any_services,
+              st.lists(_item_junk | _pool_keys.map(lambda k: k + "=7"), max_size=3),
+              st.sampled_from(["", " ", " summary text", "\r"])),
+    st.text(alphabet="0123 -|=;.eEnaif_xk<>:\r" + _odd_spaces, max_size=30),
+)
+_meta_lines = st.sampled_from(["version: 1.2", "version:", "host_time: 1_0", "host_time: 12", " host_time : 7 ",
+                               "host_time: abc", "host_time: \u0663", "no colon here", ""])
+_headers = st.sampled_from(["<<<meta>>>", "<<<local>>>", "<<<local>>>\r", "<<<other>>>", "<<<bad-name>>>",
+                            "<<<>>>", "<<<local>>", "<<<<local>>>"])
+_payload_texts = st.lists(_headers | _meta_lines | _good_lines | _junk_lines, min_size=1, max_size=12).map("\n".join)
+
+
+@settings(max_examples=200)
+@given(_payload_texts | _any_payloads.map(lambda p: outcome(ref.serialize_agent_payload, p)).filter(
+    lambda o: o[0] == "value").map(lambda o: o[1]))
+def test_payload_parses_as_the_line_by_line_reference(text):
+    assert outcome(parse_agent_payload, text) == outcome(ref.parse_agent_payload, text)
+
+
+@settings(max_examples=100)
+@given(_payload_texts, st.binary(max_size=8))
+def test_payload_bytes_parse_as_the_line_by_line_reference(text, junk):
+    raw = text.encode("utf-8") + junk
+    assert outcome(parse_agent_payload, raw) == outcome(ref.parse_agent_payload, raw)

@@ -7,7 +7,10 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridwatch import agent, server, tsdb
 from gridwatch.agent import check_power
 from gridwatch.model import CheckState
 from gridwatch.report import contractual_report
@@ -352,6 +355,42 @@ def test_source_answers_match_the_ground_truth_and_a_fresh_source_at_every_tick(
     assert rectifier_power_w(sc, 37, 2, 0) > rectifier_power_w(sc, 37, 1, 0) > 0  # x1002 is not dipped
 
 
+@st.composite
+def _power_scenarios(draw):
+    shape = ClusterShape(cabinets=draw(st.integers(1, 5)), rectifiers_per_cabinet=draw(st.integers(1, 9)),
+                         nodes=draw(st.integers(1, 6000)), login_hosts=1)
+    duration = 50
+    events = []
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, duration - 1))
+        window = (start, draw(st.integers(start + 1, duration)))
+        if draw(st.booleans()):
+            cabinets = draw(st.lists(st.sampled_from(shape.cabinet_ids()), unique=True))
+            depth = draw(st.floats(0.0, 1.0, exclude_min=True))
+            events.append(Event(EventKind.POWER_DIP, *window, depth_fraction=depth, cabinets=tuple(cabinets)))
+        else:
+            per_node = draw(st.floats(1.0, 2000.0))
+            events.append(Event(EventKind.HPL_RUN, *window, power_per_node_w=per_node))
+    seed = draw(st.integers(0, 2**70))
+    return tiny(duration_ticks=duration, events=events, seed=seed, shape=shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_power_scenarios(), st.lists(st.integers(0, 49), min_size=1, max_size=4))
+def test_every_rectifier_file_renders_the_ground_truth_byte_for_byte(sc, ticks):
+    src = SimDataSource(sc)
+    shape = sc.shape
+    for tick in ticks:
+        src.tick = tick
+        for cab_index, cab in enumerate(shape.cabinet_ids()):
+            for r in range(shape.rectifiers_per_cabinet):
+                want = (f"power_w {rectifier_power_w(sc, tick, cab_index, r)!r}\n"
+                        f"voltage_v {rectifier_voltage_v(sc, tick, cab_index, r)!r}\n")
+                assert src.read_file(f"/var/volatile/cec/{cab}/rectifiers/{r}") == want.encode("ascii")
+            with pytest.raises(FileNotFoundError):
+                src.read_file(f"/var/volatile/cec/{cab}/rectifiers/{shape.rectifiers_per_cabinet}")
+
+
 def test_unknown_paths_and_commands():
     src = sources_at(tiny(), 0)
     with pytest.raises(FileNotFoundError):
@@ -488,6 +527,8 @@ def test_report_config_reads_the_series_a_run_writes_for_a_dotted_partition():
     report = contractual_report(result.store, result.report_cfg, result.window)
     assert report.node_series == "hpc.node_cluster.node_state.avail_gpu_a100"
     assert {v for _, v in report.node_points} == {8.0}
+    assert result.report_cfg.threshold_nodes == 8  # the partition's 8 nodes, not the machine's 16
+    assert report.node_availability_pct == 100.0
     assert report.login_availability_pct == 100.0
 
 
@@ -510,6 +551,27 @@ def test_run_without_api_opens_no_socket_and_starts_no_thread(monkeypatch):
     assert result.summary.hosts_down == 4
     assert opened == []
     assert counts and set(counts) == {before}
+
+
+def test_run_goes_through_the_seams_the_benchmark_traces(monkeypatch):
+    # bench/layers.py times the codec and the store by these names; a hot path
+    # that went round them would make its per-layer figures read 0.
+    calls = {"write": 0, "parse": 0, "serialize": 0}
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(tsdb.Store, "write", counted("write", tsdb.Store.write))
+    monkeypatch.setattr(server, "parse_agent_payload", counted("parse", server.parse_agent_payload))
+    monkeypatch.setattr(agent, "serialize_agent_payload", counted("serialize", agent.serialize_agent_payload))
+    outage = Event(EventKind.LOGIN_OUTAGE, 48, 96, hosts=("login1",))
+    summary = run(tiny(duration_ticks=144, events=[outage]), FAST_STACK).summary
+    answered = summary.polls - summary.hosts_down
+    assert summary.hosts_down == 4 and summary.samples > 0
+    assert calls == {"write": summary.samples, "parse": answered, "serialize": answered}
 
 
 def test_run_rejects_invalid_scenarios():
