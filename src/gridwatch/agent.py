@@ -9,6 +9,7 @@ carries over is which checks are still running.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import socket
@@ -162,6 +163,13 @@ def read_rectifiers(sources: DataSource, root: str, cabinet: str) -> list[tuple[
     return readings
 
 
+# Bounded because a config can name any cabinet; the same few come back every poll.
+@functools.lru_cache(maxsize=1 << 10)
+def _power_keys(cabinet: str, rectifiers: int) -> tuple[str, tuple[str, ...]]:
+    """The perfdata keys of one cabinet: its total, and each rectifier's voltage."""
+    return f"cab_{cabinet}", tuple(f"volt_{cabinet}_{n}" for n in range(rectifiers))
+
+
 def check_power(
     sources: DataSource,
     cabinets,
@@ -199,10 +207,11 @@ def check_power(
     volt_perf = []
     for cab, readings in reachable:
         cab_w = 0.0
-        for n, (power_w, voltage_v) in enumerate(readings):
+        cab_key, volt_keys = _power_keys(cab, len(readings))
+        for key, (power_w, voltage_v) in zip(volt_keys, readings):
             cab_w += power_w
-            volt_perf.append(Perfdata(f"volt_{cab}_{n}", voltage_v))
-        cab_perf.append(Perfdata(f"cab_{cab}", cab_w))
+            volt_perf.append(Perfdata(key, voltage_v))
+        cab_perf.append(Perfdata(cab_key, cab_w))
         system_w += cab_w
     perfdata.append(Perfdata("system", system_w, warn_w, crit_w))
     perfdata += cab_perf + volt_perf

@@ -82,8 +82,9 @@ _SEVERITY = {
 
 _CODES = {"0": CheckState.OK, "1": CheckState.WARN, "2": CheckState.CRIT, "3": CheckState.UNKNOWN}
 
-_KEY_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-_SERIES_RE = re.compile(r"^[A-Za-z0-9_-]+(\.[A-Za-z0-9_-]+)*$")
+# Matched with fullmatch: "$" would also match before a final newline.
+_KEY_RE = re.compile(r"[A-Za-z0-9_-]+")
+_SERIES_RE = re.compile(r"[A-Za-z0-9_-]+(\.[A-Za-z0-9_-]+)*")
 _NON_SEGMENT_RE = re.compile(r"[^A-Za-z0-9_-]")
 _SECTION_RE = re.compile(r"^<<<([A-Za-z0-9_]*)>>>$")
 
@@ -147,7 +148,7 @@ class MetricSample:
 
 
 def valid_series(name: str) -> bool:
-    return bool(_SERIES_RE.match(name))
+    return _SERIES_RE.fullmatch(name) is not None
 
 
 def _segment(text: str) -> str:
@@ -158,7 +159,7 @@ def _segment(text: str) -> str:
 # Bounded because an agent can send any key; the same few come back every poll.
 @functools.lru_cache(maxsize=1 << 14)
 def _valid_key(key: str) -> bool:
-    return _KEY_RE.match(key) is not None
+    return _KEY_RE.fullmatch(key) is not None
 
 
 def _fmt_num(v: float) -> str:
@@ -238,6 +239,8 @@ def parse_check_line(line: str) -> CheckResult:
         raise MalformedLine(f"bad state code {code!r}")
     if not service:
         raise MalformedLine("empty service field")
+    if service.split() != [service]:  # the serializer's rule
+        raise MalformedLine(f"whitespace in service name {service!r}")
     if not perf_field:
         raise MalformedLine("empty perfdata field")
     if perf_field == "-":

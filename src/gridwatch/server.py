@@ -254,6 +254,14 @@ class MonitoringServer:
             c.name: min((polled[m] for m in c.member_hosts if m in polled), default=DEFAULT_POLL_INTERVAL_S)
             for c in self.clusters
         }
+        # Each host's clusters in configured order, and each cluster's members
+        # in tie-break order, worked out once instead of on every poll.
+        self._clusters_of: dict[str, list[ClusterServiceConfig]] = {}
+        self._members = {}
+        for c in self.clusters:
+            for member in dict.fromkeys(c.member_hosts):
+                self._clusters_of.setdefault(member, []).append(c)
+            self._members[c.name] = (c, self._tie_order(c))
         self.sink_failures: Counter = Counter()
         self._records: dict[tuple[str, str], ServiceRecord] = {}
         self._lock = threading.RLock()
@@ -289,10 +297,14 @@ class MonitoringServer:
             for result in results:
                 service = result.service
                 old = records.get((host, service))
-                if old is not None and old.last_result.state != result.state:
+                if old is None:
+                    records[host, service] = ServiceRecord(host, service, result, now)
+                    continue
+                if old.last_result.state != result.state:
                     prev = old.last_result.state
                     notifications.append(Notification(t, host, service, prev, result.state, result.summary))
-                records[host, service] = ServiceRecord(host, service, result, now)
+                # Records never leave this table, so one is updated in place.
+                old.last_result, old.last_seen_t, old.stale = result, now, False
             prefix = self.prefix
             self.flush_metrics([MetricSample(_series_name(prefix, host, r.service, p.key), t, p.value)
                                 for r in results for p in r.perfdata])
@@ -312,8 +324,11 @@ class MonitoringServer:
             return self._is_stale(record, self.clock() if now is None else now)
 
     def _is_stale(self, record: ServiceRecord, now: float) -> bool:
-        interval = self._intervals.get(record.host, DEFAULT_POLL_INTERVAL_S)
-        return record.stale or (now - record.last_seen_t) > STALE_AFTER_INTERVALS * interval
+        return record.stale or (now - record.last_seen_t) > self._stale_after(record.host)
+
+    def _stale_after(self, host: str) -> int:
+        """How old, in seconds, a record of ``host`` may be before it is stale."""
+        return STALE_AFTER_INTERVALS * self._intervals.get(host, DEFAULT_POLL_INTERVAL_S)
 
     # -- clusters --------------------------------------------------------
 
@@ -324,17 +339,27 @@ class MonitoringServer:
         choice is deterministic.
         """
         now = self.clock()
+        known, members = self._members.get(cluster.name, (None, ()))
+        if known is not cluster:  # not one of this server's clusters
+            members = self._tie_order(cluster)
         with self._lock:
             best: ServiceRecord | None = None
-            for member in sorted(cluster.member_hosts):
-                record = self._records.get((member, cluster.service))
-                if record is None or self._is_stale(record, now):
+            records = self._records
+            for key, stale_after in members:
+                record = records.get(key)
+                # _is_stale, with the member's limit looked up once
+                if record is None or record.stale or now - record.last_seen_t > stale_after:
                     continue
                 if best is None or record.last_seen_t > best.last_seen_t:
                     best = record
         if best is None:
             return CheckResult(CheckState.UNKNOWN, cluster.service, [], "no fresh member report")
         return best.last_result
+
+    def _tie_order(self, cluster: ClusterServiceConfig) -> tuple[tuple[tuple[str, str], int], ...]:
+        """The record keys of the cluster's members in tie-break order, each
+        with its staleness limit."""
+        return tuple(((m, cluster.service), self._stale_after(m)) for m in sorted(set(cluster.member_hosts)))
 
     def evaluate_cluster(self, cluster: ClusterServiceConfig) -> list[Notification]:
         """Re-evaluate one cluster service and record it under the cluster name;
@@ -357,9 +382,8 @@ class MonitoringServer:
                 notifications = []
             else:
                 notifications = self.apply_payload(got, cfg.name)
-            for cluster in self.clusters:
-                if cfg.name in cluster.member_hosts:
-                    notifications.extend(self.evaluate_cluster(cluster))
+            for cluster in self._clusters_of.get(cfg.name, ()):
+                notifications.extend(self.evaluate_cluster(cluster))
         for n in notifications:
             dispatch(n, self.sinks, self.sink_failures)
         return notifications

@@ -335,27 +335,34 @@ def expected_system_power_w(scenario: Scenario, tick: int) -> float:
     return total
 
 
-def _rectifier_files(scenario: Scenario, tick: int, active) -> dict[str, bytes]:
-    """Every rectifier file at ``tick`` by path, in one pass.
+def _rectifier_paths(shape: ClusterShape) -> tuple[tuple[int, str, tuple[str, ...]], ...]:
+    """Per cabinet: its index, its id and the path of each of its rectifier files."""
+    out = []
+    for cab_index, cab_id in enumerate(shape.cabinet_ids()):
+        prefix = f"{DEFAULT_CEC_ROOT}/{cab_id}/rectifiers/"
+        out.append((cab_index, cab_id, tuple(prefix + str(rect) for rect in range(shape.rectifiers_per_cabinet))))
+    return tuple(out)
+
+
+def _rectifier_files(scenario: Scenario, tick: int, active, cabinets) -> dict[str, bytes]:
+    """Every rectifier file at ``tick`` by path, in one pass over ``cabinets``,
+    the ``_rectifier_paths`` of the scenario's shape.
 
     The same arithmetic as ``rectifier_power_w`` and ``rectifier_voltage_v``,
     with the noise hash of ``(seed, stream, tick, cabinet)`` taken once per
     cabinet instead of once per rectifier. The last ``_mix64`` step and
     ``_to_unit`` are inlined: this is the simulator's innermost loop.
     """
-    shape = scenario.shape
     base = _rectifier_base_w(scenario, active)
     seed_h = _mix64(scenario.seed & _MASK64)
     power_h = _mix_in(seed_h, _STREAM_POWER, tick)
     volt_h = _mix_in(seed_h, _STREAM_VOLT, tick)
     files = {}
-    for cab_index in range(shape.cabinets):
-        cab_id = shape.cabinet_id(cab_index)
+    for cab_index, cab_id, paths in cabinets:
         scaled = base * _dip_factor(active, cab_id)
         cab_power_h = _mix64(power_h ^ cab_index)
         cab_volt_h = _mix64(volt_h ^ cab_index)
-        prefix = f"{DEFAULT_CEC_ROOT}/{cab_id}/rectifiers/"
-        for rect in range(shape.rectifiers_per_cabinet):
+        for rect, path in enumerate(paths):
             z = ((cab_power_h ^ rect) + 0x9E3779B97F4A7C15) & _MASK64
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -364,7 +371,7 @@ def _rectifier_files(scenario: Scenario, tick: int, active) -> dict[str, bytes]:
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
             volt = NOMINAL_VOLTAGE_V + VOLTAGE_NOISE_V * (((z ^ (z >> 31)) >> 11) / _TWO_53 * 2.0 - 1.0)
-            files[prefix + str(rect)] = f"power_w {power!r}\nvoltage_v {volt!r}\n".encode("ascii")
+            files[path] = f"power_w {power!r}\nvoltage_v {volt!r}\n".encode("ascii")
     return files
 
 
@@ -439,6 +446,7 @@ class SimDataSource(DataSource):
         self.scenario = scenario
         self.tick = tick
         self._logins = frozenset(scenario.shape.login_names())
+        self._rectifiers = _rectifier_paths(scenario.shape)
         self._rendered: int | None = None  # the tick the fields below belong to
         self._files: dict[str, bytes] = {}
         self._sinfo = ""
@@ -451,7 +459,7 @@ class SimDataSource(DataSource):
             return
         sc = self.scenario
         active = _events_at(sc, tick)
-        self._files = _rectifier_files(sc, tick, active)
+        self._files = _rectifier_files(sc, tick, active, self._rectifiers)
         self._files["/proc/meminfo"] = _meminfo_text(sc, tick, active).encode("ascii")
         self._sinfo = _sinfo_text(sc, active)
         self._dark = _outage_hosts(sc, active)
@@ -463,10 +471,10 @@ class SimDataSource(DataSource):
 
     def read_file(self, path: str) -> bytes:
         self._render()
-        try:
-            return self._files[path]
-        except KeyError:
-            raise FileNotFoundError(path) from None
+        data = self._files.get(path)
+        if data is None:  # how the power check finds a cabinet's last rectifier
+            raise FileNotFoundError(path)
+        return data
 
     def run_command(self, argv, timeout=None):
         if argv and argv[0].rsplit("/", 1)[-1] == "sinfo":

@@ -151,11 +151,12 @@ class _Archive:
     the series' mapping, which holds the (t, v) pairs exactly as the file's
     slot table does."""
 
-    __slots__ = ("interval", "points", "ts", "vals")
+    __slots__ = ("interval", "points", "fine", "ts", "vals")
 
-    def __init__(self, interval: int, points: int, slots: memoryview):
+    def __init__(self, interval: int, points: int, slots: memoryview, fine_interval: int):
         self.interval = interval
         self.points = points
+        self.fine = interval // fine_interval  # finest slots under one of this archive's slots
         self.ts = slots.cast("q")[0::2]
         self.vals = slots.cast("d")[1::2]
 
@@ -179,7 +180,7 @@ class _Archive:
 
 
 class _Series:
-    __slots__ = ("retention", "archives", "latest", "open_end", "dirty", "table")
+    __slots__ = ("retention", "archives", "coarse", "latest", "open_end", "dirty", "table")
 
     def __init__(self, retention: RetentionSpec):
         self.retention = retention
@@ -189,9 +190,12 @@ class _Series:
         self.table = memoryview(mmap.mmap(-1, table_bytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
         self.archives = []
         off = 0
+        fine_interval = retention.archives[0][0]
         for interval, points in retention.archives:
-            self.archives.append(_Archive(interval, points, self.table[off : off + _PAIR_BYTES * points]))
+            slots = self.table[off : off + _PAIR_BYTES * points]
+            self.archives.append(_Archive(interval, points, slots, fine_interval))
             off += _PAIR_BYTES * points
+        self.coarse = tuple(self.archives[1:])
         self.latest = 0  # newest finest-aligned timestamp ever written
         self.open_end = 0  # end of the earliest-closing open coarse slot; 0 until a first write
         self.dirty = False
@@ -215,9 +219,10 @@ class _Series:
         if aligned > latest:
             # Close the open coarse slots this write moves past, while the
             # finest ring still holds all of their points.
-            for ar in self.archives[1:]:
-                if aligned - ar.align(latest) >= ar.interval:
-                    self._consolidate(ar, ar.align(latest))
+            for ar in self.coarse:
+                start = latest - latest % ar.interval
+                if aligned - start >= ar.interval:
+                    self._consolidate(ar, start)
             self.latest = aligned
             self._set_open_end()
         else:
@@ -227,7 +232,7 @@ class _Series:
                     f"timestamp {t} lands in a slot older than finest coverage "
                     f"({interval * fin.points}s behind {latest})"
                 )
-            closed = [ar for ar in self.archives[1:] if ar.align(aligned) != ar.align(latest)]
+            closed = [ar for ar in self.coarse if ar.align(aligned) != ar.align(latest)]
         i = (aligned // interval) % fin.points
         fin.ts[i] = aligned
         fin.vals[i] = v
@@ -237,22 +242,39 @@ class _Series:
 
     def _set_open_end(self) -> None:
         latest = self.latest
-        self.open_end = min((latest - latest % ar.interval + ar.interval for ar in self.archives[1:]), default=math.inf)
+        open_end = math.inf
+        for ar in self.coarse:
+            end = latest - latest % ar.interval + ar.interval
+            if end < open_end:
+                open_end = end
+        self.open_end = open_end
 
     def _consolidate(self, ar: _Archive, slot_t: int) -> None:
         """Set coarse slot ``slot_t`` to the mean of the finest points under
         it, summed oldest first, when at least half of them exist."""
         fin = self.archives[0]
-        total, count = 0.0, 0
-        # RetentionSpec keeps a coarse slot no longer than the finest ring.
-        for times, stamps, values in fin.slots(slot_t, ar.interval // fin.interval):
-            if not slot_t or stamps != list(times):  # some point is missing; t = 0 is what an empty slot holds
-                values = [v for t, stamp, v in zip(times, stamps, values) if stamp == t and t]
-            for v in values:
+        n = ar.fine  # RetentionSpec keeps a coarse slot no longer than the finest ring
+        i = (slot_t // fin.interval) % fin.points
+        j = (slot_t // ar.interval) % ar.points
+        # Every slot consolidated starts after the newest timestamp minus the
+        # finest coverage, so a finest position under it holds the slot's own
+        # point, an older one or 0, never a newer one: a slot that lies wholly
+        # inside the ring is full when no stamp under it is older than the slot.
+        if slot_t and i + n <= fin.points and min(fin.ts[i : i + n]) >= slot_t:
+            total = 0.0
+            for v in fin.vals[i : i + n]:
                 total += v  # not sum(): from Python 3.12 it compensates, which changes the bits
+            ar.ts[j] = slot_t
+            ar.vals[j] = total / n
+            return
+        total, count = 0.0, 0
+        for times, stamps, values in fin.slots(slot_t, n):
+            # t = 0 is what an empty slot holds
+            values = [v for t, stamp, v in zip(times, stamps, values) if stamp == t and t]
+            for v in values:
+                total += v
             count += len(values)
-        j = ar.idx(slot_t)
-        if count * 2 >= ar.interval // fin.interval:
+        if count * 2 >= n:
             ar.ts[j] = slot_t
             ar.vals[j] = total / count
         elif ar.ts[j] != slot_t:
@@ -383,7 +405,7 @@ class Store:
         head = bytearray(_HEAD.pack(_MAGIC, _VERSION, len(s.archives)))
         for interval, points in s.retention.archives:
             head += _ARCH.pack(interval, points)
-        for ar in s.archives[1:]:
+        for ar in s.coarse:
             s._consolidate(ar, ar.align(s.latest))  # the open slots
         tmp = path.with_suffix(".dat.tmp")
         with open(tmp, "wb") as fh:

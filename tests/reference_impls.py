@@ -107,7 +107,7 @@ class FlatStore:
 
 # -- perfdata items on the wire: every slot, every time ------------------------
 
-_PERF_KEY_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+_PERF_KEY_RE = re.compile(r"^[A-Za-z0-9_-]+\Z")
 
 
 def fmt_num(v) -> str:
@@ -196,6 +196,8 @@ def parse_check_line(line: str) -> CheckResult:
         raise MalformedLine(f"bad state code {code!r}")
     if service == "":
         raise MalformedLine("empty service field")
+    if any(c.isspace() for c in service):
+        raise MalformedLine(f"whitespace in service name {service!r}")
     if perf_field == "":
         raise MalformedLine("empty perfdata field")
     perfdata = [] if perf_field == "-" else [parse_perf_item(item) for item in perf_field.split("|")]

@@ -96,6 +96,8 @@ def test_numbers_render_integers_without_decimal_point():
     "0 svc k=a s",           # unparsable number
     "0 svc k=nan s",         # non-finite number
     "0 svc k=1;2;3;4;5;6 s", # too many ';' fields
+    "0 a\tb - x",            # whitespace in the service name, which the serializer refuses
+    "0 a\u2028b - x",        # Unicode whitespace that is no line break for str.split("\n")
 ])
 def test_malformed_lines_raise(bad):
     if bad == "0 svc 1=2 s":
@@ -116,6 +118,8 @@ def test_serialize_rejects_bad_inputs():
         serialize_check_line(CheckResult(CheckState.OK, "s", [Perfdata("bad key", 1.0)], ""))
     with pytest.raises(InvalidResult):
         serialize_check_line(CheckResult(CheckState.OK, "s", [Perfdata("k", float("inf"))], ""))
+    with pytest.raises(InvalidResult):  # a line break inside one check line
+        serialize_check_line(CheckResult(CheckState.OK, "svc", [Perfdata("k\n", 1.0)], "x"))
     with pytest.raises(InvalidResult):
         serialize_agent_payload(AgentPayload("v\n1", 0, []))
 
@@ -142,6 +146,8 @@ def test_valid_series_names():
     assert not valid_series(".a")
     assert not valid_series("a..b")
     assert not valid_series("a.b c")
+    assert not valid_series("hpc.a\n")
+    assert not valid_series("a\n")
 
 
 # -- payload assembly ------------------------------------------------------
@@ -169,9 +175,11 @@ def test_malformed_payload_lines_demote_to_numbered_parse_errors():
         "total garbage\n"
         "1 good_two - meh\n"
         "also;bad\n"
+        "0 tab\tname - a service name the serializer refuses\n"
     )
     results = parse_agent_payload(text).results
-    assert [r.service for r in results] == ["good_one", "_parse_error_1", "good_two", "_parse_error_2"]
+    services = ["good_one", "_parse_error_1", "good_two", "_parse_error_2", "_parse_error_3"]
+    assert [r.service for r in results] == services
     assert results[1].state is CheckState.UNKNOWN
     assert results[1].summary.startswith("unparsable check line:")
 

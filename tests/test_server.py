@@ -188,6 +188,22 @@ def test_cluster_tie_breaks_to_smallest_host_name():
     srv.apply_payload(payload(result(CheckState.OK, "login", summary="from m2")), "m2")
     assert srv.cluster_state(cluster).summary == "from m2"  # same timestamp
 
+    # The same ties on a server built with its clusters, whose members are
+    # listed out of order; m2 and m3 belong to both clusters, m1 to one.
+    hosts = [HostConfig(f"m{i}", "127.0.0.1:1", poll_interval_s=60) for i in (1, 2, 3)]
+    login = ClusterServiceConfig("login_cluster", ("m3", "m1", "m2"), "login")
+    other = ClusterServiceConfig("other_cluster", ("m3", "m2"), "login")
+
+    def fetch(cfg):
+        return payload_text(1_000_000, [f"0 login - from {cfg.name}"]).encode()
+
+    srv = make_server(hosts=hosts, clusters=[login, other], clock=clock.time, fetch=fetch)
+    cfg = {h.name: h for h in hosts}
+    for host, expected in [("m3", ["m3", "m3"]), ("m2", ["m2", "m2"]), ("m1", ["m1", "m2"])]:
+        srv.process_host(cfg[host])  # every poll at the same time: each cluster is a tie
+        records = srv.records_snapshot()
+        assert [records[c.name, "login"].summary for c in (login, other)] == [f"from {m}" for m in expected], host
+
 
 def test_cluster_skips_stale_members():
     clock, srv, cluster = cluster_fixture()
@@ -196,6 +212,8 @@ def test_cluster_skips_stale_members():
     srv.apply_payload(payload(result(CheckState.OK, "login", summary="new m2")), "m2")
     clock.sleep(60)  # m1 now beyond 2x60s, m2 within
     assert srv.cluster_state(cluster).summary == "new m2"
+    clock.sleep(70)  # m2 beyond 2x60s too
+    assert srv.cluster_state(cluster).summary == "no fresh member report"
 
 
 def test_cluster_with_no_fresh_member_is_unknown():
@@ -206,6 +224,9 @@ def test_cluster_with_no_fresh_member_is_unknown():
     assert got.state is CheckState.UNKNOWN
     assert got.summary == "no fresh member report"
     assert got.perfdata == []  # no values -> the cluster series gets a gap
+    srv.apply_payload(payload(result(CheckState.OK, "login", summary="back")), "m1")  # the host answers again
+    assert not srv.service_stale("m1", "login")
+    assert srv.cluster_state(cluster).summary == "back"
 
 
 def test_evaluate_cluster_republishes_under_cluster_name():
@@ -254,7 +275,7 @@ def test_host_and_cluster_names_must_be_unique():
         make_server(hosts=[h1], clusters=[cluster, cluster])
 
 
-@pytest.mark.parametrize("prefix", ["bad prefix", "", "hpc.", ".hpc", "a..b"])
+@pytest.mark.parametrize("prefix", ["bad prefix", "", "hpc.", ".hpc", "a..b", "hpc\n"])
 def test_invalid_series_prefix_is_refused_at_construction(prefix):
     with pytest.raises(ValueError, match="prefix"):
         make_server(prefix=prefix)

@@ -157,6 +157,8 @@ def test_rejects_non_finite_and_bad_series():
         st_.write(MetricSample("bad..name", 60_000, 1.0))
     with pytest.raises(ValueError):
         st_.write(MetricSample("also bad", 60_000, 1.0))
+    with pytest.raises(ValueError, match="bad series path"):
+        st_.write(MetricSample("hpc.a\n", 60_000, 1.0))  # a file name with a line break
     with pytest.raises(TooOld):
         st_.write(MetricSample("hpc.a.b.c", 5, 1.0))  # before the epoch
     assert st_.list_series() == []  # a refused sample leaves no series behind
