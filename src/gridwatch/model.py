@@ -225,9 +225,9 @@ def _serialize_perf_item(p: Perfdata) -> str:
 def parse_check_line(line: str) -> CheckResult:
     """Parse one protocol line into a CheckResult.
 
-    Raises MalformedLine for a bad state code, missing fields or an
-    unparsable perfdata blob. The summary is free text to end of line and
-    may legitimately be empty.
+    Raises MalformedLine for a bad state code, missing fields, an
+    unparsable perfdata blob or a line break in the summary. The summary is
+    free text to end of line and may legitimately be empty.
     """
     line = line.rstrip("\n")
     parts = line.split(" ", 3)
@@ -241,6 +241,8 @@ def parse_check_line(line: str) -> CheckResult:
         raise MalformedLine("empty service field")
     if service.split() != [service]:  # the serializer's rule
         raise MalformedLine(f"whitespace in service name {service!r}")
+    if "\n" in summary or "\r" in summary:  # the serializer's rule
+        raise MalformedLine("line break in summary")
     if not perf_field:
         raise MalformedLine("empty perfdata field")
     if perf_field == "-":

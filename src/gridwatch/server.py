@@ -1,14 +1,14 @@
 """Central poller: polls agents, tracks service state, forwards metrics.
 
-One poll is a fetch of the agent's payload bytes (by default a TCP connect
-and a read to EOF, bounded in time and size) and a parse, with no lock held,
-then one hold of the server lock for its whole state change: poll counts,
-service records, every perfdata value written to the series store as
-``<prefix>.<host>.<service>.<key>``, and member clusters re-evaluated, so
-every series, host or cluster, is written in its record's order. The one
-notification per state transition goes to the sinks after the hold.
-Cluster services republish the freshest non-stale member's result under
-the cluster name, so a service survives individual host outages.
+One poll is a fetch of the agent's payload bytes (by default a TCP connect and
+a read to EOF, bounded in time and size) and a parse, with no lock held, then
+one hold of the store's lock, the only lock here, for its whole state change:
+poll counts, service records, every perfdata value written to the series store
+as ``<prefix>.<host>.<service>.<key>``, and member clusters re-evaluated. So
+every series is written in its record's order, and a reader sees all of a poll
+or none of it. The one notification per state transition goes to the sinks
+after the hold. Cluster services republish the freshest non-stale member's
+result under the cluster name, so a service survives individual host outages.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def dispatch(notification: Notification, sinks, failures: Counter | None = None)
 
 
 class MonitoringServer:
-    """Holds the service-record table and drives polls end to end."""
+    """Holds the service-record table, guarded by the store's lock, and drives polls end to end."""
 
     def __init__(
         self,
@@ -254,17 +254,17 @@ class MonitoringServer:
             c.name: min((polled[m] for m in c.member_hosts if m in polled), default=DEFAULT_POLL_INTERVAL_S)
             for c in self.clusters
         }
-        # Each host's clusters in configured order, and each cluster's members
-        # in tie-break order, worked out once instead of on every poll.
+        # Each host's clusters in configured order, and each cluster's member keys in
+        # tie-break order with their age limits, worked out once instead of on every poll.
         self._clusters_of: dict[str, list[ClusterServiceConfig]] = {}
         self._members = {}
         for c in self.clusters:
-            for member in dict.fromkeys(c.member_hosts):
+            members = dict.fromkeys(c.member_hosts)
+            for member in members:
                 self._clusters_of.setdefault(member, []).append(c)
-            self._members[c.name] = (c, self._tie_order(c))
+            self._members[c.name] = (c, tuple(((m, c.service), self._stale_after(m)) for m in sorted(members)))
         self.sink_failures: Counter = Counter()
         self._records: dict[tuple[str, str], ServiceRecord] = {}
-        self._lock = threading.RLock()
         self._poll_counts: Counter = Counter()
         self._host_down_counts: Counter = Counter()
         self.samples_rejected = 0
@@ -288,8 +288,8 @@ class MonitoringServer:
 
     def _record(self, host: str, results) -> list[Notification]:
         """Record ``results`` under ``host`` and write their perfdata, in one
-        hold of the lock, so each series is written in its record's order."""
-        with self._lock:
+        hold of the store's lock, so each series is written in its record's order."""
+        with self.store.lock:
             now = self.clock()
             t = int(now)
             notifications: list[Notification] = []
@@ -311,13 +311,13 @@ class MonitoringServer:
         return notifications
 
     def mark_host_stale(self, host: str) -> None:
-        with self._lock:
+        with self.store.lock:
             for (h, _), record in self._records.items():
                 if h == host:
                     record.stale = True
 
     def service_stale(self, host: str, service: str, now: float | None = None) -> bool:
-        with self._lock:
+        with self.store.lock:
             record = self._records.get((host, service))
             if record is None:
                 return True
@@ -336,13 +336,14 @@ class MonitoringServer:
         """Freshest non-stale member's result; UNKNOWN when nobody is fresh.
 
         Ties on freshness go to the lexicographically smallest host so the
-        choice is deterministic.
+        choice is deterministic. A cluster the server was not built with
+        raises ValueError.
         """
         now = self.clock()
         known, members = self._members.get(cluster.name, (None, ()))
-        if known is not cluster:  # not one of this server's clusters
-            members = self._tie_order(cluster)
-        with self._lock:
+        if known is not cluster and known != cluster:
+            raise ValueError(f"cluster {cluster.name!r} is not one of this server's clusters")
+        with self.store.lock:
             best: ServiceRecord | None = None
             records = self._records
             for key, stale_after in members:
@@ -356,24 +357,19 @@ class MonitoringServer:
             return CheckResult(CheckState.UNKNOWN, cluster.service, [], "no fresh member report")
         return best.last_result
 
-    def _tie_order(self, cluster: ClusterServiceConfig) -> tuple[tuple[tuple[str, str], int], ...]:
-        """The record keys of the cluster's members in tie-break order, each
-        with its staleness limit."""
-        return tuple(((m, cluster.service), self._stale_after(m)) for m in sorted(set(cluster.member_hosts)))
-
     def evaluate_cluster(self, cluster: ClusterServiceConfig) -> list[Notification]:
         """Re-evaluate one cluster service and record it under the cluster name;
-        one hold of the lock spans both, so an older evaluation never lands last."""
-        with self._lock:
+        one hold of the store's lock spans both, so an older evaluation never lands last."""
+        with self.store.lock:
             return self._record(cluster.name, [self.cluster_state(cluster)])
 
     # -- the full poll transaction ----------------------------------------
 
     def process_host(self, cfg: HostConfig) -> list[Notification]:
         """Poll one host with no lock held, then apply the whole state change
-        in one hold of the lock; sinks are called after it ends."""
+        in one hold of the store's lock; sinks are called after it ends."""
         got = self.poll_host(cfg)
-        with self._lock:
+        with self.store.lock:
             self._poll_counts[cfg.name] += 1
             if isinstance(got, HostDown):
                 self._host_down_counts[cfg.name] += 1
@@ -391,7 +387,7 @@ class MonitoringServer:
     def flush_metrics(self, samples: list[MetricSample]) -> None:
         """Write ``samples`` to the store in order; a sample the store
         refuses is logged and counted in ``samples_rejected``, and the
-        rest are still written. The caller holds the lock."""
+        rest are still written. The caller holds the store's lock."""
         write = self.store.write
         for sample in samples:
             try:
@@ -402,16 +398,16 @@ class MonitoringServer:
 
     @property
     def poll_counts(self) -> dict[str, int]:
-        with self._lock:
+        with self.store.lock:
             return dict(self._poll_counts)
 
     @property
     def host_down_counts(self) -> dict[str, int]:
-        with self._lock:
+        with self.store.lock:
             return dict(self._host_down_counts)
 
     def records_snapshot(self) -> dict[tuple[str, str], CheckResult]:
-        with self._lock:
+        with self.store.lock:
             return {key: record.last_result for key, record in self._records.items()}
 
     # -- scheduling --------------------------------------------------------

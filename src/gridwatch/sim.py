@@ -69,6 +69,8 @@ MEM_TOTAL_KB = 536_870_912  # 512 GiB login nodes
 
 LOGIN_PROBE_TARGET = "login-vip"
 DNS_CHECK_NAME = "cluster.local"
+DOWN_WARN = 10  # nodes down, summed over partitions, at which node_state warns
+DOWN_CRIT = 100  # and at which it is critical
 
 # Independent noise streams so e.g. voltage noise never shifts power noise.
 _STREAM_POWER = 1
@@ -516,8 +518,7 @@ class StackConfig:
     prefix: str = DEFAULT_PREFIX
     poll_every_ticks: int = 12
     retention: str = DEFAULT_RETENTION
-    down_warn: int = 10
-    down_crit: int = 100
+    down_warn = DOWN_WARN  # not a field: every stack warns there; the benchmark's replay check reads it
 
 
 @dataclass
@@ -571,13 +572,13 @@ def report_config(stack: StackConfig, scenario: Scenario) -> ReportConfig:
     )
 
 
-def _agent_configs(scenario: Scenario, stack: StackConfig) -> list[tuple[str, AgentConfig]]:
+def _agent_configs(scenario: Scenario) -> list[tuple[str, AgentConfig]]:
     shape = scenario.shape
     admin = AgentConfig(checks=("power",), cabinets=shape.cabinet_ids())
     login = AgentConfig(
         checks=("node_state", "login", "dns", "memory"),
-        down_warn=stack.down_warn,
-        down_crit=stack.down_crit,
+        down_warn=DOWN_WARN,
+        down_crit=DOWN_CRIT,
         login_target=LOGIN_PROBE_TARGET,
         dns_name=DNS_CHECK_NAME,
     )
@@ -606,7 +607,7 @@ def run(
 
     agents = {}
     hosts: list[HostConfig] = []
-    for name, agent_cfg in _agent_configs(scenario, stack):
+    for name, agent_cfg in _agent_configs(scenario):
         agents[name] = Agent(agent_cfg, sources, clock=sources.time, version=f"sim-{__version__}")
         # The address is never dialled: polls go through fetch below.
         hosts.append(HostConfig(name=name, address="in-process", poll_interval_s=poll_interval_s))

@@ -30,7 +30,13 @@ In memory, each series keeps its slot table, laid out as in the file, in
 one private anonymous mapping. The kernel hands out a page on its first
 write, so a series costs memory only where slots were written, while
 reading a page never written (as a flush does) maps the shared zero page.
-A series read from disk is resident in full. The rings need POSIX ``mmap``.
+A series read from disk is resident in full. The rings need POSIX ``mmap``,
+and a file-backed store a little-endian host, as the file is laid out as
+the mapping is.
+
+A write, read, listing or flush holds ``Store.lock``, which is re-entrant:
+the poller holds it across a poll's whole state change, so a reader sees
+all of a poll or none of it.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ import re
 import struct
 import sys
 import threading
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -185,8 +190,8 @@ class _Series:
     def __init__(self, retention: RetentionSpec):
         self.retention = retention
         table_bytes = _PAIR_BYTES * sum(points for _, points in retention.archives)
-        # The file's slot table in native byte order. Private and anonymous,
-        # so only pages with a written slot are resident.
+        # The file's slot table, byte for byte. Private and anonymous, so
+        # only pages with a written slot are resident.
         self.table = memoryview(mmap.mmap(-1, table_bytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS))
         self.archives = []
         off = 0
@@ -293,9 +298,9 @@ class Store:
     File-backed mode lists the series files at open and reads a series'
     file on its first read or write. It keeps what it read in memory and
     rewrites dirty series on flush()/close(), so a crash loses at most the
-    samples since the last flush. One writer at a time. A read holds the
-    lock while it builds its whole result from one archive's ring, copying
-    at most two contiguous slices (before and after the wrap) one at a time.
+    samples since the last flush. A read holds ``lock`` while it builds its
+    whole result from one archive's ring, copying at most two contiguous
+    slices (before and after the wrap) one at a time.
     """
 
     def __init__(self, root: "str | Path | None" = None, default_retention: "str | RetentionSpec" = DEFAULT_RETENTION):
@@ -304,10 +309,12 @@ class Store:
         self._default_retention = default_retention
         self._series: dict[str, _Series] = {}
         self._unloaded: dict[str, Path] = {}  # listed at open, not yet read
-        self._lock = threading.Lock()
+        self.lock = threading.RLock()
         self._root = Path(root) if root is not None else None
         self.write_count = 0
         if self._root is not None:
+            if sys.byteorder != "little":
+                raise OSError("series files are little-endian and this host is not")
             self._root.mkdir(parents=True, exist_ok=True)
             self._list_files()
 
@@ -318,7 +325,7 @@ class Store:
         if not math.isfinite(v):
             raise NonFiniteValue(f"refusing {sample.v!r} for {sample.series}")
         name = sample.series
-        lock = self._lock
+        lock = self.lock
         lock.acquire()  # not `with`: this is the per-sample path, and `with` costs more per call
         try:
             s = self._series.get(name) or self._first_touch(name)
@@ -345,7 +352,7 @@ class Store:
         """
         if from_t >= to_t:
             raise ValueError(f"empty read range [{from_t}, {to_t})")
-        with self._lock:
+        with self.lock:
             s = self._series.get(series) or self._first_touch(series)
             if s is None:
                 raise NoSuchSeries(series)
@@ -368,7 +375,7 @@ class Store:
             return ar.interval, out
 
     def list_series(self, prefix: str = "") -> list[str]:
-        with self._lock:
+        with self.lock:
             return sorted(n for n in self._series.keys() | self._unloaded.keys() if n.startswith(prefix))
 
     # -- persistence -----------------------------------------------------
@@ -378,7 +385,7 @@ class Store:
         if self._root is None:
             return 0
         written = 0
-        with self._lock:
+        with self.lock:
             for name, s in self._series.items():
                 if s.dirty:
                     self._save(name, s)
@@ -410,7 +417,7 @@ class Store:
         tmp = path.with_suffix(".dat.tmp")
         with open(tmp, "wb") as fh:
             fh.write(head)
-            fh.write(_file_order(s.table))
+            fh.write(s.table)
         os.replace(tmp, path)
 
     def _list_files(self) -> None:
@@ -434,13 +441,11 @@ class Store:
         try:
             with open(path, "rb") as fh:
                 s = _Series(_read_head(fh, path))
-                blob = fh.read()
-            if len(blob) != len(s.table):
-                raise ValueError(f"{path} changed size while it was read")
+                if fh.readinto(s.table) != len(s.table) or fh.read(1):
+                    raise ValueError(f"{path} changed size while it was read")
         except (OSError, ValueError, struct.error) as exc:
             log.warning("skipping unreadable series file %s: %s", path, exc)
             return None
-        s.table[:] = _file_order(memoryview(blob))
         s.latest = max(s.archives[0].ts, default=0)
         if s.latest:
             s._set_open_end()
@@ -461,13 +466,3 @@ def _read_head(fh, path: Path) -> RetentionSpec:
         raise ValueError(f"{path} holds {size} bytes, its header says {expected}")
     return RetentionSpec(archives)
 
-
-def _file_order(table: memoryview) -> memoryview:
-    """A slot table converted between native and file (little-endian) byte
-    order; the conversion is its own inverse, and a no-op on little-endian."""
-    if sys.byteorder == "little":
-        return table
-    swapped = array("q")
-    swapped.frombytes(table)
-    swapped.byteswap()
-    return memoryview(swapped).cast("B")

@@ -198,10 +198,13 @@ def parse_check_line(line: str) -> CheckResult:
         raise MalformedLine("empty service field")
     if any(c.isspace() for c in service):
         raise MalformedLine(f"whitespace in service name {service!r}")
+    summary = parts[3] if len(parts) == 4 else ""
+    if any(c in "\r\n" for c in summary):
+        raise MalformedLine("line break in summary")
     if perf_field == "":
         raise MalformedLine("empty perfdata field")
     perfdata = [] if perf_field == "-" else [parse_perf_item(item) for item in perf_field.split("|")]
-    return CheckResult(_STATE_CODES[code], service, perfdata, parts[3] if len(parts) == 4 else "")
+    return CheckResult(_STATE_CODES[code], service, perfdata, summary)
 
 
 def _section_name(line: str):

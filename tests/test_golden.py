@@ -275,7 +275,7 @@ def wire_payloads() -> dict[str, str]:
     sources = sources_at(SCENARIO, WIRE_TICK)
     return {
         name: Agent(cfg, sources, clock=sources.time, version="sim-golden").payload_text()
-        for name, cfg in _agent_configs(SCENARIO, StackConfig())
+        for name, cfg in _agent_configs(SCENARIO)
     }
 
 

@@ -98,6 +98,8 @@ def test_numbers_render_integers_without_decimal_point():
     "0 svc k=1;2;3;4;5;6 s", # too many ';' fields
     "0 a\tb - x",            # whitespace in the service name, which the serializer refuses
     "0 a\u2028b - x",        # Unicode whitespace that is no line break for str.split("\n")
+    "0 s - a\nb",            # line breaks in the summary, which the serializer refuses
+    "0 s - a\rb",
 ])
 def test_malformed_lines_raise(bad):
     if bad == "0 svc 1=2 s":
@@ -176,9 +178,10 @@ def test_malformed_payload_lines_demote_to_numbered_parse_errors():
         "1 good_two - meh\n"
         "also;bad\n"
         "0 tab\tname - a service name the serializer refuses\n"
+        "0 svc - a\rb\n"
     )
     results = parse_agent_payload(text).results
-    services = ["good_one", "_parse_error_1", "good_two", "_parse_error_2", "_parse_error_3"]
+    services = ["good_one", "_parse_error_1", "good_two", "_parse_error_2", "_parse_error_3", "_parse_error_4"]
     assert [r.service for r in results] == services
     assert results[1].state is CheckState.UNKNOWN
     assert results[1].summary.startswith("unparsable check line:")

@@ -168,8 +168,8 @@ def test_unknown_service_is_stale():
 def cluster_fixture():
     clock = FakeTime(1_000_000.0)
     hosts = [HostConfig(f"m{i}", "127.0.0.1:1", poll_interval_s=60) for i in (1, 2, 3)]
-    srv = make_server(hosts=hosts, clock=clock.time)
     cluster = ClusterServiceConfig("login_cluster", ("m1", "m2", "m3"), "login")
+    srv = make_server(hosts=hosts, clusters=[cluster], clock=clock.time)
     return clock, srv, cluster
 
 
@@ -244,6 +244,22 @@ def test_evaluate_cluster_republishes_under_cluster_name():
     assert snapshot[("m1", "login")].state is CheckState.CRIT
     assert snapshot[("login_cluster", "login")].state is CheckState.CRIT
     assert not srv.service_stale("login_cluster", "login")
+
+
+def test_a_cluster_the_server_was_not_built_with_is_refused():
+    clock, srv, cluster = cluster_fixture()
+    srv.apply_payload(payload(result(CheckState.OK, "login", summary="from m1")), "m1")
+    strangers = [ClusterServiceConfig("other_cluster", ("m1",), "login"),
+                 ClusterServiceConfig("login_cluster", ("m1",), "login")]  # the name alone is not enough
+    for stranger in strangers:
+        with pytest.raises(ValueError, match="not one of this server's clusters"):
+            srv.cluster_state(stranger)
+        with pytest.raises(ValueError, match="not one of this server's clusters"):
+            srv.evaluate_cluster(stranger)
+    assert set(srv.records_snapshot()) == {("m1", "login")}
+    assert srv.store.list_series() == []
+    # An equal config is the same cluster.
+    assert srv.cluster_state(ClusterServiceConfig("login_cluster", ("m1", "m2", "m3"), "login")).summary == "from m1"
 
 
 def test_cluster_record_ages_at_its_fastest_members_interval():
@@ -425,6 +441,32 @@ def test_older_cluster_evaluation_never_lands_after_a_newer_one():
     assert [(n.old_state, n.new_state) for n in notes] == [(CheckState.OK, CheckState.CRIT)]
 
 
+def test_a_reader_sees_all_of_a_poll_or_none_of_it():
+    clock = FakeTime(1_000_000.0)
+    srv = make_server(clock=clock.time)
+
+    def poll(v):
+        return payload(result(CheckState.OK, "svc", [Perfdata(f"k{i}", v) for i in range(3)]))
+
+    srv.apply_payload(poll(1.0), "h1")
+    clock.sleep(10)
+    seen, readers = [], []
+    write = srv.store.write
+
+    def write_then_read(sample):
+        write(sample)
+        if not readers:  # the poll's first sample is written, the others not yet
+            reader = threading.Thread(target=lambda: seen.append(srv.store.read("hpc.h1.svc.k2", 1_000_000, 1_000_020)))
+            readers.append(reader)
+            reader.start()
+            reader.join(0.3)  # a read that does not wait for the poll returns here
+
+    srv.store.write = write_then_read
+    srv.apply_payload(poll(2.0), "h1")
+    readers[0].join(5)
+    assert seen == [(10, [(1_000_000, 1.0), (1_000_010, 2.0)])]
+
+
 # -- sinks ---------------------------------------------------------------------
 
 
@@ -521,6 +563,52 @@ def test_rejected_count_survives_concurrent_polls():
     assert not any(t.is_alive() for t in threads)
     assert srv.samples_rejected == 800
     assert srv.store.write_count == 800
+
+
+def test_a_reader_holding_the_store_lock_never_sees_a_torn_poll():
+    hosts = [HostConfig(f"h{i}", "in-process") for i in range(4)]
+    polled: dict[str, int] = {}  # each key is touched by its own host's thread only
+
+    def fetch(cfg):
+        n = polled[cfg.name] = polled.get(cfg.name, 0) + 1
+        return payload_text(1, ["0 svc " + "|".join(f"k{i}={n}" for i in range(8)) + f" {n}"]).encode()
+
+    srv = make_server(hosts=hosts, clock=FakeTime(1_000_000.0).time, fetch=fetch)
+    torn, polled_all = [], threading.Event()
+
+    def poll_many(cfg):
+        for _ in range(300):
+            srv.process_host(cfg)
+
+    def read_many():
+        while not polled_all.is_set():
+            for h in hosts:
+                with srv.store.lock:  # one change: the records and the series together
+                    record = srv.records_snapshot().get((h.name, "svc"))
+                    if record is None:
+                        continue
+                    values = [srv.store.read(f"hpc.{h.name}.svc.k{i}", 1_000_000, 1_000_010)[1][0][1]
+                              for i in (0, 7)]
+                    if values != [float(record.summary)] * 2:
+                        torn.append((h.name, record.summary, values))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pollers = [threading.Thread(target=poll_many, args=(h,)) for h in hosts]
+        readers = [threading.Thread(target=read_many) for _ in range(2)]
+        for t in readers + pollers:
+            t.start()
+        for t in pollers:
+            t.join(timeout=60)
+        polled_all.set()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in readers + pollers)
+    assert torn == []
+    assert srv.poll_counts == {h.name: 300 for h in hosts}
 
 
 # -- the scheduler ----------------------------------------------------------------

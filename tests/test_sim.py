@@ -479,7 +479,7 @@ def test_dns_fail_notifies_within_window_only():
 
 def test_node_drain_trips_threshold_notifications():
     sc = tiny(duration_ticks=240, events=[Event(EventKind.NODE_DRAIN, 60, 120, count=12)])
-    stack = StackConfig(poll_every_ticks=12, retention="1m:1d", down_warn=10, down_crit=100)
+    stack = StackConfig(poll_every_ticks=12, retention="1m:1d")
     result = run(sc, stack)
     node = [n for n in result.notifications if n.service == "node_state"]
     hosts = {n.host for n in node}

@@ -4,6 +4,7 @@ import logging
 import random
 import shutil
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -581,6 +582,16 @@ def test_first_touch_reads_a_file_another_store_replaced_after_the_open(tmp_path
     with Store(tmp_path) as writer:
         put(writer, 60_010, 2.0)  # flushed through a temp file and a rename
     assert reader.read(S, 60_000, 60_020)[1] == [(60_000, 1.0), (60_010, 2.0)]
+
+
+def test_a_file_backed_store_refuses_to_open_on_a_big_endian_host(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "byteorder", "big")
+    with pytest.raises(OSError, match="little-endian"):
+        Store(tmp_path / "store")
+    assert not (tmp_path / "store").exists()
+    in_memory = store("10s:1h")  # holds no file, so its byte order is its own
+    put(in_memory, 60_000, 1.0)
+    assert in_memory.read(S, 60_000, 60_010)[1] == [(60_000, 1.0)]
 
 
 def test_list_series_prefix_lists_loaded_and_unloaded_names_alike(tmp_path):
