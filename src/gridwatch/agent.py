@@ -230,6 +230,14 @@ def check_power(
     return CheckResult(worst_state(states), "power", perfdata, "; ".join(notes))
 
 
+# Bounded because sinfo can name any partition or state; the same few come back every poll.
+@functools.lru_cache(maxsize=1 << 10)
+def _node_state_keys(partition: str, states: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+    """A partition's name as a key segment, and the perfdata key of each of its states."""
+    name = _segment(partition)
+    return name, tuple(f"state_{name}_{_segment(state)}" for state in states)
+
+
 def check_node_state(
     sources: DataSource,
     down_states=DEFAULT_DOWN_STATES,
@@ -252,11 +260,12 @@ def check_node_state(
     perfdata = []
     total_down = 0
     for partition, counts in partitions.items():
-        name = _segment(partition)
+        states = tuple(sorted(counts))
+        name, keys = _node_state_keys(partition, states)
         total = sum(counts.values())
         down = sum(n for state, n in counts.items() if state in down_states)
-        for state in sorted(counts):
-            perfdata.append(Perfdata(f"state_{name}_{_segment(state)}", counts[state]))
+        for state, key in zip(states, keys):
+            perfdata.append(Perfdata(key, counts[state]))
         perfdata.append(Perfdata(f"down_{name}", down, warn_down, crit_down, 0, total))
         perfdata.append(Perfdata(f"avail_{name}", total - down, None, None, 0, total))
         total_down += down

@@ -284,13 +284,21 @@ def serialize_agent_payload(payload: AgentPayload) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_agent_payload(data: "bytes | str") -> AgentPayload:
+def parse_agent_payload(data: "bytes | str", memo: "dict[str, CheckResult] | None" = None) -> AgentPayload:
     """Parse an agent payload, tolerating anything but zero bytes.
 
     Unknown sections are skipped. A malformed check line becomes an
     UNKNOWN result named ``_parse_error_<n>`` so bad agents stay visible
     instead of crashing the poller. Raises EmptyPayload only for empty
-    input.
+    input, and then leaves ``memo`` untouched.
+
+    ``memo``, when given, maps the check lines of the caller's previous
+    payload to their results. A line found there is not parsed again: its
+    result is the very object returned last time, so results must be
+    treated as read-only. On return ``memo`` holds exactly this payload's
+    well-formed check lines; a malformed one is never kept. Two calls that
+    race on one memo stay correct, since a line maps only to its own
+    parse, and at worst parse a line again.
     """
     if not data:
         raise EmptyPayload("zero-byte payload")
@@ -299,6 +307,8 @@ def parse_agent_payload(data: "bytes | str") -> AgentPayload:
     version = ""
     host_time = 0
     results: list[CheckResult] = []
+    previous = memo if memo is not None else {}
+    seen: dict[str, CheckResult] = {}
     bad = 0
     section = None
     for raw in text.split("\n"):
@@ -323,17 +333,25 @@ def parse_agent_payload(data: "bytes | str") -> AgentPayload:
         elif section == "local":
             if not line:
                 continue
-            try:
-                results.append(parse_check_line(line))
-            except MalformedLine as exc:
-                bad += 1
-                results.append(
-                    CheckResult(
-                        CheckState.UNKNOWN,
-                        f"_parse_error_{bad}",
-                        [],
-                        f"unparsable check line: {str(exc)[:200]}",
+            result = previous.get(line)
+            if result is None:
+                try:
+                    result = parse_check_line(line)
+                except MalformedLine as exc:
+                    bad += 1
+                    results.append(
+                        CheckResult(
+                            CheckState.UNKNOWN,
+                            f"_parse_error_{bad}",
+                            [],
+                            f"unparsable check line: {str(exc)[:200]}",
+                        )
                     )
-                )
+                    continue
+            results.append(result)
+            seen[line] = result
         # lines outside any known section are ignored
+    if memo is not None:
+        memo.clear()
+        memo.update(seen)
     return AgentPayload(version, host_time, results)

@@ -263,6 +263,9 @@ class MonitoringServer:
             for member in members:
                 self._clusters_of.setdefault(member, []).append(c)
             self._members[c.name] = (c, tuple(((m, c.service), self._stale_after(m)) for m in sorted(members)))
+        # Each host's previous payload, check line -> result, so a line that has
+        # not changed since is not parsed again; one payload per host at most.
+        self._memos: dict[str, dict[str, CheckResult]] = {h.name: {} for h in hosts}
         self.sink_failures: Counter = Counter()
         self._records: dict[tuple[str, str], ServiceRecord] = {}
         self._poll_counts: Counter = Counter()
@@ -272,13 +275,14 @@ class MonitoringServer:
     # -- polling ---------------------------------------------------------
 
     def poll_host(self, cfg: HostConfig) -> "AgentPayload | HostDown":
-        """One poll transaction: fetch the payload bytes, then parse them."""
+        """One poll transaction: fetch the payload bytes, then parse them,
+        reusing the results of the lines the host's last payload also held."""
         try:
             raw = self.fetch(cfg)
         except (OSError, ValueError) as exc:
             return HostDown(cfg.name, str(exc) or type(exc).__name__)
         try:
-            return parse_agent_payload(raw)
+            return parse_agent_payload(raw, self._memos.get(cfg.name))
         except EmptyPayload:
             return HostDown(cfg.name, "empty payload")
 

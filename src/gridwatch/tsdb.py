@@ -206,17 +206,12 @@ class _Series:
         self.dirty = False
 
     def write(self, t: int, v: float) -> None:
+        """The full path: a first write, a backfill, or one that closes a
+        coarse slot. ``Store.write`` takes an append inside every open
+        coarse slot itself."""
         fin = self.archives[0]
         interval = fin.interval
         aligned = t - t % interval
-        if self.latest <= aligned < self.open_end:
-            # An append inside every open coarse slot closes none and cannot be TooOld.
-            i = (aligned // interval) % fin.points
-            fin.ts[i] = aligned
-            fin.vals[i] = v
-            self.latest = aligned
-            self.dirty = True
-            return
         if aligned <= 0:
             raise TooOld(f"timestamp {t} is before the epoch")
         latest = self.latest
@@ -336,7 +331,19 @@ class Store:
                 s.write(int(sample.t), v)  # before listing it: a refused first write leaves no series
                 self._series[name] = s
             else:
-                s.write(int(sample.t), v)
+                t = int(sample.t)
+                fin = s.archives[0]
+                interval = fin.interval
+                aligned = t - t % interval
+                if s.latest <= aligned < s.open_end:
+                    # An append inside every open coarse slot closes none and cannot be TooOld.
+                    i = (aligned // interval) % fin.points
+                    fin.ts[i] = aligned
+                    fin.vals[i] = v
+                    s.latest = aligned
+                    s.dirty = True
+                else:
+                    s.write(t, v)
             self.write_count += 1
         finally:
             lock.release()

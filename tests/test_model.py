@@ -407,3 +407,43 @@ def test_payload_parses_as_the_line_by_line_reference(text):
 def test_payload_bytes_parse_as_the_line_by_line_reference(text, junk):
     raw = text.encode("utf-8") + junk
     assert outcome(parse_agent_payload, raw) == outcome(ref.parse_agent_payload, raw)
+
+
+# -- parsing with a memo of the previous payload ---------------------------------
+
+_memo_lines = (_good_lines | _junk_lines).filter(lambda line: not line.startswith("<<<"))
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_a_memo_changes_no_result_and_keeps_only_the_last_payloads_good_lines(data):
+    # Every payload draws from one small pool, so lines repeat within a payload
+    # and across payloads, come back in another order, change or go bad.
+    pool = data.draw(st.lists(_memo_lines, min_size=1, max_size=8))
+    memo = {}
+    for n in range(data.draw(st.integers(1, 6))):
+        lines = data.draw(st.lists(st.sampled_from(pool), max_size=8))
+        text = f"<<<meta>>>\nversion: v\nhost_time: {n}\n<<<local>>>\n" + "\n".join(lines) + "\n"
+        previous = dict(memo)
+        got = parse_agent_payload(text, memo)
+        assert got == parse_agent_payload(text)  # _parse_error_<n> names included
+        expected = {}
+        for line in (line.rstrip("\r") for line in lines):
+            try:
+                expected[line] = parse_check_line(line)
+            except MalformedLine:
+                pass
+        assert memo == expected
+        for line, result in memo.items():
+            if line in previous:  # a line seen last time is not parsed again
+                assert result is previous[line]
+            assert any(r is result for r in got.results)
+
+
+def test_a_payload_that_raises_leaves_the_memo_untouched():
+    memo = {}
+    parse_agent_payload("<<<local>>>\n0 a - ok\n", memo)
+    kept = dict(memo)
+    with pytest.raises(EmptyPayload):
+        parse_agent_payload(b"", memo)
+    assert memo == kept and memo["0 a - ok"] is kept["0 a - ok"]

@@ -1,6 +1,7 @@
 """Poller: state tracking, notifications, clusters, metric forwarding, scheduler."""
 
 import http.server
+import itertools
 import json
 import socket
 import sys
@@ -9,6 +10,7 @@ import time
 
 import pytest
 
+from gridwatch import model
 from gridwatch.agent import AgentServer
 from gridwatch.model import (
     AgentPayload,
@@ -16,6 +18,8 @@ from gridwatch.model import (
     CheckState,
     MetricSample,
     Perfdata,
+    parse_agent_payload,
+    parse_check_line,
 )
 from gridwatch.server import (
     ClusterServiceConfig,
@@ -391,6 +395,113 @@ def test_poll_host_parses_what_the_injected_fetch_returns(fetched, reason):
         assert got.host_time == 123 and [r.service for r in got.results] == ["a"]
     else:
         assert got == HostDown("h1", reason)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The check lines handed to ``parse_check_line``, in order."""
+    seen = []
+    parse = model.parse_check_line
+
+    def counted(line):
+        seen.append(line)
+        return parse(line)
+
+    monkeypatch.setattr(model, "parse_check_line", counted)
+    return seen
+
+
+def scripted(*answers):
+    """A fetch that returns each answer in turn, raising those that are exceptions."""
+    answers = iter(answers)
+
+    def fetch(cfg):
+        answer = next(answers)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    return fetch
+
+
+def test_an_unchanged_line_comes_back_as_the_same_result_and_notifies_nothing(parses):
+    lines = ["2 disk used=97 almost full", "0 svc v=1 ok"]
+    sink = MemorySink()
+    srv = make_server(sinks=[sink], clock=FakeTime(1_000_000.0).time,
+                      fetch=scripted(*(payload_text(t, lines).encode() for t in (1, 2))))
+    cfg = srv.hosts["h1"]
+    srv.process_host(cfg)
+    first = srv.records_snapshot()
+    assert srv.process_host(cfg) == [] and sink.notifications == []
+    second = srv.records_snapshot()
+    assert all(second[key] is first[key] for key in (("h1", "disk"), ("h1", "svc")))
+    assert parses == lines  # the second payload parsed no check line
+    assert srv.store.write_count == 4  # both polls still write every value
+
+
+def test_a_changed_line_is_parsed_again(parses):
+    srv = make_server(fetch=scripted(payload_text(1, ["0 svc v=1 ok", "0 other - same"]).encode(),
+                                     payload_text(2, ["1 svc v=2 warm", "0 other - same"]).encode()))
+    cfg = srv.hosts["h1"]
+    old = srv.poll_host(cfg).results
+    new = srv.poll_host(cfg).results
+    assert parses == ["0 svc v=1 ok", "0 other - same", "1 svc v=2 warm"]
+    assert new[0] == result(CheckState.WARN, "svc", [Perfdata("v", 2.0)], "warm") and new[0] is not old[0]
+    assert new[1] is old[1]
+
+
+def test_one_hosts_memo_never_serves_another(parses):
+    text = payload_text(1, ["0 svc v=1 ok"]).encode()
+    hosts = [HostConfig("h1", "in-process"), HostConfig("h2", "in-process")]
+    srv = make_server(hosts=hosts, fetch=lambda cfg: text)
+    got = [srv.poll_host(h).results[0] for h in hosts + hosts]
+    assert parses == ["0 svc v=1 ok"] * 2  # once per host
+    assert got[0] is not got[1] and got[2] is got[0] and got[3] is got[1]
+
+
+@pytest.mark.parametrize("down", [ConnectionRefusedError("refused"), b""], ids=["fetch-fails", "empty"])
+def test_a_host_down_poll_leaves_the_memo_as_it_was(parses, down):
+    text = payload_text(1, ["0 svc v=1 ok"]).encode()
+    srv = make_server(fetch=scripted(text, down, text))
+    cfg = srv.hosts["h1"]
+    before = srv.poll_host(cfg).results[0]
+    assert isinstance(srv.poll_host(cfg), HostDown)
+    assert srv.poll_host(cfg).results[0] is before
+    assert parses == ["0 svc v=1 ok"]
+
+
+def test_polls_racing_on_one_hosts_memo_each_parse_their_own_payload():
+    lines = ["0 a v=1 ok", "1 a v=2 warm", "0 b - fine", "junk", "2 c w=3;1;2 bad"]
+    answers = itertools.count()
+    fetched = threading.local()
+
+    def fetch(cfg):
+        n = next(answers)
+        fetched.raw = payload_text(n, [lines[(n + k) % len(lines)] for k in range(n % 4)]).encode()
+        return fetched.raw
+
+    srv = make_server(fetch=fetch)
+    cfg, wrong = srv.hosts["h1"], []
+
+    def poll_many():
+        for _ in range(300):
+            got = srv.poll_host(cfg)
+            if got.results != parse_agent_payload(fetched.raw).results:
+                wrong.append(fetched.raw)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=poll_many) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert all(parse_check_line(line) == r for line, r in srv._memos["h1"].items())
 
 
 def test_process_host_marks_services_stale_when_down():

@@ -165,6 +165,23 @@ def test_rejects_non_finite_and_bad_series():
     assert st_.list_series() == []  # a refused sample leaves no series behind
 
 
+def test_a_refused_write_inside_the_open_slot_changes_nothing(tmp_path):
+    st_ = store("1m:1h,10m:1d", root=tmp_path)
+    for t in range(600_000, 600_300, 60):  # the open 10 m slot runs to 600,600
+        put(st_, t, 1.0)
+    st_.flush()
+    s = st_._series[S]
+    table, count = bytes(s.table), st_.write_count
+    for v in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(NonFiniteValue):
+            put(st_, 600_300, v)  # an append the open slot would take
+    with pytest.raises(TooOld):
+        put(st_, 600_240 - 3_600, 1.0)  # older than the finest ring
+    assert bytes(s.table) == table and st_.write_count == count and not s.dirty
+    put(st_, 600_300, 2.0)
+    assert bytes(s.table) != table and st_.write_count == count + 1 and s.dirty
+
+
 def test_read_errors():
     st_ = store("10s:1h")
     put(st_, 60_000, 1.0)
