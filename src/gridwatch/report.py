@@ -10,9 +10,11 @@ breach either way, so monitoring outages are never silent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
+import math
 import statistics
 import urllib.parse
 from collections import deque
@@ -252,6 +254,22 @@ def contractual_report(store: Store, cfg: ReportConfig, window: tuple[int, int])
 # -- HTTP API ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1 << 14)  # a 7-day window of one-minute slots fits
+def _number_text(v: float) -> str:
+    return repr(v) if math.isfinite(v) else json.dumps(v)
+
+
+def _series_json(name: str, interval: int, points) -> str:
+    """The bytes ``json.dumps`` gives a series body with sorted keys and no whitespace.
+
+    Nearly all of that encode is float text, so a value's text is memoized;
+    a zero bypasses the memo, where ``0.0 == -0.0`` would give both one text.
+    """
+    text = _number_text
+    body = ",".join([f"[{t},{text(v) if v else 'null' if v is None else repr(v)}]" for t, v in points])
+    return f'{{"interval":{interval},"points":[{body}],"series":{json.dumps(name)}}}'
+
+
 class _BadQuery(ValueError):
     pass
 
@@ -296,12 +314,7 @@ class _ApiHandler(BaseHTTPRequestHandler):
             interval, points = self.server.store.read(name, from_t, to_t)
         except ValueError as exc:
             raise _BadQuery(str(exc)) from None
-        body = json.dumps(
-            {"series": name, "interval": interval, "points": points},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        self._send(200, body)
+        self._send(200, _series_json(name, interval, points))
 
     def _report(self, parts) -> None:
         window = self._window(parts)

@@ -8,6 +8,7 @@ with these, not the other way round.
 from __future__ import annotations
 
 import bisect
+import json
 import math
 import re
 import threading
@@ -378,6 +379,13 @@ def per_slot_read(store, series, from_t, to_t):
         in_window = ar.align(s.latest) - t < ar.interval * ar.points
         out.append((t, ar.vals[i] if ar.ts[i] == t and t != 0 and in_window else None))
     return ar.interval, out
+
+
+def series_body(name: str, interval: int, points) -> str:
+    """An API series body as ``json.dumps`` writes it: sorted keys, no whitespace."""
+    return json.dumps(
+        {"series": name, "interval": interval, "points": points}, sort_keys=True, separators=(",", ":")
+    )
 
 
 class FakeTime:

@@ -6,7 +6,7 @@ import urllib.error
 import urllib.request
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridwatch.model import MetricSample
@@ -17,12 +17,14 @@ from gridwatch.report import (
     EmptyWindow,
     ReportConfig,
     TooFewPoints,
+    _number_text,
+    _series_json,
     availability,
     contractual_report,
     detect_dips,
 )
 from gridwatch.tsdb import Store
-from reference_impls import per_second_availability, per_slot_availability, serving
+from reference_impls import per_second_availability, per_slot_availability, series_body, serving
 
 UP = 1.0
 DOWN = 0.0
@@ -363,6 +365,62 @@ def test_api_report_matches_library_byte_for_byte(api):
     status, body = fetch(base, f"/api/v1/report?from={window[0]}&to={window[1]}")
     assert status == 200
     assert body == contractual_report(store, CFG, window).to_json().encode("utf-8")
+
+
+def test_api_series_bodies_match_json_dumps_byte_for_byte(api, monkeypatch):
+    base, store = api
+    name = "hpc.admin.power.system"
+    # Gaps, an integer-valued float, 17-digit floats, a subnormal, 1e16, and 0.0 before -0.0.
+    values = [512.0, None, 0.30000000000000004, 123456.78901234567, 0.0, None, -0.0, 1e16, 5e-324, 0.0]
+    for i, v in enumerate(values):
+        if v is not None:
+            store.write(MetricSample(name, T0 + i * 60, v))
+    read, reads = store.read, []
+    monkeypatch.setattr(store, "read", lambda *args: reads.append(args) or read(*args))
+    windows = [(T0, T0 + 60 * len(values)), (T0 - 600, T0 + 3600), (T0 + 360, T0 + 361)]
+    for _ in range(2):  # the second pass finds every value's text already made
+        for series in (name, CFG.node_series, CFG.login_series):
+            for from_t, to_t in windows:
+                reads.clear()
+                status, body = fetch(base, f"/api/v1/series/{series}?from={from_t}&to={to_t}")
+                assert status == 200
+                assert reads == [(series, from_t, to_t)]  # one store read per request
+                assert body == series_body(series, *read(series, from_t, to_t)).encode()
+
+
+_SERIES_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(),  # NaN, infinities and subnormals included
+    st.floats(min_value=1e16),
+    st.floats(max_value=-1e16),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.one_of(st.text(), st.sampled_from(['a"b', "a\\b", 'q"\\"\\', "pow\u00e9r.\u2603.\U0001d11e"])),
+    interval=st.integers(min_value=1, max_value=10**7),
+    points=st.lists(st.tuples(st.integers(min_value=0, max_value=2**40), _SERIES_VALUES), max_size=40),
+)
+@example(name="z", interval=60, points=[(60, 0.0), (120, -0.0), (180, 0.0)])
+@example(name="z", interval=60, points=[(60, -0.0), (120, 0.0), (180, -0.0)])
+@example(name="z", interval=60, points=[(60, float("nan")), (120, float("inf")), (180, float("-inf"))])
+@example(name="z", interval=60, points=[])
+def test_series_json_matches_json_dumps(name, interval, points):
+    assert _series_json(name, interval, points) == series_body(name, interval, points)
+
+
+def test_series_json_value_memo_is_bounded_and_stays_correct_past_it():
+    maxsize = _number_text.cache_info().maxsize
+    assert maxsize is not None
+    early = [(T0 + i * 60, 1000.0 + i / 7) for i in range(100)] + [(T0 + 6000, 0.0), (T0 + 6060, -0.0)]
+    assert _series_json("early", 60, early) == series_body("early", 60, early)
+    flood = [(T0 + i * 60, 1e6 + i / 3) for i in range(maxsize + 1000)]
+    assert _series_json("flood", 60, flood) == series_body("flood", 60, flood)
+    assert _number_text.cache_info().currsize == maxsize
+    assert _series_json("early", 60, early) == series_body("early", 60, early)
 
 
 def test_api_identical_requests_get_identical_bodies(api):
