@@ -254,7 +254,7 @@ def contractual_report(store: Store, cfg: ReportConfig, window: tuple[int, int])
 # -- HTTP API ------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1 << 14)  # a 7-day window of one-minute slots fits
+@functools.lru_cache(maxsize=1 << 14)  # one 7-day series of one-minute slots fits; two thrash it
 def _number_text(v: float) -> str:
     return repr(v) if math.isfinite(v) else json.dumps(v)
 
