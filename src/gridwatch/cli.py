@@ -22,7 +22,7 @@ from .agent import Agent, AgentServer, HostDataSource, agent_config_from_section
 from .config import ConfigError, Section, all_named, bind, first, host_port, load_config
 from .model import valid_series
 from .plot import render_svg, sparkline
-from .report import ApiServer, EmptyWindow, ReportConfig, contractual_report
+from .report import ApiServer, ReportConfig, contractual_report
 from .server import (
     DEFAULT_PREFIX,
     DEFAULT_WEBHOOK_TIMEOUT_S,
@@ -231,7 +231,7 @@ def cmd_sim(args) -> int:
     api_bind = host_port(args.api_bind, "bind address") if args.api_bind else None
     scenario = load_scenario(args.scenario)
     stack = StackConfig(prefix=args.prefix, poll_every_ticks=args.poll_every_ticks)
-    store = Store(args.store, default_retention=stack.retention)
+    store = Store(args.store)
     with _serving_api(api_bind, store, report_config(stack, scenario)):
         result = sim_run(scenario, stack, store=store)
     print(result.summary.to_json())
@@ -392,15 +392,9 @@ def main(argv=None) -> int:
     except NoSuchSeries as exc:
         print(f"error: no such series: {exc.args[0]}", file=sys.stderr)
         return 1
-    except EmptyWindow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except KeyboardInterrupt:
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # an EmptyWindow is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ _MARGIN_B = 30
 _PALETTE = ("#2b6cb0", "#c05621", "#2f855a", "#9b2c2c", "#6b46c1", "#b7791f")
 
 
-def sparkline(points, width: int = 60) -> str:
+def sparkline(points, width: int) -> str:
     """Render values as a fixed-width row of block characters.
 
     The series is resampled to ``width`` buckets (bucket mean); buckets

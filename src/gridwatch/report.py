@@ -28,10 +28,9 @@ log = logging.getLogger(__name__)
 LOGIN_UP_THRESHOLD = 0.5  # login_up is a 0/1 flag; >= 0.5 means up
 DEFAULT_STALENESS_S = 600.0
 
-DEFAULT_TRAIL_N = 12
-DEFAULT_DEPTH_FRACTION = 0.3
-DEFAULT_MIN_LEN = 1
-DEFAULT_MAX_LEN = 60
+DIP_TRAIL_N = 12  # populated values behind the baseline median
+DIP_DEPTH_FRACTION = 0.3  # a dip falls more than this far below the baseline
+DIP_MAX_LEN = 60  # longer runs below the bound are load changes, not dips
 
 
 class EmptyWindow(ValueError):
@@ -163,24 +162,16 @@ def availability(
     if data == 0:
         raise EmptyWindow(f"no populated slots in [{from_t}, {to_t})")
     denominator = total if gaps_as_down else data
-    breaches.sort(key=lambda b: (b.start_t, b.kind))
     return AvailabilityResult(100.0 * up / denominator, up, data, total, breaches)
 
 
-def detect_dips(
-    points,
-    *,
-    trail_n: int = DEFAULT_TRAIL_N,
-    depth_fraction: float = DEFAULT_DEPTH_FRACTION,
-    min_len: int = DEFAULT_MIN_LEN,
-    max_len: int = DEFAULT_MAX_LEN,
-) -> list[DipEvent]:
+def detect_dips(points) -> list[DipEvent]:
     """Find short drops below a trailing-median baseline.
 
-    A dip opens when a value falls below ``(1 - depth_fraction) * median``
-    of the previous ``trail_n`` populated values, and closes when a value
+    A dip opens when a value falls below ``(1 - DIP_DEPTH_FRACTION) * median``
+    of the previous ``DIP_TRAIL_N`` populated values, and closes when a value
     recovers above that bound (the bound is frozen at open, so a dip never
-    drags its own baseline down). Runs longer than ``max_len`` points are
+    drags its own baseline down). Runs longer than ``DIP_MAX_LEN`` points are
     treated as genuine load changes, not dips: they are absorbed into the
     baseline instead. The median (not the mean) is used precisely so that
     brief excursions leave the baseline untouched.
@@ -188,22 +179,22 @@ def detect_dips(
     Returns disjoint events in time order.
     """
     populated = [(t, v) for t, v in points if v is not None]
-    if len(populated) < trail_n + 1:
-        raise TooFewPoints(f"need at least {trail_n + 1} populated points, got {len(populated)}")
-    window: deque = deque((v for _, v in populated[:trail_n]), maxlen=trail_n)
+    if len(populated) < DIP_TRAIL_N + 1:
+        raise TooFewPoints(f"need at least {DIP_TRAIL_N + 1} populated points, got {len(populated)}")
+    window: deque = deque((v for _, v in populated[:DIP_TRAIL_N]), maxlen=DIP_TRAIL_N)
     events: list[DipEvent] = []
-    i = trail_n
+    i = DIP_TRAIL_N
     n = len(populated)
     while i < n:
         value = populated[i][1]
         baseline = statistics.median(window)
-        bound = (1.0 - depth_fraction) * baseline
+        bound = (1.0 - DIP_DEPTH_FRACTION) * baseline
         if baseline > 0 and value < bound:
             j = i
             while j < n and populated[j][1] < bound:
                 j += 1
             run = populated[i:j]
-            if min_len <= len(run) <= max_len:
+            if len(run) <= DIP_MAX_LEN:
                 min_w = min(v for _, v in run)
                 events.append(
                     DipEvent(
@@ -215,7 +206,7 @@ def detect_dips(
                     )
                 )
             else:
-                # Sustained (or too-short) excursions are the new normal.
+                # Sustained excursions are the new normal.
                 for _, v in run:
                     window.append(v)
             i = j

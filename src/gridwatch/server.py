@@ -184,7 +184,7 @@ class WebhookSink:
 
 
 class MemorySink:
-    """Collects notifications in a list; test and summary helper."""
+    """Collects notifications in a list; a test and benchmark helper."""
 
     def __init__(self):
         self.notifications: list[Notification] = []

@@ -27,7 +27,7 @@ from .agent import DEFAULT_CEC_ROOT, Agent, AgentConfig, DataSource
 from .config import ConfigError, Section, all_named, bind, first, load_config
 from .report import ReportConfig
 from .server import (
-    DEFAULT_PREFIX, ClusterServiceConfig, HostConfig, MemorySink, MonitoringServer, Notification, _series_name,
+    DEFAULT_PREFIX, ClusterServiceConfig, HostConfig, MonitoringServer, Notification, _series_name,
 )
 from .tsdb import DEFAULT_RETENTION, Store
 
@@ -517,8 +517,12 @@ class StackConfig:
 
     prefix: str = DEFAULT_PREFIX
     poll_every_ticks: int = 12
-    retention: str = DEFAULT_RETENTION
+    retention = DEFAULT_RETENTION  # not a field: a run's retention is its store's; the benchmark reads it
     down_warn = DOWN_WARN  # not a field: every stack warns there; the benchmark's replay check reads it
+
+    def __post_init__(self):
+        if self.poll_every_ticks < 1:
+            raise ValueError(f"poll_every_ticks {self.poll_every_ticks} must be >= 1")
 
 
 @dataclass
@@ -593,16 +597,17 @@ def run(
 ) -> RunResult:
     """Play the scenario through the full stack; returns the run artifacts.
 
-    Without a ``store`` the run writes to an in-memory one. ``on_tick(tick,
-    monitor)`` (when given) is called after each poll round, letting tests
-    observe mid-run state such as cluster freshness.
+    Without a ``store`` the run writes to an in-memory one with the default
+    retention. Its notifications are those its polls return, in order.
+    ``on_tick(tick, monitor)`` (when given) is called after each poll round,
+    letting tests observe mid-run state such as cluster freshness.
     """
     validate_scenario(scenario)
     started = time.monotonic()
     if store is None:
-        store = Store(default_retention=stack.retention)
+        store = Store()
     sources = SimDataSource(scenario)
-    collector = MemorySink()
+    notifications: list[Notification] = []
     poll_interval_s = stack.poll_every_ticks * scenario.tick_s
 
     agents = {}
@@ -622,7 +627,6 @@ def run(
     monitor = MonitoringServer(
         hosts,
         clusters=_clusters(scenario),
-        sinks=(collector,),
         store=store,
         prefix=stack.prefix,
         clock=sources.time,
@@ -632,7 +636,7 @@ def run(
         for tick in range(0, scenario.duration_ticks, stack.poll_every_ticks):
             sources.tick = tick
             for host_cfg in hosts:
-                monitor.process_host(host_cfg)
+                notifications.extend(monitor.process_host(host_cfg))
             if on_tick is not None:
                 on_tick(tick, monitor)
     finally:
@@ -645,7 +649,7 @@ def run(
         tick_s=scenario.tick_s,
         polls=sum(monitor.poll_counts.values()),
         hosts_down=sum(monitor.host_down_counts.values()),
-        notifications=len(collector.notifications),
+        notifications=len(notifications),
         series=len(store.list_series()),
         samples=store.write_count,
         wall_s=time.monotonic() - started,
@@ -653,7 +657,7 @@ def run(
     return RunResult(
         summary=summary,
         store=store,
-        notifications=list(collector.notifications),
+        notifications=notifications,
         report_cfg=report_config(stack, scenario),
         window=scenario_window(scenario),
     )

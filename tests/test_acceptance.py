@@ -261,10 +261,10 @@ def _login_scenario(hosts):
 
 @criterion(6, "cluster login series gapless with 3/4 hosts down; UNKNOWN + breach with 4/4")
 def test_criterion_6_cluster_service_persistence():
-    stack = StackConfig(poll_every_ticks=12, retention="1m:1d")
+    stack = StackConfig(poll_every_ticks=12)
     series = "hpc.login_cluster.login.login_up"
 
-    survivor = run(_login_scenario(("login1", "login2", "login3")), stack)
+    survivor = run(_login_scenario(("login1", "login2", "login3")), stack, store=Store(default_retention="1m:1d"))
     _, points = survivor.store.read(series, *survivor.window)
     assert points and all(v == 1.0 for _, v in points), (
         "cluster series must stay fully populated while one member survives"
@@ -277,7 +277,7 @@ def test_criterion_6_cluster_service_persistence():
             cluster = next(c for c in monitor.clusters if c.name == "login_cluster")
             states[tick] = monitor.cluster_state(cluster).state
 
-    total = run(_login_scenario(()), stack, on_tick=spy)
+    total = run(_login_scenario(()), stack, store=Store(default_retention="1m:1d"), on_tick=spy)
     assert states[120] is CheckState.OK
     assert states[720] is CheckState.UNKNOWN, "mid-outage the cluster must read UNKNOWN"
     assert states[1_380] is CheckState.OK

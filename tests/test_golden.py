@@ -242,7 +242,7 @@ def store_sha256(root) -> str:
 def replay_outputs(root) -> dict:
     """Replay SCENARIO into a store at ``root``; every recorded output."""
     store = Store(root, default_retention=RETENTION)
-    result = run(SCENARIO, StackConfig(retention=RETENTION), store=store)
+    result = run(SCENARIO, StackConfig(), store=store)
     summary = json.loads(result.summary.to_json())
     del summary["wall_s"]
     with serving(ApiServer(("127.0.0.1", 0), result.store, result.report_cfg)) as api:

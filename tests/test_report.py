@@ -168,7 +168,7 @@ def test_availability_matches_per_slot_reference(data):
 
 def test_detect_dips_finds_a_simple_dip():
     values = [4000.0] * 20 + [2000.0] * 3 + [4000.0] * 10
-    events = detect_dips(slots(*values), trail_n=12, depth_fraction=0.3, max_len=60)
+    events = detect_dips(slots(*values))
     assert len(events) == 1
     e = events[0]
     assert e.start_t == T0 + 20 * 60
@@ -180,24 +180,26 @@ def test_detect_dips_finds_a_simple_dip():
 
 def test_detect_dips_ignores_shallow_noise():
     values = [4000.0, 4100.0, 3900.0, 4050.0] * 10  # within 30% of the median
-    assert detect_dips(slots(*values), trail_n=12, depth_fraction=0.3) == []
+    assert detect_dips(slots(*values)) == []
 
 
 def test_detect_dips_monotone_ramp_is_not_a_dip():
     values = [4000.0 - 10 * i for i in range(60)]
-    assert detect_dips(slots(*values), trail_n=12, depth_fraction=0.3) == []
+    assert detect_dips(slots(*values)) == []
 
 
 def test_detect_dips_long_drop_is_a_load_change():
-    values = [4000.0] * 15 + [1000.0] * 20 + [4000.0] * 5
-    events = detect_dips(slots(*values), trail_n=12, depth_fraction=0.3, max_len=10)
-    assert events == []  # 20 > max_len: absorbed into the baseline
+    values = [4000.0] * 15 + [1000.0] * 61 + [4000.0] * 5
+    assert detect_dips(slots(*values)) == []  # 61 points: absorbed into the baseline
+    values = [4000.0] * 15 + [1000.0] * 60 + [4000.0] * 5
+    events = detect_dips(slots(*values))  # 60 points: still a dip
+    assert [(e.start_t, e.end_t) for e in events] == [(T0 + 15 * 60, T0 + 74 * 60)]
 
 
 def test_detect_dips_baseline_freezes_at_open():
     # The dip's own samples must not drag the baseline down mid-run.
     values = [4000.0] * 15 + [2000.0, 1500.0, 1800.0] + [4000.0] * 10
-    events = detect_dips(slots(*values), trail_n=12, depth_fraction=0.3, max_len=60)
+    events = detect_dips(slots(*values))
     assert len(events) == 1
     assert events[0].baseline_w == pytest.approx(4000.0)
     assert events[0].min_w == pytest.approx(1500.0)
@@ -206,7 +208,7 @@ def test_detect_dips_baseline_freezes_at_open():
 def test_detect_dips_multiple_disjoint_events():
     block = [4000.0] * 15
     values = block + [2000.0] * 2 + block + [1000.0] * 3 + block
-    events = detect_dips(slots(*values), trail_n=12, depth_fraction=0.3, max_len=60)
+    events = detect_dips(slots(*values))
     assert len(events) == 2
     assert events[0].end_t < events[1].start_t
     assert events[1].depth_fraction == pytest.approx(0.75)
@@ -214,20 +216,20 @@ def test_detect_dips_multiple_disjoint_events():
 
 def test_detect_dips_skips_absent_slots():
     values = [4000.0] * 15 + [None] * 5 + [2000.0] * 2 + [4000.0] * 5
-    events = detect_dips(slots(*values), trail_n=12, depth_fraction=0.3)
+    events = detect_dips(slots(*values))
     assert len(events) == 1
     assert events[0].min_w == pytest.approx(2000.0)
 
 
 def test_detect_dips_needs_enough_points():
     with pytest.raises(TooFewPoints):
-        detect_dips(slots(*[4000.0] * 12), trail_n=12)
-    detect_dips(slots(*[4000.0] * 13), trail_n=12)  # 13th point seeds the scan
+        detect_dips(slots(*[4000.0] * 12))
+    detect_dips(slots(*[4000.0] * 13))  # 13th point seeds the scan
 
 
 def test_detect_dips_still_open_at_end_of_series():
     values = [4000.0] * 15 + [2000.0] * 2
-    events = detect_dips(slots(*values), trail_n=12, depth_fraction=0.3, max_len=60)
+    events = detect_dips(slots(*values))
     assert len(events) == 1
     assert events[0].end_t == T0 + 16 * 60
 
@@ -239,7 +241,7 @@ def test_detect_dips_events_are_disjoint_and_below_bound(data):
     values = data.draw(
         st.lists(st.floats(min_value=100.0, max_value=5000.0), min_size=n, max_size=n)
     )
-    events = detect_dips(slots(*values), trail_n=12, depth_fraction=0.3, max_len=20)
+    events = detect_dips(slots(*values))
     for a, b in zip(events, events[1:]):
         assert a.end_t < b.start_t
     for e in events:

@@ -15,6 +15,7 @@ from gridwatch.agent import check_power
 from gridwatch.model import CheckState
 from gridwatch.report import contractual_report
 from gridwatch.sim import (
+    DOWN_WARN,
     SIM_EPOCH,
     BadScenario,
     ClusterShape,
@@ -34,7 +35,7 @@ from gridwatch.sim import (
     validate_scenario,
 )
 from gridwatch.config import parse_config
-from gridwatch.tsdb import Store
+from gridwatch.tsdb import DEFAULT_RETENTION, Store
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -50,7 +51,12 @@ def tiny(duration_ticks=120, events=(), seed=3, shape=None):
     )
 
 
-FAST_STACK = StackConfig(poll_every_ticks=12, retention="1m:1d,10m:2d")
+FAST_STACK = StackConfig(poll_every_ticks=12)
+
+
+def small_store(root=None) -> Store:
+    """A store with a ring sized for tiny runs; a run's retention is its store's."""
+    return Store(root, default_retention="1m:1d,10m:2d")
 
 
 # -- scenario files ------------------------------------------------------------
@@ -422,7 +428,7 @@ def test_sim_clock_maps_ticks_to_epoch_seconds():
 
 
 def test_clean_run_is_quiet_and_well_formed():
-    result = run(tiny(duration_ticks=120), FAST_STACK)
+    result = run(tiny(duration_ticks=120), FAST_STACK, store=small_store())
     s = result.summary
     assert s.polls == 10 * 3  # admin + 2 logins, every 12 ticks for 120 ticks
     assert s.hosts_down == 0
@@ -442,7 +448,7 @@ def test_clean_run_is_quiet_and_well_formed():
 
 def test_runs_are_reproducible(tmp_path):
     def run_into(root):
-        result = run(tiny(duration_ticks=120), FAST_STACK, store=Store(root, default_retention=FAST_STACK.retention))
+        result = run(tiny(duration_ticks=120), FAST_STACK, store=small_store(root))
         return result, {p.relative_to(root): p.read_bytes() for p in root.rglob("*.dat")}
 
     a, a_files = run_into(tmp_path / "a")
@@ -453,7 +459,7 @@ def test_runs_are_reproducible(tmp_path):
 
 def test_power_series_tracks_ground_truth():
     sc = tiny(duration_ticks=120)
-    result = run(sc, FAST_STACK)
+    result = run(sc, FAST_STACK, store=small_store())
     _, points = result.store.read("hpc.admin.power.system", *result.window)
     for t, v in points:
         if v is None:
@@ -464,7 +470,7 @@ def test_power_series_tracks_ground_truth():
 
 def test_dns_fail_notifies_within_window_only():
     sc = tiny(duration_ticks=240, events=[Event(EventKind.DNS_FAIL, 60, 120)])
-    result = run(sc, FAST_STACK)
+    result = run(sc, FAST_STACK, store=small_store())
     dns = [n for n in result.notifications if n.service == "dns"]
     assert len(dns) == 4  # 2 logins x (OK->CRIT, CRIT->OK)
     for n in dns:
@@ -479,8 +485,7 @@ def test_dns_fail_notifies_within_window_only():
 
 def test_node_drain_trips_threshold_notifications():
     sc = tiny(duration_ticks=240, events=[Event(EventKind.NODE_DRAIN, 60, 120, count=12)])
-    stack = StackConfig(poll_every_ticks=12, retention="1m:1d")
-    result = run(sc, stack)
+    result = run(sc, FAST_STACK, store=Store(default_retention="1m:1d"))
     node = [n for n in result.notifications if n.service == "node_state"]
     hosts = {n.host for n in node}
     assert hosts == {"login1", "login2", "node_cluster"}
@@ -493,7 +498,7 @@ def test_node_drain_trips_threshold_notifications():
 def test_partial_login_outage_keeps_cluster_series_gapless():
     outage = Event(EventKind.LOGIN_OUTAGE, 48, 96, hosts=("login1",))
     sc = tiny(duration_ticks=144, events=[outage])
-    result = run(sc, FAST_STACK)
+    result = run(sc, FAST_STACK, store=small_store())
     assert result.summary.hosts_down == 4  # login1 missed 4 polls
     _, points = result.store.read("hpc.login_cluster.login.login_up", *result.window)
     populated = [v for _, v in points if v is not None]
@@ -510,7 +515,7 @@ def test_total_login_outage_interrupts_cluster_series():
         cluster = next(c for c in monitor.clusters if c.name == "login_cluster")
         seen_states[tick] = monitor.cluster_state(cluster).state
 
-    result = run(sc, FAST_STACK, on_tick=spy)
+    result = run(sc, FAST_STACK, store=small_store(), on_tick=spy)
     # Mid-outage (after staleness kicks in) the cluster has no fresh member.
     assert seen_states[444] is CheckState.UNKNOWN
     assert seen_states[120] is CheckState.OK
@@ -523,7 +528,7 @@ def test_total_login_outage_interrupts_cluster_series():
 def test_report_config_reads_the_series_a_run_writes_for_a_dotted_partition():
     shape = ClusterShape(cabinets=2, rectifiers_per_cabinet=2, nodes=16, login_hosts=2,
                          partitions=("gpu.a100", "standard"))
-    result = run(tiny(shape=shape), FAST_STACK)
+    result = run(tiny(shape=shape), FAST_STACK, store=small_store())
     report = contractual_report(result.store, result.report_cfg, result.window)
     assert report.node_series == "hpc.node_cluster.node_state.avail_gpu_a100"
     assert {v for _, v in report.node_points} == {8.0}
@@ -546,6 +551,7 @@ def test_run_without_api_opens_no_socket_and_starts_no_thread(monkeypatch):
     result = run(
         tiny(duration_ticks=144, events=[outage]),
         FAST_STACK,
+        store=small_store(),
         on_tick=lambda tick, monitor: counts.append(threading.active_count()),
     )
     assert result.summary.hosts_down == 4
@@ -568,10 +574,25 @@ def test_run_goes_through_the_seams_the_benchmark_traces(monkeypatch):
     monkeypatch.setattr(server, "parse_agent_payload", counted("parse", server.parse_agent_payload))
     monkeypatch.setattr(agent, "serialize_agent_payload", counted("serialize", agent.serialize_agent_payload))
     outage = Event(EventKind.LOGIN_OUTAGE, 48, 96, hosts=("login1",))
-    summary = run(tiny(duration_ticks=144, events=[outage]), FAST_STACK).summary
+    summary = run(tiny(duration_ticks=144, events=[outage]), FAST_STACK, store=small_store()).summary
     answered = summary.polls - summary.hosts_down
     assert summary.hosts_down == 4 and summary.samples > 0
     assert calls == {"write": summary.samples, "parse": answered, "serialize": answered}
+
+
+def test_stack_config_keeps_what_the_benchmark_reads():
+    # bench/ builds its stores from StackConfig().retention and checks its
+    # replays against prefix, poll_every_ticks and down_warn.
+    stack = StackConfig()
+    assert stack.prefix == "hpc" and stack.poll_every_ticks == 12
+    assert stack.retention == DEFAULT_RETENTION and stack.down_warn == DOWN_WARN
+    assert [f.name for f in dataclasses.fields(StackConfig)] == ["prefix", "poll_every_ticks"]
+
+
+@pytest.mark.parametrize("ticks", [0, -1])
+def test_stack_config_refuses_a_poll_cadence_below_one(ticks):
+    with pytest.raises(ValueError, match=f"poll_every_ticks {ticks} must be >= 1"):
+        StackConfig(poll_every_ticks=ticks)
 
 
 def test_run_rejects_invalid_scenarios():
