@@ -19,5 +19,4 @@ from .model import (  # noqa: F401
     parse_check_line,
     serialize_agent_payload,
     serialize_check_line,
-    worst_state,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import os
 import socket
 import socketserver
@@ -32,7 +33,6 @@ from .model import (
     _segment,
     parse_check_line,
     serialize_agent_payload,
-    worst_state,
 )
 
 log = logging.getLogger(__name__)
@@ -139,7 +139,8 @@ def read_rectifiers(sources: DataSource, root: str, cabinet: str) -> list[tuple[
 
     Raises OSError when the cabinet controller exposes no rectifier 0 at
     all, i.e. the whole cabinet is unreachable, and ValueError for a file
-    that lacks either reading or holds a negative one.
+    that lacks either reading or holds a negative or non-finite one, which
+    could not go on the wire.
     """
     readings = []
     prefix = f"{root}/{cabinet}/rectifiers/"
@@ -157,7 +158,8 @@ def read_rectifiers(sources: DataSource, root: str, cabinet: str) -> list[tuple[
                 power = float(value)
             elif key == "voltage_v":
                 voltage = float(value)
-        if power is None or voltage is None or power < 0 or voltage < 0:
+        # "not 0 <= x < inf" also refuses nan, which compares false both ways.
+        if power is None or voltage is None or not (0 <= power < math.inf and 0 <= voltage < math.inf):
             raise ValueError(f"rectifier file {cabinet}/{n} holds power_w {power}, voltage_v {voltage}")
         readings.append((power, voltage))
     return readings
@@ -182,9 +184,10 @@ def check_power(
 
     The system value is the sum of the cabinet values, each of which is the
     sum of its rectifier readings in file order; the identity is exact
-    because everything is summed once, in that order. An unreachable
-    cabinet raises the state to at least WARN and is named in the summary;
-    all cabinets unreachable is CRIT.
+    because everything is summed once, in that order. The state is CRIT
+    over ``crit_w``; otherwise WARN when a cabinet is unreachable (it is
+    named in the summary) or the system is over ``warn_w``; otherwise OK.
+    All cabinets unreachable is CRIT.
     """
     cabinets = list(cabinets)
     reachable: list[tuple[str, list[tuple[float, float]]]] = []
@@ -216,18 +219,18 @@ def check_power(
     perfdata.append(Perfdata("system", system_w, warn_w, crit_w))
     perfdata += cab_perf + volt_perf
 
-    states = [CheckState.OK]
+    state = CheckState.OK
     notes = [f"system {system_w:.0f} W from {len(reachable)} cabinets"]
     if unreachable:
-        states.append(CheckState.WARN)
+        state = CheckState.WARN
         notes.append("unreachable: " + ",".join(unreachable))
     if crit_w is not None and system_w > crit_w:
-        states.append(CheckState.CRIT)
+        state = CheckState.CRIT
         notes.append(f"over {crit_w:.0f} W limit")
     elif warn_w is not None and system_w > warn_w:
-        states.append(CheckState.WARN)
+        state = CheckState.WARN
         notes.append(f"over {warn_w:.0f} W warning level")
-    return CheckResult(worst_state(states), "power", perfdata, "; ".join(notes))
+    return CheckResult(state, "power", perfdata, "; ".join(notes))
 
 
 # Bounded because sinfo can name any partition or state; the same few come back every poll.
@@ -344,66 +347,6 @@ def _failed(name: str, reason: str) -> CheckResult:
     return CheckResult(CheckState.UNKNOWN, f"_check_failed_{_segment(name)}", [], reason[:200])
 
 
-def run_local_checks(
-    check_dir: "str | Path | None",
-    sources: DataSource,
-    *,
-    builtins=(),
-    timeout_s: float = DEFAULT_CHECK_TIMEOUT_S,
-    running: "dict[str, threading.Thread] | None" = None,
-    clock=time.time,
-    agent_version: str = __version__,
-) -> AgentPayload:
-    """Run built-in checks plus executables from check_dir into one payload.
-
-    ``builtins`` is a sequence of (name, thunk) pairs, each thunk returning
-    one CheckResult. External executables run through the data source and
-    may print several check lines. A check that fails or exceeds the timeout
-    is demoted to a single UNKNOWN result named after it; nothing a check
-    does can make the collection raise.
-
-    When ``sources`` may block, each check runs on its own daemon thread, all
-    under one deadline ``timeout_s`` away. ``running`` keeps each check's last
-    thread (a built-in keyed by name, a script by path) across collections,
-    which must not overlap; a check whose last thread is alive is reported at
-    once, not started again. Otherwise the checks run on the calling thread.
-    """
-    tasks: list[tuple[str, str, object]] = [(name, name, thunk) for name, thunk in builtins]
-    if check_dir is not None:
-        dir_path = Path(check_dir)
-        if dir_path.is_dir():
-            for script in sorted(dir_path.iterdir()):
-                if script.is_file() and os.access(script, os.X_OK):
-                    tasks.append((str(script), script.name, _script_thunk(sources, script, timeout_s)))
-        else:
-            log.warning("check_dir %s missing; running built-ins only", check_dir)
-
-    results: list[CheckResult] = []
-    if not sources.blocking:
-        for _, name, thunk in tasks:
-            _run_one(name, thunk, results)
-        return AgentPayload(agent_version, int(clock()), results)
-
-    running = {} if running is None else running
-    deadline = time.monotonic() + timeout_s
-    started = []
-    for key, name, thunk in tasks:
-        if key in running and running[key].is_alive():
-            started.append((name, None, None))
-            continue
-        out: list[CheckResult] = []
-        running[key] = threading.Thread(target=_run_one, args=(name, thunk, out), name=f"check-{name}", daemon=True)
-        running[key].start()
-        started.append((name, running[key], out))
-    for name, thread, out in started:
-        if thread is None:
-            results.append(_failed(name, "still running since an earlier poll"))
-            continue
-        thread.join(max(0.0, deadline - time.monotonic()))
-        results.extend([_failed(name, f"timed out after {timeout_s:g}s")] if thread.is_alive() else out)
-    return AgentPayload(agent_version, int(clock()), results)
-
-
 def _run_one(name: str, thunk, out: list[CheckResult]) -> None:
     try:
         result = thunk()
@@ -500,15 +443,56 @@ class Agent:
         self._builtins = [(name, table[name]) for name in cfg.checks]
 
     def build_payload(self) -> AgentPayload:
-        return run_local_checks(
-            self.cfg.check_dir,
-            self.sources,
-            builtins=self._builtins,
-            timeout_s=self.cfg.check_timeout_s,
-            running=self._running,
-            clock=self.clock,
-            agent_version=self.version,
-        )
+        """Run the configured built-ins plus the executables in ``check_dir``
+        into one payload.
+
+        External executables run through the data source and may print
+        several check lines. A check that fails or exceeds the timeout is
+        demoted to a single UNKNOWN result named after it; nothing a check
+        does can make the collection raise.
+
+        When the data source may block, each check runs on its own daemon
+        thread, all under one deadline ``check_timeout_s`` away. A check
+        whose last thread (a built-in keyed by name, a script by path) is
+        still alive is reported at once, not started again. Otherwise the
+        checks run on the calling thread. Collections must not overlap.
+        """
+        cfg, sources = self.cfg, self.sources
+        timeout_s = cfg.check_timeout_s
+        tasks: list[tuple[str, str, object]] = [(name, name, thunk) for name, thunk in self._builtins]
+        if cfg.check_dir is not None:
+            dir_path = Path(cfg.check_dir)
+            if dir_path.is_dir():
+                for script in sorted(dir_path.iterdir()):
+                    if script.is_file() and os.access(script, os.X_OK):
+                        tasks.append((str(script), script.name, _script_thunk(sources, script, timeout_s)))
+            else:
+                log.warning("check_dir %s missing; running built-ins only", cfg.check_dir)
+
+        results: list[CheckResult] = []
+        if not sources.blocking:
+            for _, name, thunk in tasks:
+                _run_one(name, thunk, results)
+            return AgentPayload(self.version, int(self.clock()), results)
+
+        running = self._running
+        deadline = time.monotonic() + timeout_s
+        started = []
+        for key, name, thunk in tasks:
+            if key in running and running[key].is_alive():
+                started.append((name, None, None))
+                continue
+            out: list[CheckResult] = []
+            running[key] = threading.Thread(target=_run_one, args=(name, thunk, out), name=f"check-{name}", daemon=True)
+            running[key].start()
+            started.append((name, running[key], out))
+        for name, thread, out in started:
+            if thread is None:
+                results.append(_failed(name, "still running since an earlier poll"))
+                continue
+            thread.join(max(0.0, deadline - time.monotonic()))
+            results.extend([_failed(name, f"timed out after {timeout_s:g}s")] if thread.is_alive() else out)
+        return AgentPayload(self.version, int(self.clock()), results)
 
     def payload_text(self) -> str:
         return serialize_agent_payload(self.build_payload())

@@ -28,12 +28,10 @@ __all__ = [
     "MalformedLine",
     "InvalidResult",
     "EmptyPayload",
-    "EmptyInput",
     "parse_check_line",
     "serialize_check_line",
     "parse_agent_payload",
     "serialize_agent_payload",
-    "worst_state",
     "valid_series",
 ]
 
@@ -50,10 +48,6 @@ class EmptyPayload(ValueError):
     """Zero bytes where an agent payload was expected."""
 
 
-class EmptyInput(ValueError):
-    """An aggregate was requested over an empty collection."""
-
-
 class CheckState(Enum):
     """Service state; the value is the numeric code used on the wire."""
 
@@ -62,23 +56,6 @@ class CheckState(Enum):
     CRIT = 2
     UNKNOWN = 3
 
-    @property
-    def severity(self) -> int:
-        """Rank used for worst-of aggregation: OK < WARN < UNKNOWN < CRIT.
-
-        UNKNOWN outranks WARN (a service we cannot see deserves more
-        attention than one that is merely degraded) but a confirmed CRIT
-        always wins.
-        """
-        return _SEVERITY[self]
-
-
-_SEVERITY = {
-    CheckState.OK: 0,
-    CheckState.WARN: 1,
-    CheckState.UNKNOWN: 2,
-    CheckState.CRIT: 3,
-}
 
 _CODES = {"0": CheckState.OK, "1": CheckState.WARN, "2": CheckState.CRIT, "3": CheckState.UNKNOWN}
 
@@ -87,14 +64,6 @@ _KEY_RE = re.compile(r"[A-Za-z0-9_-]+")
 _SERIES_RE = re.compile(r"[A-Za-z0-9_-]+(\.[A-Za-z0-9_-]+)*")
 _NON_SEGMENT_RE = re.compile(r"[^A-Za-z0-9_-]")
 _SECTION_RE = re.compile(r"^<<<([A-Za-z0-9_]*)>>>$")
-
-
-def worst_state(states) -> CheckState:
-    """Return the most severe state of a non-empty collection."""
-    states = list(states)
-    if not states:
-        raise EmptyInput("worst_state() of no states")
-    return max(states, key=lambda s: s.severity)
 
 
 @dataclass(slots=True)

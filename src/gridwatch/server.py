@@ -292,13 +292,14 @@ class MonitoringServer:
 
     def _record(self, host: str, results) -> list[Notification]:
         """Record ``results`` under ``host`` and write their perfdata, in one
-        hold of the store's lock, so each series is written in its record's order."""
+        hold of the store's lock, so each series is written in its record's order.
+        A service repeated in ``results`` is judged once, by its last result."""
         with self.store.lock:
             now = self.clock()
             t = int(now)
             notifications: list[Notification] = []
             records = self._records
-            for result in results:
+            for result in {r.service: r for r in results}.values():
                 service = result.service
                 old = records.get((host, service))
                 if old is None:

@@ -20,10 +20,9 @@ from gridwatch.agent import (
     check_power,
     normalize_node_state,
     parse_sinfo,
-    run_local_checks,
 )
 from gridwatch.config import ConfigError, parse_config
-from gridwatch.model import CheckResult, CheckState, parse_agent_payload
+from gridwatch.model import CheckState, parse_agent_payload
 from reference_impls import serving
 
 SINFO = """\
@@ -214,12 +213,26 @@ def test_check_power_bad_rectifier_file_marks_cabinet_unreachable():
 
 
 def test_check_power_negative_reading_marks_cabinet_unreachable():
-    for bad in ((-1.0, 54.0), (100.0, -0.5)):
+    nan, inf = float("nan"), float("inf")
+    for bad in ((-1.0, 54.0), (100.0, -0.5), (nan, 54.0), (inf, 54.0), (-inf, 54.0), (100.0, nan), (100.0, inf)):
         files = rectifier_files({"x1000": [(100.0, 54.0), bad], "x1001": [(300.0, 54.0)]})
         r = check_power(FakeSources(files=files), ["x1000", "x1001"])
         assert r.state is CheckState.WARN, bad
         assert "unreachable: x1000" in r.summary
         assert node_perf(r) == {"system": 300.0, "cab_x1001": 300.0, "volt_x1001_0": 54.0}
+
+
+@pytest.mark.parametrize("reading", ["nan", "inf"])
+def test_a_non_finite_rectifier_reading_blanks_no_other_check(reading):
+    files = rectifier_files({"x1001": [(300.0, 54.0)]})
+    files["/var/volatile/cec/x1000/rectifiers/0"] = f"power_w {reading}\nvoltage_v 54.0\n"
+    files["/proc/meminfo"] = meminfo(1000, 500)
+    agent = Agent(AgentConfig(checks=("power", "memory"), cabinets=("x1000", "x1001")), FakeSources(files=files))
+    results = parse_agent_payload(agent.payload_text()).results
+    assert [(r.service, r.state, r.summary) for r in results] == [
+        ("power", CheckState.WARN, "system 300 W from 1 cabinets; unreachable: x1000"),
+        ("memory", CheckState.OK, "50.0% memory used"),
+    ]
 
 
 # -- login / dns / memory checks ------------------------------------------------
@@ -271,15 +284,18 @@ def test_check_memory_unknown_when_unreadable_or_incomplete():
 # -- the collection loop ---------------------------------------------------------
 
 
-def test_run_local_checks_empty_is_empty():
-    payload = run_local_checks(None, FakeSources(), clock=lambda: 42)
+def collect(sources, **cfg):
+    return Agent(AgentConfig(**cfg), sources).build_payload()
+
+
+def test_empty_collection_carries_the_host_time():
+    payload = Agent(AgentConfig(), FakeSources(), clock=lambda: 42).build_payload()
     assert payload.results == []
     assert payload.host_time == 42
 
 
-def test_run_local_checks_missing_dir_is_tolerated(tmp_path):
-    payload = run_local_checks(tmp_path / "absent", FakeSources())
-    assert payload.results == []
+def test_missing_check_dir_is_tolerated(tmp_path):
+    assert collect(FakeSources(), check_dir=str(tmp_path / "absent")).results == []
 
 
 def write_script(tmp_path, name, body):
@@ -292,7 +308,7 @@ def write_script(tmp_path, name, body):
 def test_scripts_run_through_the_data_source(tmp_path):
     write_script(tmp_path, "10-hello", 'printf "0 hello - hi there\\n1 second k=3 warn\\n"')
     (tmp_path / "notes.txt").write_text("not executable, ignored")
-    payload = run_local_checks(tmp_path, HostDataSource())
+    payload = collect(HostDataSource(), check_dir=str(tmp_path))
     assert [(r.service, r.state) for r in payload.results] == [
         ("hello", CheckState.OK),
         ("second", CheckState.WARN),
@@ -301,7 +317,7 @@ def test_scripts_run_through_the_data_source(tmp_path):
 
 def test_failing_script_becomes_unknown_result(tmp_path):
     write_script(tmp_path, "bad", "exit 3")
-    payload = run_local_checks(tmp_path, HostDataSource())
+    payload = collect(HostDataSource(), check_dir=str(tmp_path))
     assert [r.service for r in payload.results] == ["_check_failed_bad"]
     assert payload.results[0].state is CheckState.UNKNOWN
     assert "exited 3" in payload.results[0].summary
@@ -309,55 +325,29 @@ def test_failing_script_becomes_unknown_result(tmp_path):
 
 def test_malformed_script_output_names_the_script(tmp_path):
     write_script(tmp_path, "mixed.sh", 'printf "0 fine - ok\\nbogus output\\n"')
-    payload = run_local_checks(tmp_path, HostDataSource())
+    payload = collect(HostDataSource(), check_dir=str(tmp_path))
     assert [r.service for r in payload.results] == ["fine", "_parse_error_mixed_sh"]
 
 
 def test_hanging_script_is_demoted_not_fatal(tmp_path):
     write_script(tmp_path, "slow", "sleep 5")
     started = time.monotonic()
-    payload = run_local_checks(tmp_path, HostDataSource(), timeout_s=0.3)
+    payload = collect(HostDataSource(), check_dir=str(tmp_path), check_timeout_s=0.3)
     assert time.monotonic() - started < 4.0
     assert [r.service for r in payload.results] == ["_check_failed_slow"]
     assert "timed out" in payload.results[0].summary
 
 
-def quick():
-    return CheckResult(CheckState.OK, "quick", [], "fast")
-
-
-def test_hanging_builtin_is_demoted_when_concurrent():
-    release = threading.Event()
-
-    def hang():
-        release.wait(30)
-        return CheckResult(CheckState.OK, "hang", [], "ended")
-
-    builtins = [("hang", hang), ("quick", quick)]
-    running = {}
-    started = time.monotonic()
-    try:
-        payload = run_local_checks(None, FakeSources(), builtins=builtins, timeout_s=0.3, running=running)
-        assert time.monotonic() - started < 4.0
-        by_service = {r.service: r for r in payload.results}
-        assert by_service["quick"].state is CheckState.OK
-        assert by_service["_check_failed_hang"].summary == "timed out after 0.3s"
-    finally:
-        release.set()
-    running["hang"].join(5)
-    assert not running["hang"].is_alive()
-    again = run_local_checks(None, FakeSources(), builtins=builtins, timeout_s=5, running=running)
-    assert [r.summary for r in again.results] == ["ended", "fast"]  # an ended check runs again
-
-
 class HungSinfo(FakeSources):
     """sinfo blocks until ``release`` is set; everything else answers at once."""
 
-    def __init__(self, release):
-        super().__init__(files={"/proc/meminfo": meminfo(1000, 500)})
+    def __init__(self, release, commands=None):
+        super().__init__(files={"/proc/meminfo": meminfo(1000, 500)}, commands=commands)
         self.release = release
 
     def run_command(self, argv, timeout=None):
+        if argv[0] != "sinfo":
+            return super().run_command(argv, timeout)
         self.release.wait(30)
         return 127, ""
 
@@ -398,23 +388,28 @@ def test_a_collection_does_not_wait_on_a_check_still_running():
         ]
     finally:
         release.set()
+    hung = agent._running["node_state"]
+    hung.join(5)
+    assert not hung.is_alive()
+    assert [(r.service, r.summary) for r in agent.build_payload().results] == [
+        ("node_state", "sinfo failed (exit 127)"),  # an ended check runs again
+        ("memory", "50.0% memory used"),
+    ]
 
 
 def test_a_script_does_not_share_a_builtins_guard(tmp_path):
-    write_script(tmp_path, "memory", 'echo "0 memory_script - ok"')
+    script = write_script(tmp_path, "node_state", "exit 0")
     release = threading.Event()
-    still_running = threading.Thread(target=release.wait, args=(30,), daemon=True)
-    still_running.start()
+    sources = HungSinfo(release, commands={str(script): (0, "0 node_state_script - ok\n")})
+    agent = Agent(AgentConfig(checks=("node_state",), check_dir=str(tmp_path), check_timeout_s=0.5), sources)
     try:
-        payload = run_local_checks(
-            tmp_path, HostDataSource(), builtins=[("memory", quick)], timeout_s=5,
-            running={"memory": still_running},
-        )
+        agent.build_payload()  # node_state times out here and runs on
+        payload = agent.build_payload()
     finally:
         release.set()
     assert [(r.service, r.summary) for r in payload.results] == [
-        ("_check_failed_memory", "still running since an earlier poll"),
-        ("memory_script", "ok"),
+        ("_check_failed_node_state", "still running since an earlier poll"),
+        ("node_state_script", "ok"),
     ]
 
 
@@ -432,11 +427,8 @@ def test_node_state_bounds_sinfo_by_the_check_timeout():
 
 
 def test_raising_builtin_is_demoted():
-    def boom():
-        raise RuntimeError("kaput")
-
-    payload = run_local_checks(None, FakeSources(), builtins=[("boom", boom)])
-    assert payload.results[0].service == "_check_failed_boom"
+    payload = collect(FakeSources(addresses=RuntimeError("kaput")), checks=("dns",))
+    assert payload.results[0].service == "_check_failed_dns"
     assert "kaput" in payload.results[0].summary
 
 

@@ -1,4 +1,4 @@
-"""Wire protocol: check lines, payload sections, state aggregation."""
+"""Wire protocol: check lines, payload sections, state codes."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,6 @@ from gridwatch.model import (
     AgentPayload,
     CheckResult,
     CheckState,
-    EmptyInput,
     EmptyPayload,
     InvalidResult,
     MalformedLine,
@@ -21,7 +20,6 @@ from gridwatch.model import (
     _parse_perf_item,
     _serialize_perf_item,
     valid_series,
-    worst_state,
 )
 import reference_impls as ref
 from reference_impls import fmt_num, parse_perf_item, serialize_perf_item
@@ -126,19 +124,8 @@ def test_serialize_rejects_bad_inputs():
         serialize_agent_payload(AgentPayload("v\n1", 0, []))
 
 
-def test_worst_state_ranking():
-    assert worst_state([CheckState.OK, CheckState.OK]) is CheckState.OK
-    assert worst_state([CheckState.OK, CheckState.WARN, CheckState.CRIT]) is CheckState.CRIT
-    assert worst_state([CheckState.WARN, CheckState.UNKNOWN]) is CheckState.UNKNOWN
-    assert worst_state([CheckState.UNKNOWN, CheckState.CRIT]) is CheckState.CRIT
-    with pytest.raises(EmptyInput):
-        worst_state([])
-
-
 def test_state_codes_and_severity_order():
     assert [s.value for s in (CheckState.OK, CheckState.WARN, CheckState.CRIT, CheckState.UNKNOWN)] == [0, 1, 2, 3]
-    sev = [CheckState.OK.severity, CheckState.WARN.severity, CheckState.UNKNOWN.severity, CheckState.CRIT.severity]
-    assert sev == sorted(sev) and len(set(sev)) == 4
 
 
 def test_valid_series_names():
@@ -261,16 +248,6 @@ def test_check_line_round_trip(result):
 def test_payload_round_trip(payload):
     assert parse_agent_payload(serialize_agent_payload(payload)) == payload
     assert parse_agent_payload(serialize_agent_payload(payload).encode("utf-8")) == payload
-
-
-@given(st.lists(st.sampled_from(CheckState), min_size=1, max_size=6))
-def test_worst_state_properties(states):
-    worst = worst_state(states)
-    assert worst in states
-    assert all(worst.severity >= s.severity for s in states)
-    assert worst_state(list(reversed(states))) is worst
-    assert worst_state(states + [worst]) is worst
-    assert worst_state(states + [CheckState.OK]) is worst or worst is CheckState.OK
 
 
 @settings(max_examples=300)

@@ -130,6 +130,23 @@ def test_notification_fires_exactly_on_state_change():
     assert [(n.old_state, n.new_state) for n in back] == [(CheckState.CRIT, CheckState.OK)]
 
 
+def test_a_service_repeated_in_a_payload_is_judged_once_by_its_last_result():
+    # An agent sends this when a check_dir script prints a built-in's service name.
+    clock = FakeTime(1_000_000.0)
+    srv = make_server(clock=clock.time)
+    ok = result(CheckState.OK, "disk", [Perfdata("used", 1.0)], "ok")
+    full = result(CheckState.CRIT, "disk", [Perfdata("used", 2.0)], "full")
+    counts = []
+    for _ in range(5):
+        counts.append(len(srv.apply_payload(payload(ok, full), "h1")))
+        clock.sleep(10)
+    assert counts == [0] * 5
+    assert srv.records_snapshot()[("h1", "disk")] is full
+    assert srv.store.read("hpc.h1.disk.used", 1_000_000, 1_000_040)[1][0] == (1_000_000, 2.0)
+    back = srv.apply_payload(payload(full, ok), "h1")
+    assert [(n.old_state, n.new_state, n.summary) for n in back] == [(CheckState.CRIT, CheckState.OK, "ok")]
+
+
 def test_notification_json_schema():
     n = Notification(1_700_000_000, "login1", "dns", CheckState.OK, CheckState.CRIT, "nope")
     doc = json.loads(n.to_json())

@@ -580,6 +580,22 @@ def test_run_goes_through_the_seams_the_benchmark_traces(monkeypatch):
     assert calls == {"write": summary.samples, "parse": answered, "serialize": answered}
 
 
+def test_the_benchmark_finds_every_name_it_traces(monkeypatch):
+    # bench/layers.py looks each traced method up in its class's __dict__, so a
+    # renamed or moved one (Agent.payload_text, say) would break only traced runs.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from layers import Layers
+
+    payload_text = agent.Agent.__dict__["payload_text"]
+    layers = Layers()
+    try:
+        layers.install()
+        assert agent.Agent.__dict__["payload_text"] is not payload_text
+    finally:
+        layers.uninstall()
+    assert agent.Agent.__dict__["payload_text"] is payload_text
+
+
 def test_stack_config_keeps_what_the_benchmark_reads():
     # bench/ builds its stores from StackConfig().retention and checks its
     # replays against prefix, poll_every_ticks and down_warn.
