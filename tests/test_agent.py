@@ -374,6 +374,24 @@ def test_hung_check_costs_one_thread_and_blinds_no_other_check():
     assert extra_threads == [1] * 12
 
 
+def test_hanging_builtin_is_demoted_when_concurrent():
+    release = threading.Event()
+    agent = Agent(AgentConfig(checks=("node_state", "memory"), check_timeout_s=0.3), HungSinfo(release))
+    started = time.monotonic()
+    try:
+        results = agent.build_payload().results
+        assert time.monotonic() - started < 4.0
+        assert [(r.service, r.state, r.summary) for r in results] == [
+            ("_check_failed_node_state", CheckState.UNKNOWN, "timed out after 0.3s"),
+            ("memory", CheckState.OK, "50.0% memory used"),
+        ]
+    finally:
+        release.set()
+    hung = agent._running["node_state"]
+    hung.join(5)
+    assert not hung.is_alive()
+
+
 def test_a_collection_does_not_wait_on_a_check_still_running():
     release = threading.Event()
     agent = Agent(AgentConfig(checks=("node_state", "memory"), check_timeout_s=2.0), HungSinfo(release))
