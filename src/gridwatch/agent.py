@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_AGENT_PORT = 6556
 DEFAULT_CEC_ROOT = "/var/volatile/cec"
-DEFAULT_CHECK_TIMEOUT_S = 10.0
+DEFAULT_CHECK_TIMEOUT_S = 4.0  # under HostConfig.connect_timeout_s, so a hung check cannot cost a poll
 
 # Node states that count as unavailable. sinfo reports compound flags
 # (e.g. "drained*"); tokens are lowercased and flag suffixes stripped
@@ -48,8 +48,6 @@ DEFAULT_DOWN_STATES = frozenset(
     {"down", "drained", "draining", "fail", "failing", "maint", "unknown", "inval"}
 )
 _STATE_FLAGS = "*~#!%$@^+&-"
-
-BUILTIN_CHECKS = ("power", "node_state", "login", "dns", "memory")
 
 _MAX_RECTIFIERS = 1024  # sanity bound when probing numbered rectifier files
 
@@ -172,29 +170,23 @@ def _power_keys(cabinet: str, rectifiers: int) -> tuple[str, tuple[str, ...]]:
     return f"cab_{cabinet}", tuple(f"volt_{cabinet}_{n}" for n in range(rectifiers))
 
 
-def check_power(
-    sources: DataSource,
-    cabinets,
-    *,
-    root: str = DEFAULT_CEC_ROOT,
-    warn_w: float | None = None,
-    crit_w: float | None = None,
-) -> CheckResult:
-    """Sum rectifier power per cabinet and across the system.
+def check_power(sources: DataSource, cfg: AgentConfig) -> CheckResult:
+    """Sum rectifier power per cabinet of ``cfg.cabinets`` and across the system.
 
     The system value is the sum of the cabinet values, each of which is the
     sum of its rectifier readings in file order; the identity is exact
     because everything is summed once, in that order. The state is CRIT
-    over ``crit_w``; otherwise WARN when a cabinet is unreachable (it is
-    named in the summary) or the system is over ``warn_w``; otherwise OK.
-    All cabinets unreachable is CRIT.
+    over ``power_crit_w``; otherwise WARN when a cabinet is unreachable (it
+    is named in the summary) or the system is over ``power_warn_w``;
+    otherwise OK. All cabinets unreachable is CRIT, and a system sum that
+    overflows to infinity is UNKNOWN, since it could not go on the wire.
     """
-    cabinets = list(cabinets)
+    cabinets, warn_w, crit_w = cfg.cabinets, cfg.power_warn_w, cfg.power_crit_w
     reachable: list[tuple[str, list[tuple[float, float]]]] = []
     unreachable: list[str] = []
     for cab in cabinets:
         try:
-            reachable.append((cab, read_rectifiers(sources, root, cab)))
+            reachable.append((cab, read_rectifiers(sources, cfg.cec_root, cab)))
         except (OSError, ValueError) as exc:
             log.debug("cabinet %s unreadable: %s", cab, exc)
             unreachable.append(cab)
@@ -216,6 +208,8 @@ def check_power(
             volt_perf.append(Perfdata(key, voltage_v))
         cab_perf.append(Perfdata(cab_key, cab_w))
         system_w += cab_w
+    if not math.isfinite(system_w):
+        return CheckResult(CheckState.UNKNOWN, "power", [], f"system power from {len(reachable)} cabinets overflows")
     perfdata.append(Perfdata("system", system_w, warn_w, crit_w))
     perfdata += cab_perf + volt_perf
 
@@ -241,17 +235,12 @@ def _node_state_keys(partition: str, states: tuple[str, ...]) -> tuple[str, tupl
     return name, tuple(f"state_{name}_{_segment(state)}" for state in states)
 
 
-def check_node_state(
-    sources: DataSource,
-    down_states=DEFAULT_DOWN_STATES,
-    *,
-    warn_down: int | None = None,
-    crit_down: int | None = None,
-    timeout_s: float = DEFAULT_CHECK_TIMEOUT_S,
-) -> CheckResult:
-    """Count scheduler node states per partition via sinfo."""
+def check_node_state(sources: DataSource, cfg: AgentConfig) -> CheckResult:
+    """Count scheduler node states per partition via sinfo; nodes in
+    ``cfg.down_states`` are down."""
+    down_states, warn_down, crit_down = cfg.down_states, cfg.down_warn, cfg.down_crit
     try:
-        rc, out = sources.run_command(["sinfo"], timeout=timeout_s)
+        rc, out = sources.run_command(["sinfo"], timeout=cfg.check_timeout_s)
     except Exception as exc:
         return CheckResult(CheckState.UNKNOWN, "node_state", [], f"sinfo failed: {exc}")
     if rc != 0:
@@ -282,10 +271,11 @@ def check_node_state(
     return CheckResult(state, "node_state", perfdata, summary)
 
 
-def check_login(sources: DataSource, target: str, *, timeout_s: float = DEFAULT_CHECK_TIMEOUT_S) -> CheckResult:
-    """Probe interactive access: exit 0 is OK, anything else is CRIT."""
+def check_login(sources: DataSource, cfg: AgentConfig) -> CheckResult:
+    """Probe interactive access to ``cfg.login_target``: exit 0 is OK, anything else is CRIT."""
+    target = cfg.login_target
     try:
-        rc = sources.probe_login(target, timeout=timeout_s)
+        rc = sources.probe_login(target, timeout=cfg.check_timeout_s)
     except Exception as exc:
         log.debug("login probe of %s raised: %s", target, exc)
         rc = 255
@@ -294,8 +284,9 @@ def check_login(sources: DataSource, target: str, *, timeout_s: float = DEFAULT_
     return CheckResult(state, "login", [Perfdata("login_up", up)], f"ssh probe of {target} exited {rc}")
 
 
-def check_dns(sources: DataSource, name: str) -> CheckResult:
-    """Resolve a name users depend on; failure is CRIT and names the name."""
+def check_dns(sources: DataSource, cfg: AgentConfig) -> CheckResult:
+    """Resolve ``cfg.dns_name``, a name users depend on; failure is CRIT and names the name."""
+    name = cfg.dns_name
     try:
         addrs = sources.resolve_name(name)
     except OSError as exc:
@@ -314,8 +305,9 @@ def check_dns(sources: DataSource, name: str) -> CheckResult:
     )
 
 
-def check_memory(sources: DataSource, path: str, *, warn_pct: float | None, crit_pct: float | None) -> CheckResult:
-    """Report used memory percentage from a meminfo-format file."""
+def check_memory(sources: DataSource, cfg: AgentConfig) -> CheckResult:
+    """Report used memory percentage from the meminfo-format file ``cfg.meminfo_path``."""
+    path, warn_pct, crit_pct = cfg.meminfo_path, cfg.mem_warn_pct, cfg.mem_crit_pct
     try:
         text = sources.read_file(path).decode("utf-8", errors="replace")
     except OSError as exc:
@@ -343,6 +335,16 @@ def check_memory(sources: DataSource, path: str, *, warn_pct: float | None, crit
     return CheckResult(state, "memory", perf, f"{used_pct:.1f}% memory used")
 
 
+# The built-in checks by their name in `[agent] checks`.
+BUILTIN_CHECKS = {
+    "power": check_power,
+    "node_state": check_node_state,
+    "login": check_login,
+    "dns": check_dns,
+    "memory": check_memory,
+}
+
+
 def _failed(name: str, reason: str) -> CheckResult:
     return CheckResult(CheckState.UNKNOWN, f"_check_failed_{_segment(name)}", [], reason[:200])
 
@@ -357,29 +359,26 @@ def _run_one(name: str, thunk, out: list[CheckResult]) -> None:
     out.extend(result if isinstance(result, list) else [result])
 
 
-def _script_thunk(sources: DataSource, script: Path, timeout_s: float):
-    def run() -> list[CheckResult]:
-        rc, out = sources.run_command([str(script)], timeout=timeout_s)
-        if rc != 0:
-            return [_failed(script.name, f"exited {rc}")]
-        results = []
-        for line in out.splitlines():
-            if not line.strip():
-                continue
-            try:
-                results.append(parse_check_line(line))
-            except MalformedLine as exc:
-                results.append(
-                    CheckResult(
-                        CheckState.UNKNOWN,
-                        f"_parse_error_{_segment(script.name)}",
-                        [],
-                        f"bad output line: {str(exc)[:160]}",
-                    )
+def _run_script(sources: DataSource, script: Path, timeout_s: float) -> list[CheckResult]:
+    rc, out = sources.run_command([str(script)], timeout=timeout_s)
+    if rc != 0:
+        return [_failed(script.name, f"exited {rc}")]
+    results = []
+    for line in out.splitlines():
+        if not line.strip():
+            continue
+        try:
+            results.append(parse_check_line(line))
+        except MalformedLine as exc:
+            results.append(
+                CheckResult(
+                    CheckState.UNKNOWN,
+                    f"_parse_error_{_segment(script.name)}",
+                    [],
+                    f"bad output line: {str(exc)[:160]}",
                 )
-        return results
-
-    return run
+            )
+    return results
 
 
 @dataclass(frozen=True)
@@ -426,21 +425,7 @@ class Agent:
         self.clock = clock
         self.version = version
         self._running: dict[str, threading.Thread] = {}
-        table = {
-            "power": lambda: check_power(
-                sources, cfg.cabinets, root=cfg.cec_root, warn_w=cfg.power_warn_w, crit_w=cfg.power_crit_w
-            ),
-            "node_state": lambda: check_node_state(
-                sources, cfg.down_states, warn_down=cfg.down_warn, crit_down=cfg.down_crit,
-                timeout_s=cfg.check_timeout_s,
-            ),
-            "login": lambda: check_login(sources, cfg.login_target, timeout_s=cfg.check_timeout_s),
-            "dns": lambda: check_dns(sources, cfg.dns_name),
-            "memory": lambda: check_memory(
-                sources, cfg.meminfo_path, warn_pct=cfg.mem_warn_pct, crit_pct=cfg.mem_crit_pct
-            ),
-        }
-        self._builtins = [(name, table[name]) for name in cfg.checks]
+        self._builtins = [(name, functools.partial(BUILTIN_CHECKS[name], sources, cfg)) for name in cfg.checks]
 
     def build_payload(self) -> AgentPayload:
         """Run the configured built-ins plus the executables in ``check_dir``
@@ -465,7 +450,8 @@ class Agent:
             if dir_path.is_dir():
                 for script in sorted(dir_path.iterdir()):
                     if script.is_file() and os.access(script, os.X_OK):
-                        tasks.append((str(script), script.name, _script_thunk(sources, script, timeout_s)))
+                        run = functools.partial(_run_script, sources, script, timeout_s)
+                        tasks.append((str(script), script.name, run))
             else:
                 log.warning("check_dir %s missing; running built-ins only", cfg.check_dir)
 

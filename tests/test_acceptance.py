@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gridwatch.agent import AgentServer, check_power
+from gridwatch.agent import AgentConfig, AgentServer, check_power
 from gridwatch.model import (
     AgentPayload,
     CheckResult,
@@ -243,7 +243,7 @@ def test_criterion_5_power_summation_identity():
     step = scenario.duration_ticks // 1_000
     cabinets = scenario.shape.cabinet_ids()
     for tick in range(0, 1_000 * step, step):
-        result = check_power(sources_at(scenario, tick), cabinets)
+        result = check_power(sources_at(scenario, tick), AgentConfig(cabinets=cabinets))
         system = next(p.value for p in result.perfdata if p.key == "system")
         assert system == expected_system_power_w(scenario, tick), f"tick {tick}"
 

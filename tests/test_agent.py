@@ -113,7 +113,7 @@ def node_perf(result):
 
 def test_check_node_state_perfdata_and_counts():
     src = FakeSources(commands={"sinfo": (0, SINFO)})
-    r = check_node_state(src)
+    r = check_node_state(src, AgentConfig())
     assert r.state is CheckState.OK
     perf = node_perf(r)
     assert perf["down_standard"] == 12
@@ -129,21 +129,21 @@ def test_check_node_state_perfdata_and_counts():
 
 def test_check_node_state_thresholds():
     src = FakeSources(commands={"sinfo": (0, SINFO)})
-    assert check_node_state(src, warn_down=10, crit_down=100).state is CheckState.WARN
-    assert check_node_state(src, warn_down=5, crit_down=14).state is CheckState.CRIT
-    assert check_node_state(src, warn_down=50, crit_down=100).state is CheckState.OK
+    assert check_node_state(src, AgentConfig(down_warn=10, down_crit=100)).state is CheckState.WARN
+    assert check_node_state(src, AgentConfig(down_warn=5, down_crit=14)).state is CheckState.CRIT
+    assert check_node_state(src, AgentConfig(down_warn=50, down_crit=100)).state is CheckState.OK
 
 
 def test_check_node_state_unknown_on_failure():
-    assert check_node_state(FakeSources()).state is CheckState.UNKNOWN  # exit 127
+    assert check_node_state(FakeSources(), AgentConfig()).state is CheckState.UNKNOWN  # exit 127
     src = FakeSources(commands={"sinfo": (0, "PARTITION AVAIL NODES STATE\n")})
-    assert check_node_state(src).state is CheckState.UNKNOWN  # no rows
+    assert check_node_state(src, AgentConfig()).state is CheckState.UNKNOWN  # no rows
 
     class Exploding(FakeSources):
         def run_command(self, argv, timeout=None):
             raise RuntimeError("boom")
 
-    r = check_node_state(Exploding())
+    r = check_node_state(Exploding(), AgentConfig())
     assert r.state is CheckState.UNKNOWN and "boom" in r.summary
 
 
@@ -155,7 +155,7 @@ def test_check_power_sums_cabinets_and_system():
         "x1000": [(10_000.0, 54.0), (20_000.0, 53.8)],
         "x1001": [(30_000.0, 54.2), (40_000.0, 54.1)],
     })
-    r = check_power(FakeSources(files=files), ["x1000", "x1001"])
+    r = check_power(FakeSources(files=files), AgentConfig(cabinets=("x1000", "x1001")))
     assert r.state is CheckState.OK
     perf = node_perf(r)
     assert perf["system"] == 100_000.0
@@ -168,13 +168,13 @@ def test_check_power_sums_cabinets_and_system():
 
 def test_check_power_all_zero_readings_is_ok():
     files = rectifier_files({"x1000": [(0.0, 0.0)]})
-    r = check_power(FakeSources(files=files), ["x1000"])
+    r = check_power(FakeSources(files=files), AgentConfig(cabinets=("x1000",)))
     assert r.state is CheckState.OK and node_perf(r)["system"] == 0.0
 
 
 def test_check_power_unreachable_cabinet_warns_and_names_it():
     files = rectifier_files({"x1000": [(500.0, 54.0)]})
-    r = check_power(FakeSources(files=files), ["x1000", "x1001"])
+    r = check_power(FakeSources(files=files), AgentConfig(cabinets=("x1000", "x1001")))
     assert r.state is CheckState.WARN
     assert "x1001" in r.summary
     assert node_perf(r)["system"] == 500.0
@@ -182,7 +182,7 @@ def test_check_power_unreachable_cabinet_warns_and_names_it():
 
 
 def test_check_power_all_unreachable_is_crit():
-    r = check_power(FakeSources(), ["x1000", "x1001"])
+    r = check_power(FakeSources(), AgentConfig(cabinets=("x1000", "x1001")))
     assert r.state is CheckState.CRIT
     assert r.perfdata == []
     assert "2 cabinet controllers unreachable" in r.summary
@@ -191,10 +191,10 @@ def test_check_power_all_unreachable_is_crit():
 def test_check_power_thresholds():
     files = rectifier_files({"x1000": [(900.0, 54.0)]})
     src = FakeSources(files=files)
-    assert check_power(src, ["x1000"], warn_w=1000.0).state is CheckState.OK
-    r = check_power(src, ["x1000"], warn_w=800.0)
+    assert check_power(src, AgentConfig(cabinets=("x1000",), power_warn_w=1000.0)).state is CheckState.OK
+    r = check_power(src, AgentConfig(cabinets=("x1000",), power_warn_w=800.0))
     assert r.state is CheckState.WARN and "warning level" in r.summary
-    r = check_power(src, ["x1000"], warn_w=500.0, crit_w=800.0)
+    r = check_power(src, AgentConfig(cabinets=("x1000",), power_warn_w=500.0, power_crit_w=800.0))
     assert r.state is CheckState.CRIT and "over 800 W limit" in r.summary
     assert r.perfdata[0].warn == 500.0 and r.perfdata[0].crit == 800.0
 
@@ -202,13 +202,13 @@ def test_check_power_thresholds():
 def test_check_power_rectifier_numbering_stops_at_gap():
     files = rectifier_files({"x1000": [(1.0, 54.0), (2.0, 54.0)]})
     files["/var/volatile/cec/x1000/rectifiers/5"] = "power_w 99.0\nvoltage_v 54.0\n"  # unreachable: gap at 2
-    r = check_power(FakeSources(files=files), ["x1000"])
+    r = check_power(FakeSources(files=files), AgentConfig(cabinets=("x1000",)))
     assert node_perf(r)["system"] == 3.0
 
 
 def test_check_power_bad_rectifier_file_marks_cabinet_unreachable():
     files = {"/var/volatile/cec/x1000/rectifiers/0": "voltage_v 54.0\n"}  # power_w missing
-    r = check_power(FakeSources(files=files), ["x1000"])
+    r = check_power(FakeSources(files=files), AgentConfig(cabinets=("x1000",)))
     assert r.state is CheckState.CRIT
 
 
@@ -216,7 +216,7 @@ def test_check_power_negative_reading_marks_cabinet_unreachable():
     nan, inf = float("nan"), float("inf")
     for bad in ((-1.0, 54.0), (100.0, -0.5), (nan, 54.0), (inf, 54.0), (-inf, 54.0), (100.0, nan), (100.0, inf)):
         files = rectifier_files({"x1000": [(100.0, 54.0), bad], "x1001": [(300.0, 54.0)]})
-        r = check_power(FakeSources(files=files), ["x1000", "x1001"])
+        r = check_power(FakeSources(files=files), AgentConfig(cabinets=("x1000", "x1001")))
         assert r.state is CheckState.WARN, bad
         assert "unreachable: x1000" in r.summary
         assert node_perf(r) == {"system": 300.0, "cab_x1001": 300.0, "volt_x1001_0": 54.0}
@@ -235,27 +235,43 @@ def test_a_non_finite_rectifier_reading_blanks_no_other_check(reading):
     ]
 
 
+@pytest.mark.parametrize("readings", [
+    {"x1000": [(1e308, 54.0), (1e308, 54.0)]},  # the cabinet sum overflows
+    {"x1000": [(1e308, 54.0)], "x1001": [(1e308, 54.0)]},  # only the system sum does
+])
+def test_a_power_sum_that_overflows_is_unknown_and_blanks_no_other_check(readings):
+    files = rectifier_files(readings)
+    files["/proc/meminfo"] = meminfo(1000, 500)
+    cfg = AgentConfig(checks=("power", "memory"), cabinets=tuple(readings))
+    results = parse_agent_payload(Agent(cfg, FakeSources(files=files)).payload_text()).results
+    assert [(r.service, r.state, r.summary) for r in results] == [
+        ("power", CheckState.UNKNOWN, f"system power from {len(readings)} cabinets overflows"),
+        ("memory", CheckState.OK, "50.0% memory used"),
+    ]
+    assert results[0].perfdata == []
+
+
 # -- login / dns / memory checks ------------------------------------------------
 
 
 def test_check_login_up_and_down():
-    up = check_login(FakeSources(login_rc=0), "login-vip")
+    up = check_login(FakeSources(login_rc=0), AgentConfig(login_target="login-vip"))
     assert up.state is CheckState.OK and node_perf(up)["login_up"] == 1.0
-    down = check_login(FakeSources(login_rc=255), "login-vip")
+    down = check_login(FakeSources(login_rc=255), AgentConfig(login_target="login-vip"))
     assert down.state is CheckState.CRIT and node_perf(down)["login_up"] == 0.0
     assert "exited 255" in down.summary
-    raising = check_login(FakeSources(login_rc=OSError("no route")), "login-vip")
+    raising = check_login(FakeSources(login_rc=OSError("no route")), AgentConfig(login_target="login-vip"))
     assert raising.state is CheckState.CRIT
 
 
 def test_check_dns_resolution():
-    ok = check_dns(FakeSources(addresses=("10.0.0.1", "10.0.0.2")), "cluster.local")
+    ok = check_dns(FakeSources(addresses=("10.0.0.1", "10.0.0.2")), AgentConfig(dns_name="cluster.local"))
     assert ok.state is CheckState.OK and node_perf(ok)["dns_ok"] == 1.0
     assert "2 address(es)" in ok.summary
-    fail = check_dns(FakeSources(addresses=OSError("NXDOMAIN")), "cluster.local")
+    fail = check_dns(FakeSources(addresses=OSError("NXDOMAIN")), AgentConfig(dns_name="cluster.local"))
     assert fail.state is CheckState.CRIT and node_perf(fail)["dns_ok"] == 0.0
     assert "cluster.local" in fail.summary
-    empty = check_dns(FakeSources(addresses=()), "cluster.local")
+    empty = check_dns(FakeSources(addresses=()), AgentConfig(dns_name="cluster.local"))
     assert empty.state is CheckState.CRIT
 
 
@@ -264,7 +280,7 @@ def meminfo(total_kb, avail_kb):
 
 
 def memory_check(files, warn_pct=90.0, crit_pct=95.0):
-    return check_memory(FakeSources(files=files), "/proc/meminfo", warn_pct=warn_pct, crit_pct=crit_pct)
+    return check_memory(FakeSources(files=files), AgentConfig(mem_warn_pct=warn_pct, mem_crit_pct=crit_pct))
 
 
 def test_check_memory_percentages_and_thresholds():
@@ -442,6 +458,64 @@ def test_node_state_bounds_sinfo_by_the_check_timeout():
     cfg = AgentConfig(checks=("node_state",), check_timeout_s=2.5)
     Agent(cfg, Recording(commands={"sinfo": (0, SINFO)})).build_payload()
     assert timeouts == [2.5]
+
+
+def test_every_check_setting_reaches_its_check_through_the_agent():
+    calls = []
+
+    class Recording(FakeSources):
+        def read_file(self, path):
+            calls.append(("read", path))
+            return super().read_file(path)
+
+        def run_command(self, argv, timeout=None):
+            calls.append(("run", argv[0], timeout))
+            return super().run_command(argv, timeout)
+
+        def probe_login(self, target, timeout=None):
+            calls.append(("login", target, timeout))
+            return super().probe_login(target, timeout)
+
+        def resolve_name(self, name):
+            calls.append(("resolve", name))
+            return super().resolve_name(name)
+
+    cfg = AgentConfig(
+        checks=("power", "node_state", "login", "dns", "memory"),
+        check_timeout_s=2.5,
+        cabinets=("c7",),
+        cec_root="/cec",
+        power_warn_w=100.0,
+        power_crit_w=200.0,
+        down_states=("Idle",),
+        down_warn=3,
+        down_crit=9,
+        login_target="login-vip",
+        dns_name="cluster.local",
+        meminfo_path="/m/meminfo",
+        mem_warn_pct=40.0,
+        mem_crit_pct=60.0,
+    )
+    files = rectifier_files({"c7": [(150.0, 54.0)]}, root="/cec")
+    files["/m/meminfo"] = meminfo(1000, 500)
+    sources = Recording(files=files, commands={"sinfo": (0, "a up 3 idle\na up 2 down\n")})
+    results = {r.service: r for r in Agent(cfg, sources).build_payload().results}
+
+    assert sorted(calls) == sorted([
+        ("read", "/cec/c7/rectifiers/0"),
+        ("read", "/cec/c7/rectifiers/1"),
+        ("run", "sinfo", 2.5),
+        ("login", "login-vip", 2.5),
+        ("resolve", "cluster.local"),
+        ("read", "/m/meminfo"),
+    ])
+    power, nodes, login, dns, memory = (results[name] for name in cfg.checks)
+    assert (power.state, power.perfdata[0].warn, power.perfdata[0].crit) == (CheckState.WARN, 100.0, 200.0)
+    down = next(p for p in nodes.perfdata if p.key == "down_a")
+    assert (nodes.state, down.value, down.warn, down.crit) == (CheckState.WARN, 3, 3, 9)  # only "idle" counts
+    assert "login-vip" in login.summary and "cluster.local" in dns.summary
+    mem = memory.perfdata[0]
+    assert (memory.state, mem.value, mem.warn, mem.crit) == (CheckState.WARN, 50.0, 40.0, 60.0)
 
 
 def test_raising_builtin_is_demoted():

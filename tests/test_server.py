@@ -11,7 +11,7 @@ import time
 import pytest
 
 from gridwatch import model
-from gridwatch.agent import AgentServer
+from gridwatch.agent import AgentConfig, AgentServer
 from gridwatch.model import (
     AgentPayload,
     CheckResult,
@@ -331,6 +331,11 @@ def test_poll_host_reads_full_payload():
     assert not isinstance(got, HostDown)
     assert got.host_time == 123
     assert [r.service for r in got.results] == ["a", "b"]
+
+
+def test_a_default_agent_answers_a_default_poll_before_it_times_out():
+    # A collection can take check_timeout_s; a poll that outlasts connect_timeout_s loses the whole host.
+    assert AgentConfig().check_timeout_s < HostConfig("h", "127.0.0.1:1").connect_timeout_s
 
 
 def test_poll_host_down_on_refused_connection():

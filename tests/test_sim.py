@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridwatch import agent, server, tsdb
-from gridwatch.agent import check_power
+from gridwatch.agent import AgentConfig, check_power
 from gridwatch.model import CheckState
 from gridwatch.report import contractual_report
 from gridwatch.sim import (
@@ -241,7 +241,7 @@ def test_power_check_agrees_with_ground_truth_exactly():
     events = [Event(EventKind.HPL_RUN, 40, 80), Event(EventKind.POWER_DIP, 50, 60, depth_fraction=0.4)]
     sc = tiny(events=events)
     for tick in (0, 45, 55, 79, 100):
-        result = check_power(sources_at(sc, tick), sc.shape.cabinet_ids())
+        result = check_power(sources_at(sc, tick), AgentConfig(cabinets=sc.shape.cabinet_ids()))
         system = next(p.value for p in result.perfdata if p.key == "system")
         assert system == expected_system_power_w(sc, tick)  # bit-for-bit
 
