@@ -128,7 +128,7 @@ def _hosts_from(sections) -> list[HostConfig]:
     for sec in all_named(sections, "host"):
         cfg = bind(sec, HostConfig)
         try:
-            cfg.endpoint()
+            host_port(cfg.address)
         except ConfigError as exc:
             raise ConfigError(f"[host] {cfg.name}: {exc}", sec.lines["address"]) from None
         if cfg.poll_interval_s < 1:
@@ -146,20 +146,17 @@ def _clusters_from(sections, hosts) -> list[ClusterServiceConfig]:
     known = {h.name for h in hosts}
     clusters = []
     for sec in all_named(sections, "cluster"):
-        members = sec.get_list("members")
-        if not members:
-            raise ConfigError(f"[cluster] {sec.get('name')!r} has no members", sec.line)
-        missing = set(members) - known
+        cfg = bind(sec, ClusterServiceConfig)
+        if not cfg.members:
+            raise ConfigError(f"[cluster] {cfg.name!r} has no members", sec.line)
+        missing = set(cfg.members) - known
         if missing:
-            raise ConfigError(
-                f"[cluster] members not in any [host]: {', '.join(sorted(missing))}", sec.line
-            )
-        name = sec.require("name")
-        if name in known:
-            raise ConfigError(f"[cluster] {name!r} is already the name of a [host]", sec.line)
-        if any(c.name == name for c in clusters):
-            raise ConfigError(f"[cluster] {name!r} is named twice", sec.line)
-        clusters.append(ClusterServiceConfig(name, tuple(members), sec.require("service")))
+            raise ConfigError(f"[cluster] members not in any [host]: {', '.join(sorted(missing))}", sec.line)
+        if cfg.name in known:
+            raise ConfigError(f"[cluster] {cfg.name!r} is already the name of a [host]", sec.line)
+        if any(c.name == cfg.name for c in clusters):
+            raise ConfigError(f"[cluster] {cfg.name!r} is named twice", sec.line)
+        clusters.append(cfg)
     return clusters
 
 

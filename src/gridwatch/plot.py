@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
+from .tsdb import mean
+
 BLOCKS = " ▁▂▃▄▅▆▇█"
 ABSENT = "·"
 
@@ -45,11 +47,10 @@ def sparkline(points, width: int) -> str:
         if not bucket:
             out.append(ABSENT)
             continue
-        mean = sum(bucket) / len(bucket)
         if span == 0:
             out.append(BLOCKS[-1])
         else:
-            idx = int((mean - lo) / span * (len(BLOCKS) - 1))
+            idx = int((mean(bucket) - lo) / span * (len(BLOCKS) - 1))
             out.append(BLOCKS[max(1, idx)])  # present data never blank
     return "".join(out)
 

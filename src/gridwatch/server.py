@@ -41,6 +41,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_POLL_INTERVAL_S = 60
 STALE_AFTER_INTERVALS = 2  # a record this many of its host's poll intervals old is stale
+DEFAULT_STALE_AFTER_S = STALE_AFTER_INTERVALS * DEFAULT_POLL_INTERVAL_S  # for a name no polled host has
 DEFAULT_PREFIX = "hpc"
 DEFAULT_WEBHOOK_TIMEOUT_S = 5.0
 # Far above any real payload (the demo's largest, the admin host's, is
@@ -65,9 +66,6 @@ class HostConfig:
     poll_interval_s: int = DEFAULT_POLL_INTERVAL_S
     connect_timeout_s: float = 5.0
 
-    def endpoint(self) -> tuple[str, int]:
-        return host_port(self.address)
-
 
 def tcp_fetch(cfg: HostConfig) -> bytes:
     """Read one payload from the agent at ``cfg.address``: connect, read to EOF.
@@ -79,7 +77,7 @@ def tcp_fetch(cfg: HostConfig) -> bytes:
     address ValueError.
     """
     deadline = time.monotonic() + cfg.connect_timeout_s
-    with socket.create_connection(cfg.endpoint(), timeout=cfg.connect_timeout_s) as sock:
+    with socket.create_connection(host_port(cfg.address), timeout=cfg.connect_timeout_s) as sock:
         chunks = []
         size = 0
         while True:
@@ -101,7 +99,7 @@ class ClusterServiceConfig:
     """A service aggregated across member hosts under a pseudo-host name."""
 
     name: str
-    member_hosts: tuple[str, ...]
+    members: tuple[str, ...]
     service: str
 
 
@@ -115,11 +113,9 @@ class HostDown:
 
 @dataclass
 class ServiceRecord:
-    """Latest known result for one (host, service) pair, where ``host`` names
-    a polled host or a cluster."""
+    """Latest known result for one (host, service) key of the record table,
+    where ``host`` names a polled host or a cluster."""
 
-    host: str
-    service: str
     last_result: CheckResult
     last_seen_t: float
     stale: bool = False
@@ -248,10 +244,11 @@ class MonitoringServer:
         self.prefix = prefix
         self.clock = clock
         self.fetch = fetch
+        # How old, in seconds, a record of each host or cluster may be before it is stale.
         # A cluster's record, refreshed on every member poll, ages at its fastest member's interval.
-        polled = {h.name: h.poll_interval_s for h in hosts}
-        self._intervals = polled | {
-            c.name: min((polled[m] for m in c.member_hosts if m in polled), default=DEFAULT_POLL_INTERVAL_S)
+        limits = {h.name: STALE_AFTER_INTERVALS * h.poll_interval_s for h in hosts}
+        self._stale_after = limits | {
+            c.name: min((limits[m] for m in c.members if m in limits), default=DEFAULT_STALE_AFTER_S)
             for c in self.clusters
         }
         # Each host's clusters in configured order, and each cluster's member keys in
@@ -259,10 +256,12 @@ class MonitoringServer:
         self._clusters_of: dict[str, list[ClusterServiceConfig]] = {}
         self._members = {}
         for c in self.clusters:
-            members = dict.fromkeys(c.member_hosts)
+            members = dict.fromkeys(c.members)
             for member in members:
                 self._clusters_of.setdefault(member, []).append(c)
-            self._members[c.name] = (c, tuple(((m, c.service), self._stale_after(m)) for m in sorted(members)))
+            self._members[c.name] = (
+                c, tuple(((m, c.service), self._stale_after.get(m, DEFAULT_STALE_AFTER_S)) for m in sorted(members))
+            )
         # Each host's previous payload, check line -> result, so a line that has
         # not changed since is not parsed again; one payload per host at most.
         self._memos: dict[str, dict[str, CheckResult]] = {h.name: {} for h in hosts}
@@ -303,7 +302,7 @@ class MonitoringServer:
                 service = result.service
                 old = records.get((host, service))
                 if old is None:
-                    records[host, service] = ServiceRecord(host, service, result, now)
+                    records[host, service] = ServiceRecord(result, now)
                     continue
                 if old.last_result.state != result.state:
                     prev = old.last_result.state
@@ -326,14 +325,8 @@ class MonitoringServer:
             record = self._records.get((host, service))
             if record is None:
                 return True
-            return self._is_stale(record, self.clock() if now is None else now)
-
-    def _is_stale(self, record: ServiceRecord, now: float) -> bool:
-        return record.stale or (now - record.last_seen_t) > self._stale_after(record.host)
-
-    def _stale_after(self, host: str) -> int:
-        """How old, in seconds, a record of ``host`` may be before it is stale."""
-        return STALE_AFTER_INTERVALS * self._intervals.get(host, DEFAULT_POLL_INTERVAL_S)
+            age = (self.clock() if now is None else now) - record.last_seen_t
+            return record.stale or age > self._stale_after.get(host, DEFAULT_STALE_AFTER_S)
 
     # -- clusters --------------------------------------------------------
 
@@ -353,7 +346,7 @@ class MonitoringServer:
             records = self._records
             for key, stale_after in members:
                 record = records.get(key)
-                # _is_stale, with the member's limit looked up once
+                # service_stale, with the member's limit looked up once
                 if record is None or record.stale or now - record.last_seen_t > stale_after:
                     continue
                 if best is None or record.last_seen_t > best.last_seen_t:
@@ -420,7 +413,9 @@ class MonitoringServer:
     def run(self, stop: threading.Event, sleep=time.sleep) -> None:
         """Poll every host on its own cadence until ``stop`` is set.
 
-        Each poll runs on its own thread; a host whose last poll is still
+        A host is polled at start, then at each multiple of its poll interval,
+        the start of its slot, so a late wake-up never delays the polls after
+        it. Each poll runs on its own thread; a host whose last poll is still
         running when it falls due again is skipped, so a stuck host holds one
         thread and never delays the others. The store is flushed to disk once
         per shortest poll interval, so a killed server loses at most that much
@@ -445,7 +440,7 @@ class MonitoringServer:
             for name, cfg in self.hosts.items():
                 if now < next_due[name] or (name in last_poll and last_poll[name].is_alive()):
                     continue
-                next_due[name] = now + cfg.poll_interval_s
+                next_due[name] = now - now % cfg.poll_interval_s + cfg.poll_interval_s
                 last_poll[name] = threading.Thread(target=work, args=(cfg,), name=f"poll-{name}", daemon=True)
                 last_poll[name].start()
             if now >= next_checkpoint:

@@ -150,6 +150,19 @@ def parse_retention(text: str) -> RetentionSpec:
     return RetentionSpec(tuple(archives))
 
 
+def mean(values) -> float:
+    """The mean of a non-empty sequence of finite values, summed oldest first;
+    it is finite too, even where their sum overflows."""
+    total = 0.0
+    for v in values:
+        total += v  # not sum(): from Python 3.12 it compensates, which changes the bits
+    n = len(values)
+    if math.isfinite(total):
+        return total / n
+    # Each term halved, so no partial sum in fsum can overflow; the clamp keeps rounding inside the values' range.
+    return min(max(2 * math.fsum(v / (2 * n) for v in values), min(values)), max(values))
+
+
 class _Archive:
     """One fixed-size ring. Slot i is valid iff ts[i] equals the aligned
     timestamp being asked about. ``ts`` and ``vals`` are strided views over
@@ -261,22 +274,15 @@ class _Series:
         # point, an older one or 0, never a newer one: a slot that lies wholly
         # inside the ring is full when no stamp under it is older than the slot.
         if slot_t and i + n <= fin.points and min(fin.ts[i : i + n]) >= slot_t:
-            total = 0.0
-            for v in fin.vals[i : i + n]:
-                total += v  # not sum(): from Python 3.12 it compensates, which changes the bits
             ar.ts[j] = slot_t
-            ar.vals[j] = total / n
+            ar.vals[j] = mean(fin.vals[i : i + n])
             return
-        total, count = 0.0, 0
-        for times, stamps, values in fin.slots(slot_t, n):
-            # t = 0 is what an empty slot holds
-            values = [v for t, stamp, v in zip(times, stamps, values) if stamp == t and t]
-            for v in values:
-                total += v
-            count += len(values)
-        if count * 2 >= n:
+        # t = 0 is what an empty slot holds
+        values = [v for times, stamps, vals in fin.slots(slot_t, n)
+                  for t, stamp, v in zip(times, stamps, vals) if stamp == t and t]
+        if len(values) * 2 >= n:
             ar.ts[j] = slot_t
-            ar.vals[j] = total / count
+            ar.vals[j] = mean(values)
         elif ar.ts[j] != slot_t:
             ar.ts[j] = 0  # the position held an older slot
 

@@ -405,6 +405,23 @@ def test_server_config_refuses_repeated_names(tmp_path, sections, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "cluster, message",
+    [
+        ("name = c\nmembers = h1\n", "line 5: [cluster] is missing required key 'service'"),
+        ("name = c\nservice = s\nmembers =\n", "line 5: [cluster] 'c' has no members"),
+        ("name = c\nservice = s\nmembers = h1, h2\n", "line 5: [cluster] members not in any [host]: h2"),
+    ],
+    ids=["no-service", "empty-members", "unknown-member"],
+)
+def test_server_config_refuses_an_unusable_cluster(tmp_path, cluster, message):
+    cfg = tmp_path / "server.cfg"
+    cfg.write_text(f"[host]\nname = h1\naddress = 127.0.0.1:1\n\n[cluster]\n{cluster}")
+    proc = run_cli("server", "--config", str(cfg), timeout=30)  # a loaded config polls forever
+    assert proc.returncode == 2
+    assert message in proc.stderr
+
+
 @pytest.mark.parametrize("address", ["127.0.0.1:70000", "127.0.0.1:-1", "127.0.0.1:", ":6556", "noport"])
 def test_server_bad_host_address_is_config_error_naming_its_line(tmp_path, address):
     cfg = tmp_path / "server.cfg"
@@ -533,6 +550,15 @@ def test_server_bad_report_number_is_config_error_naming_its_line(tmp_path, text
 # -- long-running commands and signals ---------------------------------------------
 
 
+def reap(proc):
+    """Kill ``proc`` if it still runs, then close its pipes."""
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
+    proc.stderr.close()
+
+
 def read_until(stream, pattern, deadline_s=15.0):
     """Accumulate a subprocess stream until a regex matches; returns the match."""
     buf = b""
@@ -577,9 +603,7 @@ def test_agent_serves_polls_and_exits_cleanly_on_sigterm(tmp_path):
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=15) == 0
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        reap(proc)
 
 
 def test_agent_with_a_hung_check_exits_on_sigterm(tmp_path):
@@ -603,9 +627,7 @@ def test_agent_with_a_hung_check_exits_on_sigterm(tmp_path):
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=5) == 0
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        reap(proc)
 
 
 def test_server_runs_and_exits_cleanly_on_sigterm(tmp_path):
@@ -629,9 +651,7 @@ def test_server_runs_and_exits_cleanly_on_sigterm(tmp_path):
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=15) == 0
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        reap(proc)
     assert store.is_dir()  # store root was created on startup
 
 
@@ -655,9 +675,7 @@ def test_server_checkpoints_its_store_before_a_sigkill(tmp_path):
             proc.kill()
             proc.wait(timeout=15)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+            reap(proc)
     files = sorted(store.rglob("*.dat"))
     assert [f.relative_to(store).as_posix() for f in files] == ["hpc/h1/beat/up.dat"]
     reopened = Store(store)

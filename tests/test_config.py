@@ -12,7 +12,7 @@ from gridwatch import cli
 from gridwatch.agent import AgentConfig, agent_config_from_sections
 from gridwatch.config import ConfigError, Section, all_named, bind, first, host_port, load_config, parse_config
 from gridwatch.report import ReportConfig
-from gridwatch.server import HostConfig
+from gridwatch.server import ClusterServiceConfig, HostConfig
 from gridwatch.sim import ClusterShape, Event, EventKind, Scenario, scenario_from_sections
 from gridwatch.tsdb import parse_retention
 
@@ -145,7 +145,8 @@ def test_every_readme_ini_block_loads():
     assert host_port(server_sec.get("api_bind")) == ("127.0.0.1", 8080)
     hosts = cli._hosts_from(server)
     assert [h.name for h in hosts] == ["login1", "login2"]
-    assert [c.name for c in cli._clusters_from(server, hosts)] == ["login_cluster"]
+    (cluster,) = cli._clusters_from(server, hosts)
+    assert cluster == ClusterServiceConfig("login_cluster", ("login1", "login2"), "login")
     assert len(cli._sinks_from(server)) == 2
     assert cli._report_cfg_from(server).threshold_nodes == 481
 
@@ -153,6 +154,19 @@ def test_every_readme_ini_block_loads():
     assert sc.shape.partitions == ("standard",)
     assert [e.kind for e in sc.events] == [EventKind.POWER_DIP]
     assert (sc.events[0].to_tick, sc.events[0].cabinets) == (88036, ())
+
+
+@pytest.mark.parametrize(
+    "members, want",
+    [("login1 ,login2 ,  ", ("login1", "login2")), ("login2, login1, login2", ("login2", "login1", "login2"))],
+    ids=["spaces", "repeated-member"],
+)
+def test_a_cluster_reads_its_members_as_listed(members, want):
+    sections = parse_config(
+        "[host]\nname = login1\naddress = 127.0.0.1:1\n\n[host]\nname = login2\naddress = 127.0.0.1:2\n\n"
+        f"[cluster]\nname = c\nservice = login\nmembers = {members}\n"
+    )
+    assert cli._clusters_from(sections, cli._hosts_from(sections)) == [ClusterServiceConfig("c", want, "login")]
 
 
 def test_blank_and_comment_lines_do_not_shift_line_numbers():

@@ -52,6 +52,11 @@ def test_sparkline_downsamples_by_bucket_mean():
     assert line[0] == BLOCKS[1] and line[1] == BLOCKS[-1]
 
 
+def test_sparkline_bucket_of_points_whose_sum_overflows_takes_their_finite_mean():
+    # mean 6.7e307 on a 0..1e308 scale
+    assert sparkline([(0, 1e308), (60, 1e308), (120, 0.0)], 1) == BLOCKS[5]
+
+
 # -- SVG ----------------------------------------------------------------------
 
 

@@ -361,6 +361,24 @@ def test_api_series_preserves_gaps_as_nulls(api):
     assert json.loads(body)["points"] == [[T0, 1.0], [T0 + 60, None], [T0 + 120, 2.0]]
 
 
+def test_api_series_body_is_json_where_the_sum_of_its_points_overflows():
+    store = Store(default_retention="1m:1d,10m:2d")
+    t0 = 1_609_459_200
+    for k in range(30):
+        store.write(MetricSample("hpc.x.y.z", t0 + 60 * k, 1e308))
+    server = ApiServer(("127.0.0.1", 0), store)
+    with serving(server):
+        path = f"/api/v1/series/hpc.x.y.z?from={t0 - 86_400}&to={t0 + 1_800}"
+        status, body = fetch(f"http://127.0.0.1:{server.address[1]}", path)
+    assert status == 200
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    points = json.loads(body, parse_constant=refuse)["points"]
+    assert [p for p in points if p[1] is not None] == [[t0, 1e308], [t0 + 600, 1e308], [t0 + 1_200, 1e308]]
+
+
 def test_api_report_matches_library_byte_for_byte(api):
     base, store = api
     window = (T0, T0 + 3600)

@@ -783,6 +783,26 @@ def test_scheduler_polls_on_cadence_and_survives_a_dead_host():
     assert srv.store.write_count > 0
 
 
+def test_a_scheduler_that_always_wakes_late_still_fills_every_slot():
+    fake = FakeTime(1_000_000.0)
+    text = payload_text(7, ["0 beat up=1 ok"]).encode()
+    stop = threading.Event()
+    host = HostConfig("h1", "in-process", poll_interval_s=10)
+    srv = MonitoringServer([host], store=Store(default_retention="10s:1h"), clock=fake.time, fetch=lambda cfg: text)
+
+    def late_sleep(dt):
+        for thread in threading.enumerate():  # each poll stores its sample at the fake time it began
+            if thread.name.startswith("poll-"):
+                thread.join()
+        fake.sleep(dt + 0.2)
+
+    fake.on_advance = lambda now: stop.set() if now >= fake.start + 600 else None
+    srv.run(stop, sleep=late_sleep)
+    _, points = srv.store.read("hpc.h1.beat.up", int(fake.start), int(fake.start) + 600)
+    assert [t for t, v in points if v is None] == []
+    assert srv.poll_counts == {"h1": 60}
+
+
 def test_scheduler_skips_a_host_whose_poll_is_still_in_flight():
     fake = FakeTime(1_000_000.0)
     text = payload_text(7, ["0 beat up=1 ok"]).encode()

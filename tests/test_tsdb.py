@@ -23,6 +23,7 @@ from gridwatch.tsdb import (
     Store,
     TooOld,
     _Series,
+    mean,
     parse_retention,
 )
 from reference_impls import FlatStore, per_slot_consolidate, per_slot_read
@@ -206,6 +207,23 @@ def test_coarse_slot_is_mean_of_finest_points():
     interval, points = st_.read(S, 59_880, 60_060)
     assert interval == 60
     assert dict(points)[60_000] == pytest.approx(3.5, abs=0)
+
+
+def test_a_coarse_slot_over_points_whose_sum_overflows_is_their_finite_mean():
+    st_ = store("1m:1d,10m:2d")
+    t0 = 1_609_459_200
+    for k in range(30):
+        put(st_, t0 + 60 * k, 1e308)
+    interval, points = st_.read(S, t0 - 86_400, t0 + 1_800)  # only the 10 m archive covers the start
+    assert interval == 600
+    assert [p for p in points if p[1] is not None] == [(t0, 1e308), (t0 + 600, 1e308), (t0 + 1_200, 1e308)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_the_mean_of_the_largest_floats_is_the_largest_float(n):
+    assert mean([sys.float_info.max] * n) == sys.float_info.max
+    assert mean([-sys.float_info.max] * n) == -sys.float_info.max
+    assert mean([1e308] * (n - 1) + [0.0]) == pytest.approx(1e308 / n * (n - 1))
 
 
 def test_coarse_slot_needs_half_the_finest_points():
