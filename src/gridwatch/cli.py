@@ -34,7 +34,7 @@ from .server import (
 )
 from .sim import BadScenario, Scenario, StackConfig, load_scenario, report_config
 from .sim import run as sim_run
-from .tsdb import DEFAULT_RETENTION, BadSpec, NoSuchSeries, Store, parse_retention
+from .tsdb import DEFAULT_RETENTION, BadSpec, NoSuchSeries, Store, pairs, parse_retention
 
 log = logging.getLogger(__name__)
 
@@ -275,7 +275,7 @@ def cmd_report(args) -> int:
             print("breaches            none")
     if args.svg:
         svg = render_svg(
-            {cfg.node_series: report.node_points},
+            {cfg.node_series: pairs(report.node_column)},
             title=f"node availability, threshold {cfg.threshold_nodes:g}",
             threshold=cfg.threshold_nodes,
         )
@@ -293,15 +293,11 @@ def cmd_plot(args) -> int:
         raise ConfigError(f"--width {args.width} must be >= 1")
     _check_window(args)
     store = _existing_store(args.store)
-    series_points = {}
-    any_data = False
-    for name in args.series:
-        _, points = store.read(name, args.from_t, args.to_t)
-        series_points[name] = points
-        any_data = any_data or any(v is not None for _, v in points)
-    if not any_data:
+    columns = {name: store.fetch(name, args.from_t, args.to_t) for name in args.series}
+    if all(v is None for _, _, values in columns.values() for v in values):
         print("no data in the requested range", file=sys.stderr)
         return 1
+    series_points = {name: pairs(column) for name, column in columns.items()}
     if args.svg:
         svg = render_svg(series_points, title=args.title or ", ".join(args.series))
         with open(args.svg, "w", encoding="utf-8") as fh:

@@ -6,6 +6,7 @@ that store reads produce. Absent slots show as gaps, never as zeros.
 
 from __future__ import annotations
 
+import math
 from xml.sax.saxutils import escape
 
 from .tsdb import mean
@@ -30,14 +31,13 @@ def sparkline(points, width: int) -> str:
     """
     if width <= 0:
         raise ValueError("width must be positive")
-    if not points:
-        return ABSENT * width
     values = [v for _, v in points]
     present = [v for v in values if v is not None]
     if not present:
         return ABSENT * width
     lo, hi = min(present), max(present)
-    span = hi - lo
+    scale = 0.5 if math.isinf(hi - lo) else 1.0  # exact halves of finite values lie under the float limit apart
+    span = hi * scale - lo * scale
     out = []
     n = len(values)
     for b in range(width):
@@ -50,7 +50,7 @@ def sparkline(points, width: int) -> str:
         if span == 0:
             out.append(BLOCKS[-1])
         else:
-            idx = int((mean(bucket) - lo) / span * (len(BLOCKS) - 1))
+            idx = int((mean(bucket) * scale - lo * scale) / span * (len(BLOCKS) - 1))
             out.append(BLOCKS[max(1, idx)])  # present data never blank
     return "".join(out)
 

@@ -94,7 +94,7 @@ class AvailabilityReport:
     node_availability_pct: float
     login_availability_pct: float
     breaches: list[Breach]
-    node_points: list = field(default_factory=list, repr=False, compare=False)  # the slots judged; not in the JSON
+    node_column: tuple = field(default=(), repr=False, compare=False)  # the fetched slots judged; not in the JSON
 
     def to_json(self) -> str:
         """Canonical serialization: sorted keys, no whitespace."""
@@ -114,10 +114,9 @@ class AvailabilityReport:
 
 
 def availability(
-    points,
+    column,
     predicate,
     window: tuple[int, int],
-    interval: int,
     *,
     staleness_s: float = DEFAULT_STALENESS_S,
     gaps_as_down: bool = False,
@@ -126,21 +125,20 @@ def availability(
 ) -> AvailabilityResult:
     """Fraction of time the predicate held, over slot-extended values.
 
-    ``points`` must be the dense, aligned ``[(slot_t, value_or_None), ...]``
-    list a store read returns, one slot per ``interval`` with none missing:
-    only the first slot's time is read, and each run of absent, up or down
-    slots is clipped to the window once, so edge slots count only for the
-    seconds they overlap it. Violation runs become breaches of
-    ``violation_kind``; absent runs longer than ``staleness_s`` become
-    breaches of ``gap_kind``.
+    ``column`` is the ``(start, interval, values)`` a store fetch returns,
+    one value per slot from ``start`` on with none missing: each run of
+    absent, up or down slots is clipped to the window once, so edge slots
+    count only for the seconds they overlap it. Violation runs become
+    breaches of ``violation_kind``; absent runs longer than ``staleness_s``
+    become breaches of ``gap_kind``.
     """
     from_t, to_t = window
     if from_t >= to_t:
         raise ValueError(f"empty window [{from_t}, {to_t})")
+    t, interval, values = column  # t: where the next run starts
     up = data = total = 0
     breaches: list[Breach] = []
-    states = [None if v is None else bool(predicate(v)) for _, v in points]
-    t = points[0][0] if points else 0  # where the next run starts
+    states = [None if v is None else bool(predicate(v)) for v in values]
     for state, run in itertools.groupby(states):
         lo = max(t, from_t)
         t += interval * len(list(run))
@@ -224,11 +222,11 @@ def contractual_report(store: Store, cfg: ReportConfig, window: tuple[int, int])
         (cfg.node_series, lambda v: v >= cfg.threshold_nodes, "node-below-threshold", "node-no-data"),
         (cfg.login_series, lambda v: v >= LOGIN_UP_THRESHOLD, "login-down", "login-no-data"),
     ):
-        interval, points = store.read(series, from_t, to_t)
-        result = availability(points, predicate, window, interval, staleness_s=cfg.staleness_s,
+        column = store.fetch(series, from_t, to_t)
+        result = availability(column, predicate, window, staleness_s=cfg.staleness_s,
                               gaps_as_down=cfg.gaps_as_down, violation_kind=violation_kind, gap_kind=gap_kind)
-        judged.append((result, points))
-    (node, node_points), (login, _) = judged
+        judged.append((result, column))
+    (node, node_column), (login, _) = judged
     breaches = sorted(node.breaches + login.breaches, key=lambda b: (b.start_t, b.kind))
     return AvailabilityReport(
         from_t=from_t,
@@ -238,7 +236,7 @@ def contractual_report(store: Store, cfg: ReportConfig, window: tuple[int, int])
         node_availability_pct=node.pct,
         login_availability_pct=login.pct,
         breaches=breaches,
-        node_points=node_points,
+        node_column=node_column,
     )
 
 
@@ -250,14 +248,15 @@ def _number_text(v: float) -> str:
     return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
-def _series_json(name: str, interval: int, points) -> str:
+def _series_json(name: str, start: int, interval: int, values) -> str:
     """The bytes ``json.dumps`` gives a series body with sorted keys and no whitespace.
 
     Nearly all of that encode is float text, so a value's text is memoized;
     a zero bypasses the memo, where ``0.0 == -0.0`` would give both one text.
     """
     text = _number_text
-    body = ",".join([f"[{t},{text(v) if v else 'null' if v is None else repr(v)}]" for t, v in points])
+    body = ",".join([f"[{t},{text(v) if v else 'null' if v is None else repr(v)}]"
+                     for t, v in zip(itertools.count(start, interval), values)])
     return f'{{"interval":{interval},"points":[{body}],"series":{json.dumps(name)}}}'
 
 
@@ -302,10 +301,10 @@ class _ApiHandler(BaseHTTPRequestHandler):
     def _series(self, name: str, parts) -> None:
         from_t, to_t = self._window(parts)
         try:
-            interval, points = self.server.store.read(name, from_t, to_t)
+            column = self.server.store.fetch(name, from_t, to_t)
         except ValueError as exc:
             raise _BadQuery(str(exc)) from None
-        self._send(200, _series_json(name, interval, points))
+        self._send(200, _series_json(name, *column))
 
     def _report(self, parts) -> None:
         window = self._window(parts)

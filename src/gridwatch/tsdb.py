@@ -50,6 +50,8 @@ import struct
 import sys
 import threading
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from pathlib import Path
 
 from .model import MetricSample, valid_series
@@ -163,6 +165,12 @@ def mean(values) -> float:
     return min(max(2 * math.fsum(v / (2 * n) for v in values), min(values)), max(values))
 
 
+def pairs(column) -> list:
+    """A fetched ``(start, interval, values)`` column as ``[(slot_t, value_or_None), ...]``."""
+    start, interval, values = column
+    return list(zip(range(start, start + interval * len(values), interval), values))
+
+
 class _Archive:
     """One fixed-size ring. Slot i is valid iff ts[i] equals the aligned
     timestamp being asked about. ``ts`` and ``vals`` are strided views over
@@ -185,16 +193,13 @@ class _Archive:
         return (aligned_t // self.interval) % self.points
 
     def slots(self, t: int, n: int):
-        """Walk the ``n <= points`` slots from aligned time ``t`` on as at most
-        two slices, before and after the wrap: yields ``(times, stamps,
-        values)`` per slice, each slice copied only when its turn comes."""
+        """``(times, stamps, values)`` of the ``n <= points`` slots from aligned
+        time ``t`` on, each list read as at most two slices, before and after the wrap."""
         i = self.idx(t)
         m = min(n, self.points - i)
-        end = t + m * self.interval
-        yield range(t, end, self.interval), self.ts[i : i + m].tolist(), self.vals[i : i + m].tolist()
-        if m < n:
-            yield (range(end, t + n * self.interval, self.interval),
-                   self.ts[: n - m].tolist(), self.vals[: n - m].tolist())
+        return (list(range(t, t + n * self.interval, self.interval)),
+                self.ts[i : i + m].tolist() + self.ts[: n - m].tolist(),
+                self.vals[i : i + m].tolist() + self.vals[: n - m].tolist())
 
 
 class _Series:
@@ -278,8 +283,7 @@ class _Series:
             ar.vals[j] = mean(fin.vals[i : i + n])
             return
         # t = 0 is what an empty slot holds
-        values = [v for times, stamps, vals in fin.slots(slot_t, n)
-                  for t, stamp, v in zip(times, stamps, vals) if stamp == t and t]
+        values = [v for t, stamp, v in zip(*fin.slots(slot_t, n)) if stamp == t and t]
         if len(values) * 2 >= n:
             ar.ts[j] = slot_t
             ar.vals[j] = mean(values)
@@ -301,7 +305,7 @@ class Store:
     rewrites dirty series on flush()/close(), so a crash loses at most the
     samples since the last flush. A read holds ``lock`` while it builds its
     whole result from one archive's ring, copying at most two contiguous
-    slices (before and after the wrap) one at a time.
+    slices (before and after the wrap).
     """
 
     def __init__(self, root: "str | Path | None" = None, default_retention: "str | RetentionSpec" = DEFAULT_RETENTION):
@@ -356,13 +360,11 @@ class Store:
 
     # -- reading ---------------------------------------------------------
 
-    def read(self, series: str, from_t: int, to_t: int):
-        """Return ``(interval, [(slot_t, value_or_None), ...])``.
-
-        Slots are aligned to the chosen archive's interval and cover every
-        aligned step from ``from_t`` (rounded down) up to but excluding
-        ``to_t``; unpopulated slots read as None.
-        """
+    def fetch(self, series: str, from_t: int, to_t: int):
+        """Return ``(start, interval, values)``: ``values[k]`` is the slot at
+        ``start + k * interval``, None where it holds no data. ``start`` is
+        ``from_t`` rounded down to the chosen archive's interval, and the
+        slots run up to but excluding ``to_t``."""
         if from_t >= to_t:
             raise ValueError(f"empty read range [{from_t}, {to_t})")
         with self.lock:
@@ -375,17 +377,23 @@ class Store:
             start = ar.align(from_t)
             if (to_t - start) // ar.interval > _MAX_READ_POINTS:
                 raise ValueError("read range spans too many slots")
-            times = range(start, to_t, ar.interval)
+            n = len(range(start, to_t, ar.interval))
             # Only a slot after the epoch that the ring window has not slid past can hold
             # data, though its stamp may linger until a newer slot claims its position.
             oldest = max(ar.align(s.latest) - ar.interval * (ar.points - 1), ar.interval)
-            lo = min(len(times), max(0, (oldest - start) // ar.interval))
-            hi = min(len(times), lo + ar.points)  # the window is one ring long
-            out = [(t, None) for t in times[:lo]]
-            for run, stamps, values in ar.slots(start + lo * ar.interval, hi - lo):
-                out += [(t, v if stamp == t else None) for t, stamp, v in zip(run, stamps, values)]
-            out += [(t, None) for t in times[hi:]]
-            return ar.interval, out
+            lo = min(n, max(0, (oldest - start) // ar.interval))
+            hi = min(n, lo + ar.points)  # the window is one ring long
+            times, stamps, values = ar.slots(start + lo * ar.interval, hi - lo)
+            values = [None] * lo + values + [None] * (n - hi)
+            if stamps != times:  # a position whose stamp is not its slot's time holds another slot, or none
+                for k in compress(range(lo, hi), map(ne, stamps, times)):
+                    values[k] = None
+            return start, ar.interval, values
+
+    def read(self, series: str, from_t: int, to_t: int):
+        """``fetch`` as ``(interval, [(slot_t, value_or_None), ...])``."""
+        column = self.fetch(series, from_t, to_t)
+        return column[1], pairs(column)
 
     def list_series(self, prefix: str = "") -> list[str]:
         with self.lock:

@@ -27,6 +27,7 @@ from gridwatch.model import (
     Perfdata,
 )
 from gridwatch.report import DEFAULT_STALENESS_S, AvailabilityResult, Breach, EmptyWindow
+from gridwatch.tsdb import mean
 
 
 class FlatStore:
@@ -45,6 +46,10 @@ class FlatStore:
     * a coarser slot is the time-ordered mean of the finest-aligned values
       it spans, materialized only when at least half of them exist, and
       visible only while the slot is within that archive's coverage.
+
+    Where the plain sum of a slot's values overflows, the mean of those finite
+    values is still finite: both oracles then take the store's ``mean``, whose
+    overflow rule has tests of its own, so they check which points are averaged.
     """
 
     def __init__(self, archives):
@@ -99,7 +104,9 @@ class FlatStore:
         needed = interval // finest_interval
         if not members or len(members) * 2 < needed:
             return None
-        return sum(self.flat[u] for u in members) / len(members)
+        values = [self.flat[u] for u in members]
+        total = sum(values)
+        return total / len(values) if math.isfinite(total) else mean(values)
 
     def coarse_members(self, interval: int, t: int) -> list[float]:
         """The finest values a coarse slot at t spans, in time order."""
@@ -249,6 +256,12 @@ def parse_agent_payload(data) -> AgentPayload:
     return AgentPayload(version, host_time, results)
 
 
+def column(points, interval: int):
+    """Dense, aligned ``[(slot_t, value_or_None), ...]`` points as the
+    ``(start, interval, values)`` column a store fetch returns."""
+    return points[0][0], interval, [v for _, v in points]
+
+
 def per_second_availability(points, predicate, window, interval, gaps_as_down=False):
     """Brute-force availability: account for every single second.
 
@@ -346,16 +359,16 @@ def per_slot_consolidate(series, ar, slot_t):
     the slot's stamp only when the position held another slot.
     """
     fin = series.archives[0]
-    total, count = 0.0, 0
+    total, members = 0.0, []
     for t in range(slot_t, slot_t + ar.interval, fin.interval):
         i = (t // fin.interval) % fin.points
         if fin.ts[i] == t and t:  # t = 0 is what an empty slot holds
             total += fin.vals[i]
-            count += 1
+            members.append(fin.vals[i])
     j = (slot_t // ar.interval) % ar.points
-    if count * 2 >= ar.interval // fin.interval:
+    if len(members) * 2 >= ar.interval // fin.interval:
         ar.ts[j] = slot_t
-        ar.vals[j] = total / count
+        ar.vals[j] = total / len(members) if math.isfinite(total) else mean(members)
     elif ar.ts[j] != slot_t:
         ar.ts[j] = 0
 

@@ -42,7 +42,7 @@ from gridwatch.sim import (
 )
 from gridwatch.tsdb import Store, TooOld
 
-from reference_impls import FakeTime, FlatStore, per_second_availability
+from reference_impls import FakeTime, FlatStore, column, per_second_availability
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -117,9 +117,9 @@ def test_criterion_2_availability_matches_per_second_oracle():
             )
             if oracle is None:
                 with pytest.raises(EmptyWindow):
-                    availability(points, is_up, (w0, w1), interval, gaps_as_down=gaps_as_down)
+                    availability(column(points, interval), is_up, (w0, w1), gaps_as_down=gaps_as_down)
                 continue
-            got = availability(points, is_up, (w0, w1), interval, gaps_as_down=gaps_as_down)
+            got = availability(column(points, interval), is_up, (w0, w1), gaps_as_down=gaps_as_down)
             assert abs(got.pct - oracle) <= 0.01, (
                 f"case {case} gaps_as_down={gaps_as_down}: {got.pct} vs oracle {oracle}"
             )

@@ -178,13 +178,13 @@ def test_report_svg_output(sim_store, tmp_path):
 def test_report_with_svg_reads_each_series_once(sim_store, tmp_path, monkeypatch, capsys):
     store, (from_t, to_t), _ = sim_store
     reads = []
-    read = Store.read
+    fetch = Store.fetch
 
-    def counted_read(self, series, *window):
+    def counted_fetch(self, series, *window):
         reads.append(series)
-        return read(self, series, *window)
+        return fetch(self, series, *window)
 
-    monkeypatch.setattr(Store, "read", counted_read)
+    monkeypatch.setattr(Store, "fetch", counted_fetch)
     svg = tmp_path / "node.svg"
     assert main([
         "report", "--store", str(store), "--from", str(from_t), "--to", str(to_t),

@@ -1,5 +1,5 @@
 """Golden records of the invariants: store bytes, run summary, notifications,
-report JSON, API body and agent wire text.
+report JSON, API body, plot bytes and agent wire text.
 
 A two-hour scenario with every event kind is replayed through ``sim.run``
 into a file-backed store, and each output is compared with a constant
@@ -8,7 +8,9 @@ moves any byte of these outputs fails here, and must update the constants
 on purpose, saying why.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import shutil
 import urllib.request
@@ -16,6 +18,7 @@ import urllib.request
 import pytest
 
 from gridwatch.agent import Agent
+from gridwatch.cli import main
 from gridwatch.report import ApiServer, contractual_report
 from gridwatch.sim import (
     SIM_EPOCH,
@@ -49,6 +52,7 @@ SCENARIO = Scenario(
 RETENTION = "1m:6h,10m:2d,1h:7d"
 API_SERIES = "hpc.login_cluster.login.login_up"
 API_WINDOW = (SIM_EPOCH + 1020 * 5, SIM_EPOCH + 1320 * 5)
+PLOT_SERIES = ("hpc.admin.power.system", API_SERIES)  # one series without gaps, one with
 WIRE_TICK = 486  # HPL run, power dip, node drain and DNS failure all active
 
 GOLDEN_STORE_SHA256 = "aba93863c5cf47fc483cf11cf0b17a9c761a974a79dc2d2fc34ce97a559b5834"
@@ -198,6 +202,10 @@ GOLDEN_API_BODY = (
     '1.0],[1609465620,1.0],[1609465680,1.0],[1609465740,1.0]],'
     '"series":"hpc.login_cluster.login.login_up"}'
 )
+# SHA-256 of `report --svg`, `plot --svg` and the `plot` sparkline text over the replayed store.
+GOLDEN_REPORT_SVG_SHA256 = "59d98713bb3e9317d8026c8bc6bf540949da695dd885694fba182cf5f94a4693"
+GOLDEN_PLOT_SVG_SHA256 = "743f8d3b7e071a718235c75c142b3ac5c395400aee20562e8a460a1f3f049654"
+GOLDEN_PLOT_TEXT_SHA256 = "00db08b676bfc35db7f9ff82e374e96964feb99e1ee2a430a21bca52c7d73c4b"
 GOLDEN_ADMIN_PAYLOAD = (
     '<<<meta>>>\nversion: sim-golden\nhost_time: 1609461630\n<<<local>>>\n0 power '
     'system=322378.61796586006|cab_x1000=89333.34745325909|cab_x1001=53663.22122343051|'
@@ -239,12 +247,25 @@ def store_sha256(root) -> str:
     return h.hexdigest()
 
 
+def cli_sha256(*argv, svg=None) -> str:
+    """SHA-256 of what ``gridwatch <argv>`` writes: the SVG file at ``svg``, else its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, *(["--svg", str(svg)] if svg else [])]) == 0
+    return hashlib.sha256(svg.read_bytes() if svg else out.getvalue().encode("utf-8")).hexdigest()
+
+
 def replay_outputs(root) -> dict:
     """Replay SCENARIO into a store at ``root``; every recorded output."""
     store = Store(root, default_retention=RETENTION)
     result = run(SCENARIO, StackConfig(), store=store)
     summary = json.loads(result.summary.to_json())
     del summary["wall_s"]
+    cfg, window = result.report_cfg, ("--from", str(result.window[0]), "--to", str(result.window[1]))
+    report = ("report", "--store", str(root), *window, "--node-series", cfg.node_series,
+              "--login-series", cfg.login_series, "--threshold", str(cfg.threshold_nodes),
+              "--staleness-s", str(cfg.staleness_s))
+    plot = ("plot", "--store", str(root), *window, *(arg for name in PLOT_SERIES for arg in ("--series", name)))
     with serving(ApiServer(("127.0.0.1", 0), result.store, result.report_cfg)) as api:
         url = "http://127.0.0.1:%d/api/v1/series/%s?from=%d&to=%d" % (
             api.address[1], API_SERIES, *API_WINDOW,
@@ -257,6 +278,9 @@ def replay_outputs(root) -> dict:
         "notifications": tuple(n.to_json() for n in result.notifications),
         "report": contractual_report(result.store, result.report_cfg, result.window).to_json(),
         "api": api_body,
+        "report_svg": cli_sha256(*report, svg=root.parent / "report.svg"),
+        "plot_svg": cli_sha256(*plot, svg=root.parent / "plot.svg"),
+        "plot_text": cli_sha256(*plot),
     }
 
 
@@ -314,6 +338,18 @@ def test_contractual_report(replay):
 
 def test_api_series_body(replay):
     assert replay["api"] == GOLDEN_API_BODY
+
+
+def test_report_svg(replay):
+    assert replay["report_svg"] == GOLDEN_REPORT_SVG_SHA256
+
+
+def test_plot_svg(replay):
+    assert replay["plot_svg"] == GOLDEN_PLOT_SVG_SHA256
+
+
+def test_plot_sparklines(replay):
+    assert replay["plot_text"] == GOLDEN_PLOT_TEXT_SHA256
 
 
 def test_admin_and_login_wire_text():

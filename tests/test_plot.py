@@ -57,6 +57,13 @@ def test_sparkline_bucket_of_points_whose_sum_overflows_takes_their_finite_mean(
     assert sparkline([(0, 1e308), (60, 1e308), (120, 0.0)], 1) == BLOCKS[5]
 
 
+def test_sparkline_scales_readings_of_opposite_sign_near_the_float_limit():
+    # max - min overflows; the scale runs from -1e308 to 1e308 all the same.
+    values = pts(*[-1e308, 1e308] * 15)
+    assert sparkline(values, 30) == (BLOCKS[1] + BLOCKS[-1]) * 15
+    assert sparkline(values, 10) == (BLOCKS[2] + BLOCKS[5]) * 5  # bucket means -1e308/3 and 1e308/3
+
+
 # -- SVG ----------------------------------------------------------------------
 
 

@@ -23,8 +23,8 @@ from gridwatch.report import (
     contractual_report,
     detect_dips,
 )
-from gridwatch.tsdb import Store
-from reference_impls import per_second_availability, per_slot_availability, series_body, serving
+from gridwatch.tsdb import Store, pairs
+from reference_impls import column, per_second_availability, per_slot_availability, series_body, serving
 
 UP = 1.0
 DOWN = 0.0
@@ -48,7 +48,7 @@ def test_availability_simple_fraction():
     for i in range(100, 136):
         values[i] = DOWN
     points = slots(*values)
-    got = availability(points, is_up, (T0, T0 + 86_400), 60)
+    got = availability(column(points, 60), is_up, (T0, T0 + 86_400))
     assert got.pct == pytest.approx(97.5, abs=1e-12)
     assert got.up_s == 86_400 - 36 * 60
     assert got.data_s == got.window_s == 86_400
@@ -58,7 +58,7 @@ def test_availability_simple_fraction():
 def test_availability_counts_partial_edge_slots():
     points = slots(UP, DOWN, UP)
     # Window starts 30s into the first slot and ends 30s into the last.
-    got = availability(points, is_up, (T0 + 30, T0 + 150), 60)
+    got = availability(column(points, 60), is_up, (T0 + 30, T0 + 150))
     assert got.window_s == 120
     assert got.up_s == 60  # 30s head + 30s tail
     assert got.pct == pytest.approx(50.0)
@@ -68,28 +68,28 @@ def test_availability_counts_partial_edge_slots():
 def test_availability_gap_handling_modes():
     points = slots(UP, None, None, UP)
     window = (T0, T0 + 240)
-    excl = availability(points, is_up, window, 60, staleness_s=600)
+    excl = availability(column(points, 60), is_up, window, staleness_s=600)
     assert excl.pct == pytest.approx(100.0)
     assert excl.data_s == 120 and excl.window_s == 240
     assert excl.breaches == []  # 120s gap is within the 600s staleness allowance
-    down = availability(points, is_up, window, 60, staleness_s=600, gaps_as_down=True)
+    down = availability(column(points, 60), is_up, window, staleness_s=600, gaps_as_down=True)
     assert down.pct == pytest.approx(50.0)
 
 
 def test_availability_long_gap_becomes_breach():
     points = slots(UP, *([None] * 11), UP)
-    got = availability(points, is_up, (T0, T0 + 13 * 60), 60, staleness_s=600)
+    got = availability(column(points, 60), is_up, (T0, T0 + 13 * 60), staleness_s=600)
     assert got.breaches == [Breach(T0 + 60, T0 + 12 * 60, "no-data")]
     # Exactly at the staleness limit: not a breach.
     points = slots(UP, *([None] * 10), UP)
-    got = availability(points, is_up, (T0, T0 + 12 * 60), 60, staleness_s=600)
+    got = availability(column(points, 60), is_up, (T0, T0 + 12 * 60), staleness_s=600)
     assert got.breaches == []
 
 
 def test_availability_custom_breach_kinds_and_order():
     points = slots(DOWN, *([None] * 11), UP)
     got = availability(
-        points, is_up, (T0, T0 + 13 * 60), 60,
+        column(points, 60), is_up, (T0, T0 + 13 * 60),
         staleness_s=600, violation_kind="login-down", gap_kind="login-no-data",
     )
     assert [b.kind for b in got.breaches] == ["login-down", "login-no-data"]
@@ -98,9 +98,9 @@ def test_availability_custom_breach_kinds_and_order():
 
 def test_availability_empty_and_bad_windows():
     with pytest.raises(EmptyWindow):
-        availability(slots(None, None), is_up, (T0, T0 + 120), 60)
+        availability(column(slots(None, None), 60), is_up, (T0, T0 + 120))
     with pytest.raises(ValueError):
-        availability(slots(UP), is_up, (T0 + 60, T0), 60)
+        availability(column(slots(UP), 60), is_up, (T0 + 60, T0))
 
 
 def test_availability_complement_sums_to_hundred_when_fully_populated():
@@ -108,8 +108,8 @@ def test_availability_complement_sums_to_hundred_when_fully_populated():
     values = [rng.choice([UP, DOWN]) for _ in range(200)]
     points = slots(*values)
     window = (T0, T0 + 200 * 60)
-    a = availability(points, is_up, window, 60).pct
-    b = availability(points, lambda v: not is_up(v), window, 60).pct
+    a = availability(column(points, 60), is_up, window).pct
+    b = availability(column(points, 60), lambda v: not is_up(v), window).pct
     assert a + b == pytest.approx(100.0, abs=1e-9)
 
 
@@ -128,9 +128,9 @@ def test_availability_matches_per_second_reference(data):
     want = per_second_availability(points, is_up, (from_t, to_t), 60, gaps_as_down)
     if want is None:
         with pytest.raises(EmptyWindow):
-            availability(points, is_up, (from_t, to_t), 60, gaps_as_down=gaps_as_down)
+            availability(column(points, 60), is_up, (from_t, to_t), gaps_as_down=gaps_as_down)
         return
-    got = availability(points, is_up, (from_t, to_t), 60, gaps_as_down=gaps_as_down)
+    got = availability(column(points, 60), is_up, (from_t, to_t), gaps_as_down=gaps_as_down)
     assert got.pct == pytest.approx(want, abs=1e-9)
 
 
@@ -158,9 +158,9 @@ def test_availability_matches_per_slot_reference(data):
         want = per_slot_availability(points, is_up, (from_t, to_t), 60, **kwargs)
     except EmptyWindow:
         with pytest.raises(EmptyWindow):
-            availability(points, is_up, (from_t, to_t), 60, **kwargs)
+            availability(column(points, 60), is_up, (from_t, to_t), **kwargs)
         return
-    assert availability(points, is_up, (from_t, to_t), 60, **kwargs) == want
+    assert availability(column(points, 60), is_up, (from_t, to_t), **kwargs) == want
 
 
 # -- dip detection ---------------------------------------------------------------
@@ -395,8 +395,8 @@ def test_api_series_bodies_match_json_dumps_byte_for_byte(api, monkeypatch):
     for i, v in enumerate(values):
         if v is not None:
             store.write(MetricSample(name, T0 + i * 60, v))
-    read, reads = store.read, []
-    monkeypatch.setattr(store, "read", lambda *args: reads.append(args) or read(*args))
+    store_fetch, reads = store.fetch, []
+    monkeypatch.setattr(store, "fetch", lambda *args: reads.append(args) or store_fetch(*args))
     windows = [(T0, T0 + 60 * len(values)), (T0 - 600, T0 + 3600), (T0 + 360, T0 + 361)]
     for _ in range(2):  # the second pass finds every value's text already made
         for series in (name, CFG.node_series, CFG.login_series):
@@ -405,7 +405,7 @@ def test_api_series_bodies_match_json_dumps_byte_for_byte(api, monkeypatch):
                 status, body = fetch(base, f"/api/v1/series/{series}?from={from_t}&to={to_t}")
                 assert status == 200
                 assert reads == [(series, from_t, to_t)]  # one store read per request
-                assert body == series_body(series, *read(series, from_t, to_t)).encode()
+                assert body == series_body(series, *store.read(series, from_t, to_t)).encode()
 
 
 _SERIES_VALUES = st.one_of(
@@ -421,26 +421,28 @@ _SERIES_VALUES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(
     name=st.one_of(st.text(), st.sampled_from(['a"b', "a\\b", 'q"\\"\\', "pow\u00e9r.\u2603.\U0001d11e"])),
+    start=st.integers(min_value=0, max_value=2**40),
     interval=st.integers(min_value=1, max_value=10**7),
-    points=st.lists(st.tuples(st.integers(min_value=0, max_value=2**40), _SERIES_VALUES), max_size=40),
+    values=st.lists(_SERIES_VALUES, max_size=40),
 )
-@example(name="z", interval=60, points=[(60, 0.0), (120, -0.0), (180, 0.0)])
-@example(name="z", interval=60, points=[(60, -0.0), (120, 0.0), (180, -0.0)])
-@example(name="z", interval=60, points=[(60, float("nan")), (120, float("inf")), (180, float("-inf"))])
-@example(name="z", interval=60, points=[])
-def test_series_json_matches_json_dumps(name, interval, points):
-    assert _series_json(name, interval, points) == series_body(name, interval, points)
+@example(name="z", start=60, interval=60, values=[0.0, -0.0, 0.0])
+@example(name="z", start=60, interval=60, values=[-0.0, 0.0, -0.0])
+@example(name="z", start=60, interval=60, values=[float("nan"), float("inf"), float("-inf")])
+@example(name="z", start=60, interval=60, values=[])
+def test_series_json_matches_json_dumps(name, start, interval, values):
+    assert _series_json(name, start, interval, values) == series_body(name, interval, pairs((start, interval, values)))
 
 
 def test_series_json_value_memo_is_bounded_and_stays_correct_past_it():
     maxsize = _number_text.cache_info().maxsize
     assert maxsize is not None
-    early = [(T0 + i * 60, 1000.0 + i / 7) for i in range(100)] + [(T0 + 6000, 0.0), (T0 + 6060, -0.0)]
-    assert _series_json("early", 60, early) == series_body("early", 60, early)
-    flood = [(T0 + i * 60, 1e6 + i / 3) for i in range(maxsize + 1000)]
-    assert _series_json("flood", 60, flood) == series_body("flood", 60, flood)
+    early = [1000.0 + i / 7 for i in range(100)] + [0.0, -0.0]
+    want = series_body("early", 60, pairs((T0, 60, early)))
+    assert _series_json("early", T0, 60, early) == want
+    flood = [1e6 + i / 3 for i in range(maxsize + 1000)]
+    assert _series_json("flood", T0, 60, flood) == series_body("flood", 60, pairs((T0, 60, flood)))
     assert _number_text.cache_info().currsize == maxsize
-    assert _series_json("early", 60, early) == series_body("early", 60, early)
+    assert _series_json("early", T0, 60, early) == want
 
 
 def test_api_identical_requests_get_identical_bodies(api):

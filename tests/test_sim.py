@@ -531,7 +531,7 @@ def test_report_config_reads_the_series_a_run_writes_for_a_dotted_partition():
     result = run(tiny(shape=shape), FAST_STACK, store=small_store())
     report = contractual_report(result.store, result.report_cfg, result.window)
     assert report.node_series == "hpc.node_cluster.node_state.avail_gpu_a100"
-    assert {v for _, v in report.node_points} == {8.0}
+    assert set(report.node_column[2]) == {8.0}
     assert result.report_cfg.threshold_nodes == 8  # the partition's 8 nodes, not the machine's 16
     assert report.node_availability_pct == 100.0
     assert report.login_availability_pct == 100.0

@@ -26,7 +26,7 @@ from gridwatch.tsdb import (
     mean,
     parse_retention,
 )
-from reference_impls import FlatStore, per_slot_consolidate, per_slot_read
+from reference_impls import FlatStore, column, per_slot_consolidate, per_slot_read
 
 S = "hpc.host.svc.key"
 
@@ -293,7 +293,9 @@ def assert_reads_match(st_, ref):
     if not ref.flat:
         assert st_.list_series() == []  # every write was refused, so there is no series to read
         return
-    for from_off, span in [(-900, 1200), (-100, 300), (0, 200), (-3000, 3600)]:
+    # (-100, 300) spans 30 finest slots, so it crosses the finest ring's wrap;
+    # (-5000, 5200) starts before the coarsest ring's window and ends after latest.
+    for from_off, span in [(-900, 1200), (-100, 300), (0, 200), (-3000, 3600), (-5000, 5200)]:
         from_t, to_t = ref.latest + from_off, ref.latest + from_off + span
         if from_t >= to_t or to_t <= 0:
             continue
@@ -302,6 +304,7 @@ def assert_reads_match(st_, ref):
         assert got_interval == want_interval
         assert len(got) == len(want)
         assert got == want
+        assert st_.fetch(S, from_t, to_t) == column(want, want_interval)
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,7 +462,21 @@ RING = RetentionSpec(((10, 30), (60, 20)))  # the finest ring holds 300 s, the c
 def read_as_per_slot(st_, from_t, to_t):
     got = st_.read(S, from_t, to_t)
     assert got == per_slot_read(st_, S, from_t, to_t)
+    assert st_.fetch(S, from_t, to_t) == column(got[1], got[0])
     return got
+
+
+def test_the_oracles_take_the_finite_mean_where_a_sum_overflows():
+    st_, ref, full = store(RING), FlatStore(RING.archives), FullPathSeries(RING)
+    for k, t in enumerate(range(1000, 1500, 10)):
+        v = -1e308 if k % 3 == 2 else 1e308  # the oldest-first sum of each full 60 s slot overflows
+        assert ref.write(t, v)
+        put(st_, t, v)
+        full.write(t, v)
+    assert bytes(st_._series[S].table) == bytes(full.table)
+    assert_reads_match(st_, ref)
+    interval, points = st_.read(S, 1000, 1500)
+    assert interval == 60 and dict(points)[1020] == 1e308 / 3
 
 
 def test_read_across_the_finest_ring_wrap():
