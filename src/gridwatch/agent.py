@@ -445,15 +445,15 @@ class Agent:
         cfg, sources = self.cfg, self.sources
         timeout_s = cfg.check_timeout_s
         tasks: list[tuple[str, str, object]] = [(name, name, thunk) for name, thunk in self._builtins]
-        if cfg.check_dir is not None:
-            dir_path = Path(cfg.check_dir)
-            if dir_path.is_dir():
-                for script in sorted(dir_path.iterdir()):
-                    if script.is_file() and os.access(script, os.X_OK):
-                        run = functools.partial(_run_script, sources, script, timeout_s)
-                        tasks.append((str(script), script.name, run))
-            else:
-                log.warning("check_dir %s missing; running built-ins only", cfg.check_dir)
+        try:
+            scripts = [] if cfg.check_dir is None else sorted(Path(cfg.check_dir).iterdir())
+        except OSError as exc:  # missing, not a directory, unreadable, or removed since
+            log.warning("check_dir %s cannot be listed (%s); running built-ins only", cfg.check_dir, exc)
+            scripts = []
+        for script in scripts:
+            if script.is_file() and os.access(script, os.X_OK):
+                run = functools.partial(_run_script, sources, script, timeout_s)
+                tasks.append((str(script), script.name, run))
 
         results: list[CheckResult] = []
         if not sources.blocking:

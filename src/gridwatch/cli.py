@@ -34,7 +34,7 @@ from .server import (
 )
 from .sim import BadScenario, Scenario, StackConfig, load_scenario, report_config
 from .sim import run as sim_run
-from .tsdb import DEFAULT_RETENTION, BadSpec, NoSuchSeries, Store, pairs, parse_retention
+from .tsdb import DEFAULT_RETENTION, BadSpec, NoSuchSeries, Store, parse_retention
 
 log = logging.getLogger(__name__)
 
@@ -275,7 +275,7 @@ def cmd_report(args) -> int:
             print("breaches            none")
     if args.svg:
         svg = render_svg(
-            {cfg.node_series: pairs(report.node_column)},
+            {cfg.node_series: report.node_column},
             title=f"node availability, threshold {cfg.threshold_nodes:g}",
             threshold=cfg.threshold_nodes,
         )
@@ -297,16 +297,15 @@ def cmd_plot(args) -> int:
     if all(v is None for _, _, values in columns.values() for v in values):
         print("no data in the requested range", file=sys.stderr)
         return 1
-    series_points = {name: pairs(column) for name, column in columns.items()}
     if args.svg:
-        svg = render_svg(series_points, title=args.title or ", ".join(args.series))
+        svg = render_svg(columns, title=args.title or ", ".join(args.series))
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
         print(f"wrote {args.svg}")
     else:
-        label_w = max(len(n) for n in series_points)
-        for name, points in series_points.items():
-            print(f"{name:<{label_w}}  {sparkline(points, args.width)}")
+        label_w = max(len(n) for n in columns)
+        for name, column in columns.items():
+            print(f"{name:<{label_w}}  {sparkline(column, args.width)}")
     return 0
 
 

@@ -1,12 +1,13 @@
 """Tiny plotting helpers: unicode sparklines and standalone SVG charts.
 
-Both renderers take the dense ``[(t, value_or_None), ...]`` slot lists
-that store reads produce. Absent slots show as gaps, never as zeros.
+Both renderers take the ``(start, interval, values)`` column that
+``Store.fetch`` returns. Absent slots show as gaps, never as zeros.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from xml.sax.saxutils import escape
 
 from .tsdb import mean
@@ -23,15 +24,15 @@ _MARGIN_B = 30
 _PALETTE = ("#2b6cb0", "#c05621", "#2f855a", "#9b2c2c", "#6b46c1", "#b7791f")
 
 
-def sparkline(points, width: int) -> str:
-    """Render values as a fixed-width row of block characters.
+def sparkline(column, width: int) -> str:
+    """Render a column's values as a fixed-width row of block characters.
 
     The series is resampled to ``width`` buckets (bucket mean); buckets
     with no data render as a dot. Scale is min..max of the present values.
     """
     if width <= 0:
         raise ValueError("width must be positive")
-    values = [v for _, v in points]
+    values = column[2]
     present = [v for v in values if v is not None]
     if not present:
         return ABSENT * width
@@ -55,36 +56,27 @@ def sparkline(points, width: int) -> str:
     return "".join(out)
 
 
-def _polylines(points, x_of, y_of) -> list[str]:
-    """Split a gappy series into the runs of present points."""
-    runs: list[list[str]] = []
-    current: list[str] = []
-    for t, v in points:
-        if v is None:
-            if current:
-                runs.append(current)
-                current = []
-            continue
-        current.append(f"{x_of(t):.1f},{y_of(v):.1f}")
-    if current:
-        runs.append(current)
-    return [" ".join(run) for run in runs]
+def _polylines(column, x_of, y_of) -> list[str]:
+    """Split a gappy column into the runs of present slots."""
+    start, interval, values = column
+    runs = groupby(zip(range(start, start + interval * len(values), interval), values), lambda slot: slot[1] is None)
+    return [" ".join(f"{x_of(t):.1f},{y_of(v):.1f}" for t, v in run) for absent, run in runs if not absent]
 
 
 def render_svg(
-    series: dict[str, list],
+    series: dict[str, tuple],
     *,
     title: str = "",
     threshold: float | None = None,
 ) -> str:
     """Render one or more series to a self-contained SVG document.
 
-    ``series`` maps a label to its slot list. All series share one time
-    axis and one value axis. Runs separated by absent slots are drawn as
-    separate polylines, so monitoring gaps are visible as actual gaps.
+    ``series`` maps a label to its column. All series share one value axis and
+    one time axis, from the earliest first slot to the latest last slot. Runs
+    split by absent slots are separate polylines, so gaps show as gaps.
     """
-    all_t = [t for pts in series.values() for t, _ in pts]
-    all_v = [v for pts in series.values() for _, v in pts if v is not None]
+    ends = [(start, start + interval * (len(values) - 1)) for start, interval, values in series.values() if values]
+    all_v = [v for _, _, values in series.values() for v in values if v is not None]
     plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
     plot_h = _SVG_H - _MARGIN_T - _MARGIN_B
 
@@ -96,8 +88,8 @@ def render_svg(
     if title:
         parts.append(f'<text x="{_MARGIN_L}" y="18" font-size="13">{escape(title)}</text>')
 
-    if all_t and all_v:
-        t_lo, t_hi = min(all_t), max(all_t)
+    if all_v:
+        t_lo, t_hi = min(lo for lo, _ in ends), max(hi for _, hi in ends)
         v_lo, v_hi = min(all_v), max(all_v)
         if threshold is not None:
             v_lo, v_hi = min(v_lo, threshold), max(v_hi, threshold)
@@ -129,9 +121,9 @@ def render_svg(
                 f'x2="{_MARGIN_L + plot_w}" y2="{ty:.1f}" '
                 'stroke="#e53e3e" stroke-dasharray="6 3"/>'
             )
-        for i, (label, pts) in enumerate(series.items()):
+        for i, (label, column) in enumerate(series.items()):
             color = _PALETTE[i % len(_PALETTE)]
-            for line in _polylines(pts, x_of, y_of):
+            for line in _polylines(column, x_of, y_of):
                 parts.append(
                     f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="1.5"/>'
                 )

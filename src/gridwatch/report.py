@@ -32,6 +32,8 @@ DIP_TRAIL_N = 12  # populated values behind the baseline median
 DIP_DEPTH_FRACTION = 0.3  # a dip falls more than this far below the baseline
 DIP_MAX_LEN = 60  # longer runs below the bound are load changes, not dips
 
+API_IDLE_TIMEOUT_S = 10.0  # a client silent or stalled this long on its socket loses its handler thread
+
 
 class EmptyWindow(ValueError):
     """An availability window containing no populated slots."""
@@ -266,6 +268,7 @@ class _BadQuery(ValueError):
 
 class _ApiHandler(BaseHTTPRequestHandler):
     server: "ApiServer"
+    timeout = API_IDLE_TIMEOUT_S
 
     def do_GET(self):  # noqa: N802 (http.server naming)
         parts = urllib.parse.urlsplit(self.path)

@@ -384,13 +384,13 @@ class MonitoringServer:
 
     def flush_metrics(self, samples: list[MetricSample]) -> None:
         """Write ``samples`` to the store in order; a sample the store
-        refuses is logged and counted in ``samples_rejected``, and the
-        rest are still written. The caller holds the store's lock."""
+        refuses or fails to write is logged and counted in ``samples_rejected``,
+        and the rest are still written. The caller holds the store's lock."""
         write = self.store.write
         for sample in samples:
             try:
                 write(sample)
-            except ValueError as exc:  # TooOld, NonFiniteValue or a bad name
+            except (ValueError, OSError) as exc:  # TooOld, NonFiniteValue, a bad name, or no memory for a new series
                 self.samples_rejected += 1
                 log.warning("store refused %s: %s", sample.series, exc)
 

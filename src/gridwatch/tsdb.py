@@ -115,8 +115,8 @@ class RetentionSpec:
         prev_interval = 0
         prev_coverage = 0
         for interval, points in self.archives:
-            if interval <= 0 or points <= 0:
-                raise BadSpec(f"non-positive archive term ({interval}s x {points})")
+            if not (0 < interval < 2**32 and 0 < points < 2**32):  # the file header holds each as a uint32
+                raise BadSpec(f"archive term ({interval}s x {points}) outside 1 to {2**32 - 1} each")
             if interval <= prev_interval:
                 raise BadSpec(f"archive intervals must strictly increase ({interval} after {prev_interval})")
             if interval % finest_interval:
@@ -163,12 +163,6 @@ def mean(values) -> float:
         return total / n
     # Each term halved, so no partial sum in fsum can overflow; the clamp keeps rounding inside the values' range.
     return min(max(2 * math.fsum(v / (2 * n) for v in values), min(values)), max(values))
-
-
-def pairs(column) -> list:
-    """A fetched ``(start, interval, values)`` column as ``[(slot_t, value_or_None), ...]``."""
-    start, interval, values = column
-    return list(zip(range(start, start + interval * len(values), interval), values))
 
 
 class _Archive:
@@ -391,9 +385,9 @@ class Store:
             return start, ar.interval, values
 
     def read(self, series: str, from_t: int, to_t: int):
-        """``fetch`` as ``(interval, [(slot_t, value_or_None), ...])``."""
-        column = self.fetch(series, from_t, to_t)
-        return column[1], pairs(column)
+        """``fetch`` as ``(interval, [(slot_t, value_or_None), ...])``, the pair view the benchmark and tests read."""
+        start, interval, values = self.fetch(series, from_t, to_t)
+        return interval, list(zip(range(start, start + interval * len(values), interval), values))
 
     def list_series(self, prefix: str = "") -> list[str]:
         with self.lock:

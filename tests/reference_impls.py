@@ -262,6 +262,13 @@ def column(points, interval: int):
     return points[0][0], interval, [v for _, v in points]
 
 
+def pairs(column):
+    """A ``(start, interval, values)`` column as ``[(slot_t, value_or_None), ...]``,
+    the inverse of ``column``."""
+    start, interval, values = column
+    return list(zip(range(start, start + interval * len(values), interval), values))
+
+
 def per_second_availability(points, predicate, window, interval, gaps_as_down=False):
     """Brute-force availability: account for every single second.
 

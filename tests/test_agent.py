@@ -314,6 +314,18 @@ def test_missing_check_dir_is_tolerated(tmp_path):
     assert collect(FakeSources(), check_dir=str(tmp_path / "absent")).results == []
 
 
+def test_a_check_dir_that_cannot_be_listed_still_reports_the_built_ins(tmp_path, monkeypatch, caplog):
+    # Unreadable, or removed between a check that it exists and its listing.
+    def refuse(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(type(tmp_path), "iterdir", refuse)
+    agent = Agent(AgentConfig(checks=("node_state",), check_dir=str(tmp_path)), FakeSources(commands={"sinfo": (0, SINFO)}))
+    payload = parse_agent_payload(agent.payload_text())
+    assert [r.service for r in payload.results] == ["node_state"]
+    assert "Permission denied" in caplog.text
+
+
 def write_script(tmp_path, name, body):
     script = tmp_path / name
     script.write_text("#!/bin/sh\n" + body)

@@ -449,10 +449,11 @@ def test_server_invalid_prefix_is_config_error_naming_its_line(tmp_path):
     [
         ("retention = 10s:2d,1m:1d", "line 2: [server] retention: archive coverage must strictly increase"),
         ("retention = 10s:1m,1h:1d", "line 2: [server] retention: 3600s slots are longer than the finest coverage"),
+        ("retention = 1s:200y", "line 2: [server] retention: archive term (1s x 6307200000) outside 1 to 4294967295"),
         ("api_bind = nonsense", "line 2: [server] bad bind address 'nonsense'"),
         ("api_bind = 127.0.0.1:70000", "line 2: [server] bad bind address '127.0.0.1:70000'"),
     ],
-    ids=["coverage-shrinks", "coarse-slot-beyond-finest-coverage", "api-bind", "api-bind-port-too-high"],
+    ids=["coverage-shrinks", "coarse-slot-beyond-finest-coverage", "slots-beyond-the-header", "api-bind", "api-bind-port-too-high"],
 )
 def test_server_bad_retention_or_api_bind_is_config_error_naming_its_line(tmp_path, line, message):
     cfg = tmp_path / "server.cfg"

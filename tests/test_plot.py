@@ -8,7 +8,14 @@ from gridwatch.plot import ABSENT, BLOCKS, render_svg, sparkline
 
 
 def pts(*values, t0=1000, interval=60):
-    return [(t0 + i * interval, v) for i, v in enumerate(values)]
+    """``values`` as the ``(start, interval, values)`` column a store fetch returns."""
+    return t0, interval, list(values)
+
+
+def polylines(doc):
+    """Each polyline's ``(x, y)`` points, in document order."""
+    return [[tuple(map(float, xy.split(","))) for xy in el.get("points").split()]
+            for el in ET.fromstring(doc).iter() if el.tag.endswith("polyline")]
 
 
 # -- sparklines ---------------------------------------------------------------
@@ -37,7 +44,7 @@ def test_sparkline_constant_series_renders_full_blocks():
 
 
 def test_sparkline_empty_or_all_absent_is_dots():
-    assert sparkline([], width=8) == ABSENT * 8
+    assert sparkline(pts(), width=8) == ABSENT * 8
     assert sparkline(pts(None, None), width=4) == ABSENT * 4
 
 
@@ -54,7 +61,7 @@ def test_sparkline_downsamples_by_bucket_mean():
 
 def test_sparkline_bucket_of_points_whose_sum_overflows_takes_their_finite_mean():
     # mean 6.7e307 on a 0..1e308 scale
-    assert sparkline([(0, 1e308), (60, 1e308), (120, 0.0)], 1) == BLOCKS[5]
+    assert sparkline(pts(1e308, 1e308, 0.0), 1) == BLOCKS[5]
 
 
 def test_sparkline_scales_readings_of_opposite_sign_near_the_float_limit():
@@ -99,6 +106,20 @@ def test_render_svg_multiple_series_get_distinct_colors():
     colors = {line.split('stroke="')[1].split('"')[0] for line in doc.splitlines() if "<polyline" in line}
     assert len(colors) == 2
     assert doc.count("<text") >= 4  # axis labels + one legend entry per series
+
+
+def test_render_svg_columns_of_other_starts_and_intervals_share_one_time_axis():
+    left, right = 60.0, 880.0  # the plot area's margins
+    doc = render_svg({"a": pts(1.0, 2.0, 3.0, 4.0, t0=1000, interval=60), "b": pts(2.0, 3.0, t0=940, interval=120)})
+    a, b = polylines(doc)
+    assert [x for x, _ in b] == [left, left + (1060 - 940) / (1180 - 940) * (right - left)]  # the earliest first slot
+    assert a[-1][0] == right  # the latest last slot
+    assert a[0][0] == left + (1000 - 940) / (1180 - 940) * (right - left)
+
+
+def test_render_svg_skips_a_column_with_no_values_beside_a_populated_one():
+    doc = render_svg({"empty": pts(t0=0), "s": pts(1.0, 2.0)})
+    assert [[x for x, _ in line] for line in polylines(doc)] == [[60.0, 880.0]]  # its start is not on the axis
 
 
 def test_render_svg_no_data_message():

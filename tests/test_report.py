@@ -1,7 +1,11 @@
 """Availability math, dip detection, the contractual report and its HTTP API."""
 
 import json
+import math
 import random
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -11,20 +15,22 @@ from hypothesis import strategies as st
 
 from gridwatch.model import MetricSample
 from gridwatch.report import (
+    API_IDLE_TIMEOUT_S,
     ApiServer,
     AvailabilityReport,
     Breach,
     EmptyWindow,
     ReportConfig,
     TooFewPoints,
+    _ApiHandler,
     _number_text,
     _series_json,
     availability,
     contractual_report,
     detect_dips,
 )
-from gridwatch.tsdb import Store, pairs
-from reference_impls import column, per_second_availability, per_slot_availability, series_body, serving
+from gridwatch.tsdb import Store
+from reference_impls import column, pairs, per_second_availability, per_slot_availability, series_body, serving
 
 UP = 1.0
 DOWN = 0.0
@@ -339,6 +345,23 @@ def test_api_health(api):
     status, body = fetch(base, "/api/v1/health")
     assert status == 200
     assert json.loads(body) == {"status": "ok"}
+
+
+def test_api_closes_an_idle_connection_and_ends_its_thread(api, monkeypatch):
+    assert _ApiHandler.timeout == API_IDLE_TIMEOUT_S < math.inf
+    monkeypatch.setattr(_ApiHandler, "timeout", 0.2)  # the constant's behaviour, in a fraction of its time
+
+    def handler_threads():
+        return [t for t in threading.enumerate() if "process_request_thread" in t.name]
+
+    base, _ = api
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as idle:
+        assert idle.recv(1) == b""  # the server closed the socket it heard nothing on
+    deadline = time.monotonic() + 5
+    while handler_threads() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert handler_threads() == []
 
 
 def test_api_series_round_trip(api):

@@ -675,6 +675,23 @@ def test_refused_samples_are_counted_and_the_poll_goes_on():
     assert srv.store.list_series() == ["hpc.h1.s.a", "hpc.h1.s.b", "hpc.h1.s.old"]
 
 
+def test_a_store_write_that_fails_with_oserror_still_notifies():
+    class NoMemoryStore(Store):
+        def write(self, sample):
+            raise OSError(12, "Cannot allocate memory")  # what a new series' mmap raises
+
+    sink = MemorySink()
+    srv = make_server(store=NoMemoryStore(), sinks=[sink], clock=FakeTime(1_000_000.0).time)
+    got = [payload(result(state, "s", [Perfdata("v", 1.0)])) for state in (CheckState.OK, CheckState.CRIT)]
+    srv.poll_host = lambda cfg: got.pop(0)
+    host = srv.hosts["h1"]
+    assert srv.process_host(host) == []
+    notifications = srv.process_host(host)
+    assert [(n.old_state, n.new_state) for n in notifications] == [(CheckState.OK, CheckState.CRIT)]
+    assert sink.notifications == notifications
+    assert srv.samples_rejected == 2
+
+
 def test_rejected_count_survives_concurrent_polls():
     srv = make_server(clock=FakeTime(1_000_000.0).time)
     p = payload(result(CheckState.OK, "s", [Perfdata("nan", float("nan")), Perfdata("v", 1.0)]))

@@ -88,6 +88,8 @@ def test_parse_retention_rounds_down_partial_slots():
     "10s:2d,1m:1d",      # coverage must strictly increase
     "1m:1h,30s:1d",      # coarser first
     "10s:1m,1h:1d",      # a coarse slot longer than the finest coverage
+    "1s:200y",           # 6,307,200,000 slots: more than the file header's uint32 holds
+    "200y:200y",         # a 6,307,200,000 s slot, likewise
 ])
 def test_parse_retention_rejects(bad):
     with pytest.raises(BadSpec):
@@ -97,6 +99,13 @@ def test_parse_retention_rejects(bad):
 def test_retention_spec_rejects_empty():
     with pytest.raises(BadSpec):
         RetentionSpec(())
+
+
+def test_retention_spec_holds_what_the_file_header_can_record():
+    assert RetentionSpec(((1, 2**32 - 1),)).archives == ((1, 2**32 - 1),)
+    for archives in (((1, 2**32),), ((2**32, 1),)):
+        with pytest.raises(BadSpec, match="outside 1 to 4294967295"):
+            RetentionSpec(archives)
 
 
 # -- writes and finest reads -------------------------------------------------
