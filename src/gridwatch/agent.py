@@ -40,6 +40,7 @@ log = logging.getLogger(__name__)
 DEFAULT_AGENT_PORT = 6556
 DEFAULT_CEC_ROOT = "/var/volatile/cec"
 DEFAULT_CHECK_TIMEOUT_S = 4.0  # under HostConfig.connect_timeout_s, so a hung check cannot cost a poll
+MAX_SCRIPT_OUTPUT_BYTES = 64 * 1024  # well under server.MAX_PAYLOAD_BYTES, so a verbose script cannot cost a poll
 
 # Node states that count as unavailable. sinfo reports compound flags
 # (e.g. "drained*"); tokens are lowercased and flag suffixes stripped
@@ -363,6 +364,8 @@ def _run_script(sources: DataSource, script: Path, timeout_s: float) -> list[Che
     rc, out = sources.run_command([str(script)], timeout=timeout_s)
     if rc != 0:
         return [_failed(script.name, f"exited {rc}")]
+    if len(out.encode(errors="replace")) > MAX_SCRIPT_OUTPUT_BYTES:
+        return [_failed(script.name, f"printed more than {MAX_SCRIPT_OUTPUT_BYTES} bytes")]
     results = []
     for line in out.splitlines():
         if not line.strip():

@@ -256,10 +256,11 @@ def serialize_agent_payload(payload: AgentPayload) -> str:
 def parse_agent_payload(data: "bytes | str", memo: "dict[str, CheckResult] | None" = None) -> AgentPayload:
     """Parse an agent payload, tolerating anything but zero bytes.
 
-    Unknown sections are skipped. A malformed check line becomes an
-    UNKNOWN result named ``_parse_error_<n>`` so bad agents stay visible
-    instead of crashing the poller. Raises EmptyPayload only for empty
-    input, and then leaves ``memo`` untouched.
+    Unknown sections are skipped. A payload's malformed check lines become
+    one UNKNOWN result named ``_parse_errors``, last, with their count and
+    the first one's error, so bad agents stay visible instead of crashing
+    the poller, and cost one record however many lines they botch. Raises
+    EmptyPayload only for empty input, and then leaves ``memo`` untouched.
 
     ``memo``, when given, maps the check lines of the caller's previous
     payload to their results. A line found there is not parsed again: its
@@ -278,7 +279,7 @@ def parse_agent_payload(data: "bytes | str", memo: "dict[str, CheckResult] | Non
     results: list[CheckResult] = []
     previous = memo if memo is not None else {}
     seen: dict[str, CheckResult] = {}
-    bad = 0
+    bad, first_error = 0, ""
     section = None
     for raw in text.split("\n"):
         line = raw.rstrip("\r")
@@ -308,18 +309,15 @@ def parse_agent_payload(data: "bytes | str", memo: "dict[str, CheckResult] | Non
                     result = parse_check_line(line)
                 except MalformedLine as exc:
                     bad += 1
-                    results.append(
-                        CheckResult(
-                            CheckState.UNKNOWN,
-                            f"_parse_error_{bad}",
-                            [],
-                            f"unparsable check line: {str(exc)[:200]}",
-                        )
-                    )
+                    if bad == 1:
+                        first_error = str(exc)[:200]
                     continue
             results.append(result)
             seen[line] = result
         # lines outside any known section are ignored
+    if bad:
+        summary = f"{bad} unparsable check line{'s' if bad > 1 else ''}, the first: {first_error}"
+        results.append(CheckResult(CheckState.UNKNOWN, "_parse_errors", [], summary))
     if memo is not None:
         memo.clear()
         memo.update(seen)

@@ -245,20 +245,40 @@ def contractual_report(store: Store, cfg: ReportConfig, window: tuple[int, int])
 # -- HTTP API ------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1 << 14)  # one 7-day series of one-minute slots fits; two thrash it
-def _number_text(v: float) -> str:
-    return repr(v) if math.isfinite(v) else json.dumps(v)
+_CHUNK_SLOTS = 256  # slots per cached run of series-body text, aligned to absolute slot time
+_CHUNK_CACHE = 256  # chunks kept: about 4.2 MB of noisy values, six series-weeks of one-minute slots
+
+
+def _points(start: int, interval: int, values) -> str:
+    """``[t,v],...`` for a run of slots, as ``json.dumps`` writes them."""
+    return ",".join([f"[{t},{'null' if v is None else repr(v) if math.isfinite(v) else json.dumps(v)}]"
+                     for t, v in zip(itertools.count(start, interval), values)])
+
+
+# Keyed by the chunk's own slots, so a backfill, a ring wrap or a reopened
+# store asks for a new key and no entry ever goes stale. The values are the
+# floats and Nones a fetch returns; a chunk holding -0.0 is never looked up,
+# where ``0.0 == -0.0`` would give both one text.
+_chunk_text = functools.lru_cache(maxsize=_CHUNK_CACHE)(_points)
 
 
 def _series_json(name: str, start: int, interval: int, values) -> str:
     """The bytes ``json.dumps`` gives a series body with sorted keys and no whitespace.
 
-    Nearly all of that encode is float text, so a value's text is memoized;
-    a zero bypasses the memo, where ``0.0 == -0.0`` would give both one text.
+    Each whole chunk of ``_CHUNK_SLOTS`` slots aligned to absolute slot time
+    takes its text from ``_chunk_text``; a partial chunk at either end, or a
+    column whose ``start`` is off the slot grid, is encoded afresh.
     """
-    text = _number_text
-    body = ",".join([f"[{t},{text(v) if v else 'null' if v is None else repr(v)}]"
-                     for t, v in zip(itertools.count(start, interval), values)])
+    n = len(values)
+    lo = n if start % interval else min(n, -(start // interval) % _CHUNK_SLOTS)  # whole chunks begin here
+    hi = lo + (n - lo) // _CHUNK_SLOTS * _CHUNK_SLOTS  # and end here
+    parts = [_points(start, interval, values[:lo])]
+    for i in range(lo, hi, _CHUNK_SLOTS):
+        chunk = tuple(values[i:i + _CHUNK_SLOTS])
+        negative_zero = 0.0 in chunk and any(math.copysign(1.0, v) < 0 for v in chunk if v == 0.0)
+        parts.append((_points if negative_zero else _chunk_text)(start + i * interval, interval, chunk))
+    parts.append(_points(start + hi * interval, interval, values[hi:]))
+    body = ",".join(filter(None, parts))
     return f'{{"interval":{interval},"points":[{body}],"series":{json.dumps(name)}}}'
 
 

@@ -226,11 +226,12 @@ def _section_name(line: str):
 
 def parse_agent_payload(data) -> AgentPayload:
     """Every line on its own: headers switch section, meta lines set fields,
-    local lines parse or become numbered parse errors, the rest is ignored."""
+    local lines parse or are counted into one ``_parse_errors`` result at
+    the end, the rest is ignored."""
     if len(data) == 0:
         raise EmptyPayload("zero-byte payload")
     text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
-    version, host_time, results, bad, section = "", 0, [], 0, None
+    version, host_time, results, errors, section = "", 0, [], [], None
     for line in text.split("\n"):
         while line.endswith("\r"):
             line = line[:-1]
@@ -250,9 +251,11 @@ def parse_agent_payload(data) -> AgentPayload:
             try:
                 results.append(parse_check_line(line))
             except MalformedLine as exc:
-                bad += 1
-                reason = f"unparsable check line: {str(exc)[:200]}"
-                results.append(CheckResult(CheckState.UNKNOWN, f"_parse_error_{bad}", [], reason))
+                errors.append(str(exc)[:200])
+    if errors:
+        lines = "line" if len(errors) == 1 else "lines"
+        summary = f"{len(errors)} unparsable check {lines}, the first: {errors[0]}"
+        results.append(CheckResult(CheckState.UNKNOWN, "_parse_errors", [], summary))
     return AgentPayload(version, host_time, results)
 
 

@@ -157,7 +157,7 @@ def test_payload_round_trip_example():
     assert parse_agent_payload(text.encode("utf-8")) == payload
 
 
-def test_malformed_payload_lines_demote_to_numbered_parse_errors():
+def test_malformed_payload_lines_fold_into_one_parse_errors_result():
     text = (
         "<<<meta>>>\nversion: v\nhost_time: 5\n<<<local>>>\n"
         "0 good_one - fine\n"
@@ -168,10 +168,13 @@ def test_malformed_payload_lines_demote_to_numbered_parse_errors():
         "0 svc - a\rb\n"
     )
     results = parse_agent_payload(text).results
-    services = ["good_one", "_parse_error_1", "good_two", "_parse_error_2", "_parse_error_3", "_parse_error_4"]
-    assert [r.service for r in results] == services
-    assert results[1].state is CheckState.UNKNOWN
-    assert results[1].summary.startswith("unparsable check line:")
+    assert [r.service for r in results] == ["good_one", "good_two", "_parse_errors"]
+    assert results[-1].state is CheckState.UNKNOWN
+    assert results[-1].summary == (
+        "4 unparsable check lines, the first: expected '<state> <service> <perfdata> [summary]', got 'total garbage'"
+    )
+    one = parse_agent_payload("<<<local>>>\n0 ok - fine\nnonsense\n").results[-1]
+    assert (one.service, one.summary.split(",")[0]) == ("_parse_errors", "1 unparsable check line")
 
 
 def test_payload_tolerates_unknown_sections_and_stray_lines():
@@ -403,7 +406,7 @@ def test_a_memo_changes_no_result_and_keeps_only_the_last_payloads_good_lines(da
         text = f"<<<meta>>>\nversion: v\nhost_time: {n}\n<<<local>>>\n" + "\n".join(lines) + "\n"
         previous = dict(memo)
         got = parse_agent_payload(text, memo)
-        assert got == parse_agent_payload(text)  # _parse_error_<n> names included
+        assert got == parse_agent_payload(text)  # the _parse_errors result included
         expected = {}
         for line in (line.rstrip("\r") for line in lines):
             try:

@@ -22,8 +22,9 @@ from gridwatch.report import (
     EmptyWindow,
     ReportConfig,
     TooFewPoints,
+    _CHUNK_SLOTS,
     _ApiHandler,
-    _number_text,
+    _chunk_text,
     _series_json,
     availability,
     contractual_report,
@@ -456,16 +457,117 @@ def test_series_json_matches_json_dumps(name, start, interval, values):
     assert _series_json(name, start, interval, values) == series_body(name, interval, pairs((start, interval, values)))
 
 
-def test_series_json_value_memo_is_bounded_and_stays_correct_past_it():
-    maxsize = _number_text.cache_info().maxsize
+def test_series_json_chunk_cache_is_bounded_and_stays_correct_past_it():
+    maxsize = _chunk_text.cache_info().maxsize
     assert maxsize is not None
-    early = [1000.0 + i / 7 for i in range(100)] + [0.0, -0.0]
+    early = [1000.0 + i / 7 for i in range(3 * _CHUNK_SLOTS)] + [0.0, -0.0]
     want = series_body("early", 60, pairs((T0, 60, early)))
     assert _series_json("early", T0, 60, early) == want
-    flood = [1e6 + i / 3 for i in range(maxsize + 1000)]
+    flood = [1e6 + i / 3 for i in range((maxsize + 10) * _CHUNK_SLOTS)]
     assert _series_json("flood", T0, 60, flood) == series_body("flood", 60, pairs((T0, 60, flood)))
-    assert _number_text.cache_info().currsize == maxsize
+    assert _chunk_text.cache_info().currsize == maxsize
     assert _series_json("early", T0, 60, early) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    slot=st.one_of(st.integers(0, 2**30), st.integers(0, 2**20).map(lambda c: c * _CHUNK_SLOTS)),
+    interval=st.sampled_from([1, 10, 60, 600]),
+    offset=st.sampled_from([0, 0, 0, 1, 7]),  # nonzero puts the start off the slot grid
+    n=st.integers(0, 3 * _CHUNK_SLOTS + 40),
+    pool=st.lists(
+        st.one_of(
+            _SERIES_VALUES,
+            st.sampled_from([None, 0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, 5e-324, 2.2250738585072014e-308]),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    seed=st.integers(0, 2**32),
+)
+@example(slot=_CHUNK_SLOTS, interval=60, offset=0, n=2 * _CHUNK_SLOTS, pool=[0.0, 1.5], seed=1)
+def test_chunk_cache_gives_json_dumps_bytes_cold_and_warm(slot, interval, offset, n, pool, seed):
+    rng = random.Random(seed)
+    start = slot * interval + offset % interval
+    values = [rng.choice(pool) if rng.random() < 0.9 else rng.uniform(-1e6, 1e6) for _ in range(n)]
+    flipped = [-v if v == 0.0 else v for v in values]  # each zero's sign turned over, the rest the same
+    _chunk_text.cache_clear()
+    for column in (values, flipped, values, flipped):  # cold, then warm; a zero must never find its twin's text
+        assert _series_json("s", start, interval, column) == series_body("s", interval, pairs((start, interval, column)))
+
+
+def test_api_series_body_shows_a_backfill_and_a_ring_wrap_inside_cached_chunks():
+    name = "hpc.admin.power.system"
+    t0 = 1_609_459_200
+
+    def body(base, store, from_t, to_t):
+        status, got = fetch(base, f"/api/v1/series/{name}?from={from_t}&to={to_t}")
+        assert status == 200
+        assert got == series_body(name, *store.read(name, from_t, to_t)).encode()
+        return json.loads(got)["points"]
+
+    week = Store()
+    for k in range(7 * 1440):
+        if k % 5:
+            week.write(MetricSample(name, t0 + 60 * k, 1000.0 + k / 7))
+    server = ApiServer(("127.0.0.1", 0), week)
+    with serving(server):
+        base = f"http://127.0.0.1:{server.address[1]}"
+        window = (t0, t0 + 7 * 86_400)
+        gap = t0 + 60 * 5 * 160  # a slot the writes above skipped
+        assert [gap, None] in body(base, week, *window)
+        misses = _chunk_text.cache_info().misses
+        body(base, week, window[0] + 420, window[1] - 6_000)  # its whole chunks lie on the same slot grid
+        assert _chunk_text.cache_info().misses == misses
+        hits = _chunk_text.cache_info().hits
+        week.write(MetricSample(name, gap, 42.0))  # a backfill into a chunk the first read cached
+        assert [gap, 42.0] in body(base, week, *window)
+        assert _chunk_text.cache_info().hits > hits  # the other chunks came from the cache
+
+    day = Store(default_retention="1m:1d")
+    for k in range(1440):
+        day.write(MetricSample(name, t0 + 60 * k, 2000.0 + k / 3))
+    server = ApiServer(("127.0.0.1", 0), day)
+    with serving(server):
+        base = f"http://127.0.0.1:{server.address[1]}"
+        window = (t0, t0 + 86_400)
+        assert all(v is not None for _, v in body(base, day, *window))
+        for k in range(1440, 1440 + 300):  # the ring wraps over the window's first 300 slots
+            day.write(MetricSample(name, t0 + 60 * k, 3000.0 + k / 3))
+        points = body(base, day, *window)
+        assert [v for _, v in points[:300]] == [None] * 300
+        assert points[300:] == [[t0 + 60 * k, 2000.0 + k / 3] for k in range(300, 1440)]
+        body(base, day, window[0] + 18_000, window[1] + 18_000)
+
+
+def test_api_series_bodies_are_exact_under_concurrent_readers():
+    names = [f"hpc.admin.power.cab_x{1000 + c}" for c in range(4)]
+    rng = random.Random(7)
+    store = Store()
+    for name in names:
+        for k in range(3000):
+            store.write(MetricSample(name, T0 + 60 * k, rng.uniform(-1e3, 1e3) if k % 11 else 0.0))
+    server = ApiServer(("127.0.0.1", 0), store)
+    requests = [(names[(i + j) % len(names)], T0 + 60 * 97 * j, T0 + 60 * (1800 + 97 * j))
+                for i in range(8) for j in range(8)]
+    bodies = []
+
+    def client(mine):
+        for name, from_t, to_t in mine:
+            bodies.append((name, from_t, to_t, *fetch(base, f"/api/v1/series/{name}?from={from_t}&to={to_t}")))
+
+    with serving(server):
+        base = f"http://127.0.0.1:{server.address[1]}"
+        threads = [threading.Thread(target=client, args=(requests[i::8],)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    assert len(bodies) == len(requests)
+    for name, from_t, to_t, status, body in bodies:
+        start, interval, values = store.fetch(name, from_t, to_t)
+        assert status == 200
+        assert body == series_body(name, interval, pairs((start, interval, values))).encode()
 
 
 def test_api_identical_requests_get_identical_bodies(api):

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from gridwatch import model
-from gridwatch.agent import AgentConfig, AgentServer
+from gridwatch.agent import MAX_SCRIPT_OUTPUT_BYTES, Agent, AgentConfig, AgentServer, HostDataSource
 from gridwatch.model import (
     AgentPayload,
     CheckResult,
@@ -333,6 +333,24 @@ def test_poll_host_reads_full_payload():
     assert [r.service for r in got.results] == ["a", "b"]
 
 
+def test_a_verbose_script_leaves_its_host_up_with_the_built_ins_reported(tmp_path):
+    checks = tmp_path / "checks"
+    checks.mkdir()
+    script = checks / "chatty"
+    script.write_text('#!/bin/sh\nyes "0 chatty - x" | head -c 2097152\n')  # twice what a poll takes
+    script.chmod(0o755)
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal: 1000 kB\nMemAvailable: 500 kB\n")
+    cfg = AgentConfig(checks=("memory",), check_dir=str(checks), meminfo_path=str(meminfo))
+    with serving(AgentServer(("127.0.0.1", 0), Agent(cfg, HostDataSource()).payload_text)) as agent:
+        got = make_server().poll_host(HostConfig("h1", "127.0.0.1:%d" % agent.address[1]))
+    assert not isinstance(got, HostDown), got
+    assert [(r.service, r.state, r.summary) for r in got.results] == [
+        ("memory", CheckState.OK, "50.0% memory used"),
+        ("_check_failed_chatty", CheckState.UNKNOWN, f"printed more than {MAX_SCRIPT_OUTPUT_BYTES} bytes"),
+    ]
+
+
 def test_a_default_agent_answers_a_default_poll_before_it_times_out():
     # A collection can take check_timeout_s; a poll that outlasts connect_timeout_s loses the whole host.
     assert AgentConfig().check_timeout_s < HostConfig("h", "127.0.0.1:1").connect_timeout_s
@@ -479,6 +497,17 @@ def test_one_hosts_memo_never_serves_another(parses):
     got = [srv.poll_host(h).results[0] for h in hosts + hosts]
     assert parses == ["0 svc v=1 ok"] * 2  # once per host
     assert got[0] is not got[1] and got[2] is got[0] and got[3] is got[1]
+
+
+def test_a_payload_of_many_malformed_lines_costs_one_record():
+    bad_polls = iter(payload_text(t, ["0 fine - ok"] + [f"junk {t} {k}" for k in range(10_000)]).encode()
+                     for t in (1, 2))
+    srv = make_server(fetch=lambda cfg: next(bad_polls))
+    for _ in range(2):
+        srv.process_host(srv.hosts["h1"])
+    records = srv.records_snapshot()
+    assert sorted(records) == [("h1", "_parse_errors"), ("h1", "fine")]
+    assert records[("h1", "_parse_errors")].summary.startswith("10000 unparsable check lines, the first: ")
 
 
 @pytest.mark.parametrize("down", [ConnectionRefusedError("refused"), b""], ids=["fetch-fails", "empty"])
