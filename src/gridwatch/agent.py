@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, Section, bind, first
+from .config import ConfigError
 from .model import (
     AgentPayload,
     CheckResult,
@@ -411,10 +411,6 @@ class AgentConfig:
             if name not in BUILTIN_CHECKS:
                 raise ConfigError(f"unknown built-in check {name!r} (have: {', '.join(BUILTIN_CHECKS)})")
         object.__setattr__(self, "down_states", frozenset(s.lower() for s in self.down_states))
-
-
-def agent_config_from_sections(sections: list[Section]) -> AgentConfig:
-    return bind(first(sections, "agent"), AgentConfig)
 
 
 class Agent:

@@ -18,14 +18,13 @@ import sys
 import threading
 
 from . import __version__
-from .agent import Agent, AgentServer, HostDataSource, agent_config_from_sections
+from .agent import Agent, AgentConfig, AgentServer, HostDataSource
 from .config import ConfigError, Section, all_named, bind, first, host_port, load_config
 from .model import valid_series
 from .plot import render_svg, sparkline
 from .report import ApiServer, ReportConfig, contractual_report
 from .server import (
     DEFAULT_PREFIX,
-    DEFAULT_WEBHOOK_TIMEOUT_S,
     ClusterServiceConfig,
     FileSink,
     HostConfig,
@@ -100,17 +99,16 @@ def _need_config(args) -> list:
 
 
 def cmd_agent(args) -> int:
-    sections = _need_config(args)
-    cfg = agent_config_from_sections(sections)
-    sec = first(sections, "agent")
+    sec = first(_need_config(args), "agent")
+    cfg = bind(sec, AgentConfig)
     _require_timeout(sec, "check_timeout_s", cfg.check_timeout_s)
-    bind = args.bind if args.bind is not None else cfg.bind
+    listen = args.bind if args.bind is not None else cfg.bind
     port = args.port if args.port is not None else cfg.port
     if not 0 <= port <= 65535:
         where, line = ("--port", None) if args.port is not None else ("[agent] port", sec.lines["port"])
         raise ConfigError(f"{where} {port} is not 0-65535", line)
     agent = Agent(cfg, HostDataSource())
-    listener = AgentServer((bind, port), agent.payload_text)
+    listener = AgentServer((listen, port), agent.payload_text)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     log.info("agent listening on %s:%d", *listener.address)
     try:
@@ -160,18 +158,19 @@ def _clusters_from(sections, hosts) -> list[ClusterServiceConfig]:
     return clusters
 
 
+_SINK_TYPES = {"file": FileSink, "webhook": WebhookSink}
+
+
 def _sinks_from(sections) -> list:
     sinks = []
     for sec in all_named(sections, "sink"):
         kind = sec.require("type")
-        if kind == "file":
-            sinks.append(FileSink(sec.require("path")))
-        elif kind == "webhook":
-            timeout_s = sec.get_float("timeout_s", DEFAULT_WEBHOOK_TIMEOUT_S)
-            _require_timeout(sec, "timeout_s", timeout_s)
-            sinks.append(WebhookSink(sec.require("url"), timeout_s))
-        else:
-            raise ConfigError(f"unknown sink type {kind!r} (known: file, webhook)", sec.line)
+        if kind not in _SINK_TYPES:
+            raise ConfigError(f"unknown sink type {kind!r} (known: {', '.join(_SINK_TYPES)})", sec.line)
+        sink = bind(sec, _SINK_TYPES[kind])
+        if isinstance(sink, WebhookSink):
+            _require_timeout(sec, "timeout_s", sink.timeout_s)
+        sinks.append(sink)
     return sinks
 
 

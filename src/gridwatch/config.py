@@ -3,8 +3,14 @@
 The format is deliberately dumb: `[section]` headers, `key = value` lines,
 `#` comments and blank lines. A comment takes a whole line, or ends one at a
 `#` that follows whitespace; a `#` inside a value, as in `a=1#frag`, is kept.
-Sections may repeat (e.g. one `[host]` block per polled host); order is
-preserved.
+A key set twice in one section is refused. Sections keep their file order;
+those read as a list (`[host]`, `[cluster]`, `[sink]`, `[event]`) may
+repeat, and `first` refuses a second of any other.
+
+`bind` is the one place where text becomes a typed value: an integer, a
+number, a boolean (`1/true/yes/on`, `0/false/no/off`, any case) or a comma
+list whose empty entries are dropped. Every error names its line, as in
+`line 4: [host] poll_interval_s = 'soon' is not an integer`.
 """
 
 from __future__ import annotations
@@ -48,37 +54,6 @@ class Section:
             raise ConfigError(f"[{self.name}] is missing required key {key!r}", self.line)
         return self.values[key]
 
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        return self._typed(key, default, int, "an integer")
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        return self._typed(key, default, float, "a number")
-
-    def get_bool(self, key: str, default: bool | None = None) -> bool | None:
-        if key not in self.values:
-            return default
-        raw = self.values[key].lower()
-        if raw in ("1", "true", "yes", "on"):
-            return True
-        if raw in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key} = {self.values[key]!r} is not a boolean", self.lines[key])
-
-    def get_list(self, key: str, default: tuple[str, ...] = ()) -> tuple[str, ...]:
-        if key not in self.values:
-            return tuple(default)
-        return tuple(p.strip() for p in self.values[key].split(",") if p.strip())
-
-    def _typed(self, key, default, cast, what):
-        if key not in self.values:
-            return default
-        try:
-            return cast(self.values[key])
-        except ValueError:
-            raise ConfigError(
-                f"[{self.name}] {key} = {self.values[key]!r} is not {what}", self.lines[key]
-            ) from None
-
 
 def parse_config(text: str) -> list[Section]:
     """Parse config text into an ordered list of sections."""
@@ -101,6 +76,8 @@ def parse_config(text: str) -> list[Section]:
         key = key.strip()
         if not key:
             raise ConfigError("empty key", lineno)
+        if key in current.lines:
+            raise ConfigError(f"[{current.name}] {key} is set twice, first on line {current.lines[key]}", lineno)
         current.values[key] = value.strip()
         current.lines[key] = lineno
     return sections
@@ -124,24 +101,33 @@ def host_port(text: str, what: str = "address") -> tuple[str, int]:
 
 
 def first(sections: list[Section], name: str) -> Section | None:
-    for s in sections:
-        if s.name == name:
-            return s
-    return None
+    """The one section called ``name``, or None; a second one is refused, naming both lines."""
+    found = all_named(sections, name)
+    if len(found) > 1:
+        raise ConfigError(f"[{name}] appears twice, first on line {found[0].line}", found[1].line)
+    return found[0] if found else None
 
 
 def all_named(sections: list[Section], name: str) -> list[Section]:
     return [s for s in sections if s.name == name]
 
 
-# The Section getter for each annotation bind() reads; `X | None` reads as X.
+_FLAGS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+
+
+def _words(raw: str) -> tuple[str, ...]:
+    return tuple(p.strip() for p in raw.split(",") if p.strip())
+
+
+# The parser for each annotation bind() reads, and what its error says the
+# text is not when it raises; `X | None` reads as X.
 _READERS = {
-    str: Section.get,
-    int: Section.get_int,
-    float: Section.get_float,
-    bool: Section.get_bool,
-    tuple[str, ...]: Section.get_list,
-    frozenset[str]: lambda sec, key: frozenset(sec.get_list(key)),
+    str: (str, "text"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    bool: (lambda raw: _FLAGS[raw.lower()], "a boolean"),
+    tuple[str, ...]: (_words, "a list"),
+    frozenset[str]: (lambda raw: frozenset(_words(raw)), "a list"),
 }
 _type_hints = functools.cache(typing.get_type_hints)  # evaluating annotations costs more than reading
 
@@ -149,7 +135,7 @@ _type_hints = functools.cache(typing.get_type_hints)  # evaluating annotations c
 def bind(sec: Section | None, cls, **given):
     """Build dataclass ``cls`` from the keys of ``sec`` named after its fields.
 
-    A field in ``given`` takes that value; any other is read with the getter
+    A field in ``given`` takes that value; any other is parsed by the reader
     for its annotation, keeps its default when the key is absent, and is
     required when it has no default. Keys that name no field are ignored.
     """
@@ -161,11 +147,16 @@ def bind(sec: Section | None, cls, **given):
         hint = _type_hints(cls)[f.name]
         if isinstance(hint, types.UnionType) and typing.get_args(hint)[1:] == (type(None),):
             hint = typing.get_args(hint)[0]
-        read = _READERS.get(hint)
-        if read is None:
+        reader = _READERS.get(hint)
+        if reader is None:
             raise TypeError(f"{cls.__name__}.{f.name}: no config reader for {f.type}")
         if f.name in sec.values:
-            values[f.name] = read(sec, f.name)
+            parse, what = reader
+            raw = sec.values[f.name]
+            try:
+                values[f.name] = parse(raw)
+            except (KeyError, ValueError):
+                raise ConfigError(f"[{sec.name}] {f.name} = {raw!r} is not {what}", sec.lines[f.name]) from None
         elif f.default is MISSING and f.default_factory is MISSING:
             sec.require(f.name)
     return cls(**values)

@@ -22,7 +22,6 @@ import time
 import urllib.request
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 from .config import host_port
 from .model import (
@@ -147,25 +146,31 @@ class Notification:
         )
 
 
+@dataclass(frozen=True)
 class FileSink:
     """Appends one JSON notification per line."""
 
-    def __init__(self, path):
-        self.path = Path(path)
-        self.name = f"file:{self.path}"
+    path: str
+
+    @property
+    def name(self) -> str:
+        return f"file:{self.path}"
 
     def deliver(self, notification: Notification) -> None:
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(notification.to_json() + "\n")
 
 
+@dataclass(frozen=True)
 class WebhookSink:
     """POSTs each notification as JSON; any non-2xx response is a failure."""
 
-    def __init__(self, url: str, timeout_s: float = DEFAULT_WEBHOOK_TIMEOUT_S):
-        self.url = url
-        self.timeout_s = timeout_s
-        self.name = f"webhook:{url}"
+    url: str
+    timeout_s: float = DEFAULT_WEBHOOK_TIMEOUT_S
+
+    @property
+    def name(self) -> str:
+        return f"webhook:{self.url}"
 
     def deliver(self, notification: Notification) -> None:
         req = urllib.request.Request(
@@ -320,12 +325,12 @@ class MonitoringServer:
                 if h == host:
                     record.stale = True
 
-    def service_stale(self, host: str, service: str, now: float | None = None) -> bool:
+    def service_stale(self, host: str, service: str) -> bool:
         with self.store.lock:
             record = self._records.get((host, service))
             if record is None:
                 return True
-            age = (self.clock() if now is None else now) - record.last_seen_t
+            age = self.clock() - record.last_seen_t
             return record.stale or age > self._stale_after.get(host, DEFAULT_STALE_AFTER_S)
 
     # -- clusters --------------------------------------------------------

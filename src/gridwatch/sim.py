@@ -152,12 +152,11 @@ class Scenario:
     shape: ClusterShape = field(default_factory=ClusterShape)
     events: tuple[Event, ...] = ()
 
-
-def validate_scenario(sc: Scenario) -> None:
-    """Raise BadScenario on anything out of bounds; no-op when valid."""
-    _validate_frame(sc)
-    for event in sc.events:
-        _validate_event(event, sc)
+    def __post_init__(self):
+        """Raise BadScenario on anything out of bounds."""
+        _validate_frame(self)
+        for event in self.events:
+            _validate_event(event, self)
 
 
 def _validate_frame(sc: Scenario) -> None:
@@ -221,19 +220,19 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_sections(sections: list[Section]) -> Scenario:
+    event_secs = all_named(sections, "event")
     try:
         shape = bind(first(sections, "shape"), ClusterShape)
-        events = tuple(_event_from(sec) for sec in all_named(sections, "event"))
-        scenario = bind(first(sections, "scenario"), Scenario, shape=shape, events=events)
+        events = tuple(_event_from(sec) for sec in event_secs)
+        frame = bind(first(sections, "scenario"), Scenario, shape=shape, events=())
     except ConfigError as exc:
         raise BadScenario(str(exc)) from None
-    _validate_frame(scenario)
-    for sec, event in zip(all_named(sections, "event"), scenario.events):
+    for sec, event in zip(event_secs, events):
         try:
-            _validate_event(event, scenario)
+            _validate_event(event, frame)
         except BadScenario as exc:
             raise BadScenario(f"line {sec.line}: {exc}") from None
-    return scenario
+    return replace(frame, events=events)
 
 
 def _event_from(sec: Section) -> Event:
@@ -602,7 +601,6 @@ def run(
     ``on_tick(tick, monitor)`` (when given) is called after each poll round,
     letting tests observe mid-run state such as cluster freshness.
     """
-    validate_scenario(scenario)
     started = time.monotonic()
     if store is None:
         store = Store()

@@ -12,7 +12,6 @@ from gridwatch.agent import (
     AgentServer,
     DataSource,
     HostDataSource,
-    agent_config_from_sections,
     check_dns,
     check_login,
     check_memory,
@@ -21,7 +20,7 @@ from gridwatch.agent import (
     normalize_node_state,
     parse_sinfo,
 )
-from gridwatch.config import ConfigError, parse_config
+from gridwatch.config import ConfigError, bind, first, parse_config
 from gridwatch.model import CheckState, parse_agent_payload
 from reference_impls import serving
 
@@ -380,16 +379,17 @@ class HungSinfo(FakeSources):
         return 127, ""
 
 
-def test_hung_check_costs_one_thread_and_blinds_no_other_check():
+def _check_hung_check_costs_one_thread():
+    """Twelve collections beside a node_state check that never returns."""
     release = threading.Event()
-    before = threading.active_count()
+    before = set(threading.enumerate())  # a thread that ends later is not counted, one that starts is
     cfg = AgentConfig(checks=("node_state", "memory", "dns", "login"), check_timeout_s=1.0)
     agent = Agent(cfg, HungSinfo(release))
     collections, extra_threads = [], []
     try:
         for _ in range(12):
             collections.append(agent.build_payload().results)
-            extra_threads.append(threading.active_count() - before)
+            extra_threads.append(len(set(threading.enumerate()) - before))
     finally:
         release.set()
     for n, (_, *others) in enumerate(collections):
@@ -400,6 +400,19 @@ def test_hung_check_costs_one_thread_and_blinds_no_other_check():
         ("_check_failed_node_state", "timed out after 1s")
     ] + [("_check_failed_node_state", "still running since an earlier poll")] * 11
     assert extra_threads == [1] * 12
+
+
+def test_hung_check_costs_one_thread_and_blinds_no_other_check():
+    _check_hung_check_costs_one_thread()
+
+
+def test_a_leftover_thread_ending_mid_count_hides_no_hung_check_thread():
+    # A thread left by an earlier test that ends during the first collection
+    # cancelled the hung check's one thread when the test compared counts.
+    leftover = threading.Thread(target=time.sleep, args=(0.5,))
+    leftover.start()
+    _check_hung_check_costs_one_thread()
+    assert not leftover.is_alive()
 
 
 def test_hanging_builtin_is_demoted_when_concurrent():
@@ -540,7 +553,7 @@ def test_raising_builtin_is_demoted():
 
 
 def test_agent_config_defaults_without_section():
-    cfg = agent_config_from_sections(parse_config("[other]\nx = 1\n"))
+    cfg = bind(first(parse_config("[other]\nx = 1\n"), "agent"), AgentConfig)
     assert cfg == AgentConfig()
 
 
@@ -554,7 +567,7 @@ def test_agent_config_from_section():
     power_warn_w = 4500000
     down_states = down, fail
     """
-    cfg = agent_config_from_sections(parse_config(text))
+    cfg = bind(first(parse_config(text), "agent"), AgentConfig)
     assert cfg.bind == "127.0.0.1" and cfg.port == 7001
     assert cfg.checks == ("power", "memory")
     assert cfg.cabinets == ("x1000", "x1001")
@@ -564,7 +577,7 @@ def test_agent_config_from_section():
 
 def test_agent_config_rejects_unknown_check():
     with pytest.raises(ConfigError, match="unknown built-in check 'frobnicate'"):
-        agent_config_from_sections(parse_config("[agent]\nchecks = frobnicate\n"))
+        bind(first(parse_config("[agent]\nchecks = frobnicate\n"), "agent"), AgentConfig)
 
 
 def test_agent_builds_configured_checks_only():

@@ -494,12 +494,14 @@ HOST = "[host]\nname = h1\naddress = 127.0.0.1:1\n"
          "line 4: [host] connect_timeout_s = -1 must be a finite number above 0"),
         ("server", HOST + "[sink]\ntype = webhook\nurl = http://127.0.0.1:1/\ntimeout_s = 0\n",
          "line 7: [sink] timeout_s = 0 must be a finite number above 0"),
+        ("server", HOST + "[sink]\ntype = webhook\nurl = http://127.0.0.1:1/\ntimeout_s = soon\n",
+         "line 7: [sink] timeout_s = 'soon' is not a number"),
         ("agent", "[agent]\nbind = 127.0.0.1\nport = 0\ncheck_timeout_s = 0\n",
          "line 4: [agent] check_timeout_s = 0 must be a finite number above 0"),
         ("agent", "[agent]\nbind = 127.0.0.1\nport = 0\ncheck_timeout_s = inf\n",
          "line 4: [agent] check_timeout_s = inf must be a finite number above 0"),
     ],
-    ids=["connect-zero", "connect-negative", "webhook-zero", "check-zero", "check-infinite"],
+    ids=["connect-zero", "connect-negative", "webhook-zero", "webhook-not-a-number", "check-zero", "check-infinite"],
 )
 def test_bad_timeout_is_config_error_naming_its_line(tmp_path, command, text, message):
     cfg = tmp_path / "gridwatch.cfg"
@@ -507,6 +509,28 @@ def test_bad_timeout_is_config_error_naming_its_line(tmp_path, command, text, me
     proc = run_cli(command, "--config", str(cfg), timeout=30)  # a usable config runs forever
     assert proc.returncode == 2
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("agent", "[agent]\nbind = 127.0.0.1\nport = 0\n\nport = 0\n",
+         "line 5: [agent] port is set twice, first on line 3"),
+        ("server", HOST + "\n[server]\nretention = 1m:1h\n\n[server]\nstore_root = {store}\n",
+         "line 8: [server] appears twice, first on line 5"),
+        ("sim", TINY_SCENARIO + "\n[scenario]\nseed = 12\n",
+         "line 13: [scenario] appears twice, first on line 1"),
+    ],
+    ids=["key-twice", "second-server", "second-scenario"],
+)
+def test_a_repeated_key_or_one_of_section_is_refused_naming_both_lines(tmp_path, command, text, message):
+    cfg = tmp_path / "gridwatch.cfg"
+    cfg.write_text(text.format(store=tmp_path / "store"))
+    flag = "--scenario" if command == "sim" else "--config"
+    proc = run_cli(command, flag, str(cfg), timeout=30)  # a usable config runs forever
+    assert proc.returncode == 2
+    assert f"config error: {message}" in proc.stderr
+    assert not (tmp_path / "store").exists()
 
 
 @pytest.mark.parametrize(

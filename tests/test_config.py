@@ -1,4 +1,4 @@
-"""Config parsing: sections, typed getters, line-numbered errors, binding to config types."""
+"""Config parsing: sections, line-numbered errors, binding text to typed config values."""
 
 import dataclasses
 import datetime
@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from gridwatch import cli
-from gridwatch.agent import AgentConfig, agent_config_from_sections
+from gridwatch.agent import AgentConfig
 from gridwatch.config import ConfigError, Section, all_named, bind, first, host_port, load_config, parse_config
 from gridwatch.report import ReportConfig
-from gridwatch.server import ClusterServiceConfig, HostConfig
+from gridwatch.server import ClusterServiceConfig, FileSink, HostConfig, WebhookSink
 from gridwatch.sim import ClusterShape, Event, EventKind, Scenario, scenario_from_sections
 from gridwatch.tsdb import parse_retention
 
@@ -57,19 +57,27 @@ def test_first_and_all_named():
     assert all_named(sections, "nope") == []
 
 
+@dataclasses.dataclass(frozen=True)
+class Typed:
+    """One field of each kind bind() parses, each with a default."""
+
+    prefix: str = "dflt"
+    parallelism: int = 9
+    factor: float | None = None
+    quiet: bool | None = None
+    tags: tuple[str, ...] = ("x",)
+    flag: bool = False
+    n: int = 0
+    xs: tuple[str, ...] = ()
+
+
 def test_typed_getters():
     sec = first(parse_config(SAMPLE), "server")
     assert sec.get("prefix") == "hpc"
     assert sec.get("missing") is None
     assert sec.get("missing", "dflt") == "dflt"
-    assert sec.get_int("parallelism") == 4
-    assert sec.get_int("missing", 9) == 9
-    assert sec.get_float("factor") == 2.5
-    assert sec.get_bool("quiet") is True
-    assert sec.get_bool("missing") is None
-    assert sec.get_bool("missing", False) is False
-    assert sec.get_list("tags") == ("a", "b", "c")
-    assert sec.get_list("missing", ("x",)) == ("x",)
+    assert bind(sec, Typed) == Typed(prefix="hpc", parallelism=4, factor=2.5, quiet=True, tags=("a", "b", "c"))
+    assert bind(Section("server", 1), Typed) == Typed()
     assert sec.require("prefix") == "hpc"
 
 
@@ -79,19 +87,19 @@ def test_typed_getters():
 ])
 def test_get_bool_spellings(raw, expected):
     sec = parse_config(f"[s]\nflag = {raw}\n")[0]
-    assert sec.get_bool("flag") is expected
+    assert bind(sec, Typed).flag is expected
 
 
 def test_get_bool_rejects_garbage_with_line_number():
     sec = parse_config("[s]\nflag = maybe\n")[0]
-    with pytest.raises(ConfigError, match="line 2.*not a boolean"):
-        sec.get_bool("flag")
+    with pytest.raises(ConfigError, match="^line 2: \\[s\\] flag = 'maybe' is not a boolean$"):
+        bind(sec, Typed)
 
 
 def test_get_int_error_names_key_and_line():
     sec = parse_config("[s]\n\nn = twelve\n")[0]
-    with pytest.raises(ConfigError, match="line 3.*'twelve' is not an integer"):
-        sec.get_int("n")
+    with pytest.raises(ConfigError, match="^line 3: \\[s\\] n = 'twelve' is not an integer$"):
+        bind(sec, Typed)
 
 
 def test_require_missing_key_names_section():
@@ -102,7 +110,20 @@ def test_require_missing_key_names_section():
 
 def test_get_list_drops_empty_entries():
     sec = parse_config("[s]\nxs = a,, b ,\n")[0]
-    assert sec.get_list("xs") == ("a", "b")
+    assert bind(sec, Typed).xs == ("a", "b")
+
+
+def test_a_key_set_twice_in_a_section_is_refused_naming_both_lines():
+    with pytest.raises(ConfigError, match="^line 4: \\[s\\] a is set twice, first on line 2$"):
+        parse_config("[s]\na = 1\n\na = 2\n")
+    assert [s.values for s in parse_config("[s]\na = 1\n[s]\na = 2\n")] == [{"a": "1"}, {"a": "2"}]
+
+
+def test_first_refuses_a_second_section_naming_both_lines():
+    sections = parse_config(SAMPLE + "\n[server]\nstore_root = /elsewhere\n")
+    with pytest.raises(ConfigError, match="^line 15: \\[server\\] appears twice, first on line 2$"):
+        first(sections, "server")
+    assert len(all_named(sections, "host")) == 2
 
 
 def test_key_before_any_section_is_an_error():
@@ -136,7 +157,7 @@ def test_every_readme_ini_block_loads():
     assert len(blocks) == 3
     agent, server, scenario = (parse_config(b) for b in blocks)
 
-    cfg = agent_config_from_sections(agent)
+    cfg = bind(first(agent, "agent"), AgentConfig)
     assert cfg.check_dir == "/etc/gridwatch/local"
     assert len(cfg.checks) == 5 and (cfg.down_warn, cfg.down_crit) == (10, 100)
 
@@ -235,6 +256,13 @@ seed = 42
 tick_s = 10
 duration_ticks = 100
 idle_power_per_node_w = 250
+"""),
+    (FileSink, {}, """[sink]
+path = /var/log/gridwatch/notifications.jsonl
+"""),
+    (WebhookSink, {}, """[sink]
+url = http://alerts.example/hook
+timeout_s = 2.5
 """),
     (Event, {"kind": EventKind.POWER_DIP}, """[event]
 from_tick = 10

@@ -32,7 +32,6 @@ from gridwatch.sim import (
     scenario_from_sections,
     scenario_window,
     sources_at,
-    validate_scenario,
 )
 from gridwatch.config import parse_config
 from gridwatch.tsdb import DEFAULT_RETENTION, Store
@@ -188,14 +187,18 @@ def test_load_scenario_missing_file_is_bad_scenario(tmp_path):
 
 def test_validate_scenario_bounds():
     with pytest.raises(BadScenario):
-        validate_scenario(tiny(duration_ticks=0))
+        tiny(duration_ticks=0)
     with pytest.raises(BadScenario):
-        validate_scenario(Scenario(idle_power_per_node_w=0.0))
+        Scenario(idle_power_per_node_w=0.0)
     with pytest.raises(BadScenario):
-        validate_scenario(Scenario(shape=ClusterShape(nodes=0)))
+        Scenario(shape=ClusterShape(nodes=0))
     with pytest.raises(BadScenario):
-        validate_scenario(Scenario(seed=-1))
-    validate_scenario(tiny())  # sane scenario passes
+        Scenario(seed=-1)
+    with pytest.raises(BadScenario, match="DNS_FAIL window"):
+        Scenario(duration_ticks=10, events=(Event(EventKind.DNS_FAIL, 5, 11),))
+    with pytest.raises(BadScenario, match="outside scenario duration 100"):
+        dataclasses.replace(tiny(events=[Event(EventKind.DNS_FAIL, 100, 110)]), duration_ticks=100)
+    tiny()  # sane scenario passes
 
 
 def test_shape_derived_names():
