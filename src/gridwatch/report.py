@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .tsdb import NoSuchSeries, Store
+from .tsdb import CHUNK_SLOTS, NoSuchSeries, Store
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,7 @@ class Breach:
 
 @dataclass
 class AvailabilityResult:
-    """Availability of one series against one predicate."""
+    """Availability of one series against one threshold."""
 
     pct: float
     up_s: int
@@ -117,7 +117,7 @@ class AvailabilityReport:
 
 def availability(
     column,
-    predicate,
+    threshold: float,
     window: tuple[int, int],
     *,
     staleness_s: float = DEFAULT_STALENESS_S,
@@ -125,7 +125,8 @@ def availability(
     violation_kind: str = "below-threshold",
     gap_kind: str = "no-data",
 ) -> AvailabilityResult:
-    """Fraction of time the predicate held, over slot-extended values.
+    """Fraction of time the value was at or above ``threshold``, over
+    slot-extended values.
 
     ``column`` is the ``(start, interval, values)`` a store fetch returns,
     one value per slot from ``start`` on with none missing: each run of
@@ -140,7 +141,7 @@ def availability(
     t, interval, values = column  # t: where the next run starts
     up = data = total = 0
     breaches: list[Breach] = []
-    states = [None if v is None else bool(predicate(v)) for v in values]
+    states = [None if v is None else v >= threshold for v in values]
     for state, run in itertools.groupby(states):
         lo = max(t, from_t)
         t += interval * len(list(run))
@@ -220,12 +221,12 @@ def contractual_report(store: Store, cfg: ReportConfig, window: tuple[int, int])
     """Node and login availability over a window, with every breach listed."""
     from_t, to_t = window
     judged = []
-    for series, predicate, violation_kind, gap_kind in (
-        (cfg.node_series, lambda v: v >= cfg.threshold_nodes, "node-below-threshold", "node-no-data"),
-        (cfg.login_series, lambda v: v >= LOGIN_UP_THRESHOLD, "login-down", "login-no-data"),
+    for series, threshold, violation_kind, gap_kind in (
+        (cfg.node_series, cfg.threshold_nodes, "node-below-threshold", "node-no-data"),
+        (cfg.login_series, LOGIN_UP_THRESHOLD, "login-down", "login-no-data"),
     ):
         column = store.fetch(series, from_t, to_t)
-        result = availability(column, predicate, window, staleness_s=cfg.staleness_s,
+        result = availability(column, threshold, window, staleness_s=cfg.staleness_s,
                               gaps_as_down=cfg.gaps_as_down, violation_kind=violation_kind, gap_kind=gap_kind)
         judged.append((result, column))
     (node, node_column), (login, _) = judged
@@ -245,7 +246,6 @@ def contractual_report(store: Store, cfg: ReportConfig, window: tuple[int, int])
 # -- HTTP API ------------------------------------------------------------
 
 
-_CHUNK_SLOTS = 256  # slots per cached run of series-body text, aligned to absolute slot time
 _CHUNK_CACHE = 256  # chunks kept: about 4.2 MB of noisy values, six series-weeks of one-minute slots
 
 
@@ -265,16 +265,16 @@ _chunk_text = functools.lru_cache(maxsize=_CHUNK_CACHE)(_points)
 def _series_json(name: str, start: int, interval: int, values) -> str:
     """The bytes ``json.dumps`` gives a series body with sorted keys and no whitespace.
 
-    Each whole chunk of ``_CHUNK_SLOTS`` slots aligned to absolute slot time
+    Each whole chunk of ``CHUNK_SLOTS`` slots aligned to absolute slot time
     takes its text from ``_chunk_text``; a partial chunk at either end, or a
     column whose ``start`` is off the slot grid, is encoded afresh.
     """
     n = len(values)
-    lo = n if start % interval else min(n, -(start // interval) % _CHUNK_SLOTS)  # whole chunks begin here
-    hi = lo + (n - lo) // _CHUNK_SLOTS * _CHUNK_SLOTS  # and end here
+    lo = n if start % interval else min(n, -(start // interval) % CHUNK_SLOTS)  # whole chunks begin here
+    hi = lo + (n - lo) // CHUNK_SLOTS * CHUNK_SLOTS  # and end here
     parts = [_points(start, interval, values[:lo])]
-    for i in range(lo, hi, _CHUNK_SLOTS):
-        chunk = tuple(values[i:i + _CHUNK_SLOTS])
+    for i in range(lo, hi, CHUNK_SLOTS):
+        chunk = tuple(values[i:i + CHUNK_SLOTS])
         negative_zero = 0.0 in chunk and any(math.copysign(1.0, v) < 0 for v in chunk if v == 0.0)
         parts.append((_points if negative_zero else _chunk_text)(start + i * interval, interval, chunk))
     parts.append(_points(start + hi * interval, interval, values[hi:]))
@@ -345,12 +345,17 @@ class _ApiHandler(BaseHTTPRequestHandler):
         self._send(200, report.to_json())
 
     def _send(self, code: int, body: str) -> None:
+        """Send the response; a client that resets or stalls past the timeout
+        has left, so nothing more is sent to it."""
         raw = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
+        try:
+            self.send_response(code)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw)
+        except (ConnectionError, TimeoutError) as exc:
+            log.debug("api: client %s left before its %d response was sent: %r", self.client_address[0], code, exc)
 
     def log_message(self, fmt, *args):  # quiet: route through logging
         log.debug("api: " + fmt, *args)

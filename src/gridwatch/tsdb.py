@@ -18,6 +18,11 @@ refused.
 
 Reads pick the finest archive that still covers the start of the requested
 range, so old ranges degrade to coarser resolution instead of vanishing.
+A read decodes the ring in chunks of ``CHUNK_SLOTS`` slots aligned to
+absolute slot time, and each whole chunk through one process-wide LRU cache
+keyed by its start, interval and raw slot bytes: a backfill, a ring wrap, a
+consolidation or a reopen changes the bytes and so asks for a new key, and
+nothing is ever invalidated.
 
 Persistence is one flat binary file per series (header + fixed-size slot
 table, timestamp zero meaning "empty"), rewritten on flush/close. The file
@@ -41,6 +46,7 @@ all of a poll or none of it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import mmap
@@ -50,8 +56,6 @@ import struct
 import sys
 import threading
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
 from pathlib import Path
 
 from .model import MetricSample, valid_series
@@ -67,6 +71,7 @@ __all__ = [
     "parse_retention",
     "Store",
     "DEFAULT_RETENTION",
+    "CHUNK_SLOTS",
 ]
 
 DEFAULT_RETENTION = "1m:14d,10m:90d,1h:2y"
@@ -79,6 +84,9 @@ _VERSION = 1
 _HEAD = struct.Struct("<4sHH")
 _ARCH = struct.Struct("<II")
 _PAIR_BYTES = 16  # one slot on disk: little-endian int64 t, float64 v
+
+CHUNK_SLOTS = 256  # slots per decoded chunk; a chunk starts where (t // interval) % CHUNK_SLOTS == 0
+_CHUNK_CACHE = 256  # decoded chunks kept: about 3.2 MB of noisy values, six series-weeks of one-minute slots
 
 # Hard cap on slots returned by a single read; protects against runaway
 # ranges, not a tuning knob.
@@ -165,18 +173,47 @@ def mean(values) -> float:
     return min(max(2 * math.fsum(v / (2 * n) for v in values), min(values)), max(values))
 
 
+# n stamps read as one unsigned integer of 64-bit digits equal t * _ONES +
+# interval * _RAMP, cut to n digits, exactly when each is its slot's time
+# t + k * interval: those times are positive and below 2**63, so no digit
+# carries. One compare of two integers stands for n compares of stamps.
+_ONES = sum(1 << 64 * k for k in range(CHUNK_SLOTS))
+_RAMP = sum(k << 64 * k for k in range(CHUNK_SLOTS))
+
+
+def _decode(t: int, interval: int, raw: bytes) -> tuple:
+    """The values of the slots from aligned time ``t`` on, one per raw
+    ``(t, v)`` pair: None wherever a stamp is not its slot's time, and at
+    t = 0, which is what an empty slot's stamp holds."""
+    pairs = memoryview(raw)
+    stamps = pairs.cast("q")[0::2]
+    values = pairs.cast("d")[1::2].tolist()
+    n = len(values)
+    if t and n <= CHUNK_SLOTS and (int.from_bytes(stamps.tobytes(), sys.byteorder)
+                                   == (t * _ONES + interval * _RAMP) & ((1 << 64 * n) - 1)):
+        return tuple(values)
+    times = range(t, t + n * interval, interval)
+    return tuple([v if stamp == u and u else None for stamp, v, u in zip(stamps.tolist(), values, times)])
+
+
+# A pure function of its arguments, so a hit is correct by construction; the
+# raw bytes tell -0.0 from 0.0, which compare and hash alike as floats.
+_decode_chunk = functools.lru_cache(maxsize=_CHUNK_CACHE)(_decode)
+
+
 class _Archive:
     """One fixed-size ring. Slot i is valid iff ts[i] equals the aligned
-    timestamp being asked about. ``ts`` and ``vals`` are strided views over
-    the series' mapping, which holds the (t, v) pairs exactly as the file's
-    slot table does."""
+    timestamp being asked about. ``raw`` is the ring's part of the series'
+    mapping, which holds the (t, v) pairs exactly as the file's slot table
+    does, and ``ts`` and ``vals`` are strided views over it."""
 
-    __slots__ = ("interval", "points", "fine", "ts", "vals")
+    __slots__ = ("interval", "points", "fine", "raw", "ts", "vals")
 
     def __init__(self, interval: int, points: int, slots: memoryview, fine_interval: int):
         self.interval = interval
         self.points = points
         self.fine = interval // fine_interval  # finest slots under one of this archive's slots
+        self.raw = slots
         self.ts = slots.cast("q")[0::2]
         self.vals = slots.cast("d")[1::2]
 
@@ -186,14 +223,13 @@ class _Archive:
     def idx(self, aligned_t: int) -> int:
         return (aligned_t // self.interval) % self.points
 
-    def slots(self, t: int, n: int):
-        """``(times, stamps, values)`` of the ``n <= points`` slots from aligned
-        time ``t`` on, each list read as at most two slices, before and after the wrap."""
+    def pairs(self, t: int, n: int) -> bytes:
+        """A copy of the raw pairs of the ``n <= points`` slots from aligned
+        time ``t`` on, read as at most two slices, before and after the wrap."""
         i = self.idx(t)
         m = min(n, self.points - i)
-        return (list(range(t, t + n * self.interval, self.interval)),
-                self.ts[i : i + m].tolist() + self.ts[: n - m].tolist(),
-                self.vals[i : i + m].tolist() + self.vals[: n - m].tolist())
+        raw = self.raw
+        return raw[i * _PAIR_BYTES : (i + m) * _PAIR_BYTES].tobytes() + raw[: (n - m) * _PAIR_BYTES].tobytes()
 
 
 class _Series:
@@ -276,8 +312,7 @@ class _Series:
             ar.ts[j] = slot_t
             ar.vals[j] = mean(fin.vals[i : i + n])
             return
-        # t = 0 is what an empty slot holds
-        values = [v for t, stamp, v in zip(*fin.slots(slot_t, n)) if stamp == t and t]
+        values = [v for v in _decode(slot_t, fin.interval, fin.pairs(slot_t, n)) if v is not None]
         if len(values) * 2 >= n:
             ar.ts[j] = slot_t
             ar.vals[j] = mean(values)
@@ -297,9 +332,8 @@ class Store:
     File-backed mode lists the series files at open and reads a series'
     file on its first read or write. It keeps what it read in memory and
     rewrites dirty series on flush()/close(), so a crash loses at most the
-    samples since the last flush. A read holds ``lock`` while it builds its
-    whole result from one archive's ring, copying at most two contiguous
-    slices (before and after the wrap).
+    samples since the last flush. A read holds ``lock`` while it copies its
+    whole result's raw slots from one archive's ring, chunk by chunk.
     """
 
     def __init__(self, root: "str | Path | None" = None, default_retention: "str | RetentionSpec" = DEFAULT_RETENTION):
@@ -377,12 +411,19 @@ class Store:
             oldest = max(ar.align(s.latest) - ar.interval * (ar.points - 1), ar.interval)
             lo = min(n, max(0, (oldest - start) // ar.interval))
             hi = min(n, lo + ar.points)  # the window is one ring long
-            times, stamps, values = ar.slots(start + lo * ar.interval, hi - lo)
-            values = [None] * lo + values + [None] * (n - hi)
-            if stamps != times:  # a position whose stamp is not its slot's time holds another slot, or none
-                for k in compress(range(lo, hi), map(ne, stamps, times)):
-                    values[k] = None
-            return start, ar.interval, values
+            step = ar.interval
+            values = [None] * lo
+            k = lo
+            while k < hi:
+                t = start + k * step
+                end = min(hi, k + CHUNK_SLOTS - t // step % CHUNK_SLOTS)  # the next chunk edge, or hi
+                # A whole chunk clear of the wrap comes from the cache; a part
+                # chunk at either end of [lo, hi) never does, so slid-out slots stay None.
+                whole = end - k == CHUNK_SLOTS and ar.idx(t) + CHUNK_SLOTS <= ar.points
+                values += (_decode_chunk if whole else _decode)(t, step, ar.pairs(t, end - k))
+                k = end
+            values += [None] * (n - hi)
+            return start, step, values
 
     def read(self, series: str, from_t: int, to_t: int):
         """``fetch`` as ``(interval, [(slot_t, value_or_None), ...])``, the pair view the benchmark and tests read."""

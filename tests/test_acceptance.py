@@ -117,9 +117,9 @@ def test_criterion_2_availability_matches_per_second_oracle():
             )
             if oracle is None:
                 with pytest.raises(EmptyWindow):
-                    availability(column(points, interval), is_up, (w0, w1), gaps_as_down=gaps_as_down)
+                    availability(column(points, interval), 1.0, (w0, w1), gaps_as_down=gaps_as_down)
                 continue
-            got = availability(column(points, interval), is_up, (w0, w1), gaps_as_down=gaps_as_down)
+            got = availability(column(points, interval), 1.0, (w0, w1), gaps_as_down=gaps_as_down)
             assert abs(got.pct - oracle) <= 0.01, (
                 f"case {case} gaps_as_down={gaps_as_down}: {got.pct} vs oracle {oracle}"
             )

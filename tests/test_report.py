@@ -1,9 +1,11 @@
 """Availability math, dip detection, the contractual report and its HTTP API."""
 
 import json
+import logging
 import math
 import random
 import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -22,7 +24,6 @@ from gridwatch.report import (
     EmptyWindow,
     ReportConfig,
     TooFewPoints,
-    _CHUNK_SLOTS,
     _ApiHandler,
     _chunk_text,
     _series_json,
@@ -30,7 +31,7 @@ from gridwatch.report import (
     contractual_report,
     detect_dips,
 )
-from gridwatch.tsdb import Store
+from gridwatch.tsdb import CHUNK_SLOTS, Store
 from reference_impls import column, pairs, per_second_availability, per_slot_availability, series_body, serving
 
 UP = 1.0
@@ -55,7 +56,7 @@ def test_availability_simple_fraction():
     for i in range(100, 136):
         values[i] = DOWN
     points = slots(*values)
-    got = availability(column(points, 60), is_up, (T0, T0 + 86_400))
+    got = availability(column(points, 60), 0.5, (T0, T0 + 86_400))
     assert got.pct == pytest.approx(97.5, abs=1e-12)
     assert got.up_s == 86_400 - 36 * 60
     assert got.data_s == got.window_s == 86_400
@@ -65,7 +66,7 @@ def test_availability_simple_fraction():
 def test_availability_counts_partial_edge_slots():
     points = slots(UP, DOWN, UP)
     # Window starts 30s into the first slot and ends 30s into the last.
-    got = availability(column(points, 60), is_up, (T0 + 30, T0 + 150))
+    got = availability(column(points, 60), 0.5, (T0 + 30, T0 + 150))
     assert got.window_s == 120
     assert got.up_s == 60  # 30s head + 30s tail
     assert got.pct == pytest.approx(50.0)
@@ -75,28 +76,28 @@ def test_availability_counts_partial_edge_slots():
 def test_availability_gap_handling_modes():
     points = slots(UP, None, None, UP)
     window = (T0, T0 + 240)
-    excl = availability(column(points, 60), is_up, window, staleness_s=600)
+    excl = availability(column(points, 60), 0.5, window, staleness_s=600)
     assert excl.pct == pytest.approx(100.0)
     assert excl.data_s == 120 and excl.window_s == 240
     assert excl.breaches == []  # 120s gap is within the 600s staleness allowance
-    down = availability(column(points, 60), is_up, window, staleness_s=600, gaps_as_down=True)
+    down = availability(column(points, 60), 0.5, window, staleness_s=600, gaps_as_down=True)
     assert down.pct == pytest.approx(50.0)
 
 
 def test_availability_long_gap_becomes_breach():
     points = slots(UP, *([None] * 11), UP)
-    got = availability(column(points, 60), is_up, (T0, T0 + 13 * 60), staleness_s=600)
+    got = availability(column(points, 60), 0.5, (T0, T0 + 13 * 60), staleness_s=600)
     assert got.breaches == [Breach(T0 + 60, T0 + 12 * 60, "no-data")]
     # Exactly at the staleness limit: not a breach.
     points = slots(UP, *([None] * 10), UP)
-    got = availability(column(points, 60), is_up, (T0, T0 + 12 * 60), staleness_s=600)
+    got = availability(column(points, 60), 0.5, (T0, T0 + 12 * 60), staleness_s=600)
     assert got.breaches == []
 
 
 def test_availability_custom_breach_kinds_and_order():
     points = slots(DOWN, *([None] * 11), UP)
     got = availability(
-        column(points, 60), is_up, (T0, T0 + 13 * 60),
+        column(points, 60), 0.5, (T0, T0 + 13 * 60),
         staleness_s=600, violation_kind="login-down", gap_kind="login-no-data",
     )
     assert [b.kind for b in got.breaches] == ["login-down", "login-no-data"]
@@ -105,9 +106,9 @@ def test_availability_custom_breach_kinds_and_order():
 
 def test_availability_empty_and_bad_windows():
     with pytest.raises(EmptyWindow):
-        availability(column(slots(None, None), 60), is_up, (T0, T0 + 120))
+        availability(column(slots(None, None), 60), 0.5, (T0, T0 + 120))
     with pytest.raises(ValueError):
-        availability(column(slots(UP), 60), is_up, (T0 + 60, T0))
+        availability(column(slots(UP), 60), 0.5, (T0 + 60, T0))
 
 
 def test_availability_complement_sums_to_hundred_when_fully_populated():
@@ -115,8 +116,8 @@ def test_availability_complement_sums_to_hundred_when_fully_populated():
     values = [rng.choice([UP, DOWN]) for _ in range(200)]
     points = slots(*values)
     window = (T0, T0 + 200 * 60)
-    a = availability(column(points, 60), is_up, window).pct
-    b = availability(column(points, 60), lambda v: not is_up(v), window).pct
+    a = availability(column(points, 60), 0.5, window).pct
+    b = availability(column(slots(*[1 - v for v in values]), 60), 0.5, window).pct
     assert a + b == pytest.approx(100.0, abs=1e-9)
 
 
@@ -135,9 +136,9 @@ def test_availability_matches_per_second_reference(data):
     want = per_second_availability(points, is_up, (from_t, to_t), 60, gaps_as_down)
     if want is None:
         with pytest.raises(EmptyWindow):
-            availability(column(points, 60), is_up, (from_t, to_t), gaps_as_down=gaps_as_down)
+            availability(column(points, 60), 0.5, (from_t, to_t), gaps_as_down=gaps_as_down)
         return
-    got = availability(column(points, 60), is_up, (from_t, to_t), gaps_as_down=gaps_as_down)
+    got = availability(column(points, 60), 0.5, (from_t, to_t), gaps_as_down=gaps_as_down)
     assert got.pct == pytest.approx(want, abs=1e-9)
 
 
@@ -165,9 +166,9 @@ def test_availability_matches_per_slot_reference(data):
         want = per_slot_availability(points, is_up, (from_t, to_t), 60, **kwargs)
     except EmptyWindow:
         with pytest.raises(EmptyWindow):
-            availability(column(points, 60), is_up, (from_t, to_t), **kwargs)
+            availability(column(points, 60), 0.5, (from_t, to_t), **kwargs)
         return
-    assert availability(column(points, 60), is_up, (from_t, to_t), **kwargs) == want
+    assert availability(column(points, 60), 0.5, (from_t, to_t), **kwargs) == want
 
 
 # -- dip detection ---------------------------------------------------------------
@@ -365,6 +366,44 @@ def test_api_closes_an_idle_connection_and_ends_its_thread(api, monkeypatch):
     assert handler_threads() == []
 
 
+def test_api_client_that_resets_mid_body_is_no_internal_error(caplog, capfd):
+    name = "hpc.admin.power.system"
+    rng = random.Random(3)
+    store = Store()
+    for k in range(7 * 1440):
+        store.write(MetricSample(name, T0 + 60 * k, 102_400.0 * (1 + rng.uniform(-0.01, 0.01))))
+    path = f"/api/v1/series/{name}?from={T0}&to={T0 + 7 * 86_400}"  # a body of about 300 KB
+
+    class SmallSendBuffers(ApiServer):
+        def get_request(self):  # so the handler is still writing when the reset comes
+            conn, addr = super().get_request()
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            return conn, addr
+
+    server = SmallSendBuffers(("127.0.0.1", 0), store)
+
+    def handler_threads():
+        return [t for t in threading.enumerate() if "process_request_thread" in t.name]
+
+    with caplog.at_level(logging.DEBUG, logger="gridwatch.report"), serving(server):
+        with socket.socket() as client:
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # before connect: a small window
+            client.settimeout(5)
+            client.connect(server.address)
+            client.sendall(f"GET {path} HTTP/1.0\r\n\r\n".encode())
+            assert client.recv(1024).startswith(b"HTTP/1.0 200")
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # close sends RST
+        deadline = time.monotonic() + 5
+        while handler_threads() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert handler_threads() == []
+        status, _ = fetch(f"http://127.0.0.1:{server.address[1]}", path)
+    assert status == 200
+    assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+    assert any("left before its 200 response was sent" in r.getMessage() for r in caplog.records)
+    assert "Exception occurred" not in capfd.readouterr().err
+
+
 def test_api_series_round_trip(api):
     base, store = api
     path = f"/api/v1/series/hpc.login_cluster.login.login_up?from={T0}&to={T0 + 300}"
@@ -460,10 +499,10 @@ def test_series_json_matches_json_dumps(name, start, interval, values):
 def test_series_json_chunk_cache_is_bounded_and_stays_correct_past_it():
     maxsize = _chunk_text.cache_info().maxsize
     assert maxsize is not None
-    early = [1000.0 + i / 7 for i in range(3 * _CHUNK_SLOTS)] + [0.0, -0.0]
+    early = [1000.0 + i / 7 for i in range(3 * CHUNK_SLOTS)] + [0.0, -0.0]
     want = series_body("early", 60, pairs((T0, 60, early)))
     assert _series_json("early", T0, 60, early) == want
-    flood = [1e6 + i / 3 for i in range((maxsize + 10) * _CHUNK_SLOTS)]
+    flood = [1e6 + i / 3 for i in range((maxsize + 10) * CHUNK_SLOTS)]
     assert _series_json("flood", T0, 60, flood) == series_body("flood", 60, pairs((T0, 60, flood)))
     assert _chunk_text.cache_info().currsize == maxsize
     assert _series_json("early", T0, 60, early) == want
@@ -471,10 +510,10 @@ def test_series_json_chunk_cache_is_bounded_and_stays_correct_past_it():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    slot=st.one_of(st.integers(0, 2**30), st.integers(0, 2**20).map(lambda c: c * _CHUNK_SLOTS)),
+    slot=st.one_of(st.integers(0, 2**30), st.integers(0, 2**20).map(lambda c: c * CHUNK_SLOTS)),
     interval=st.sampled_from([1, 10, 60, 600]),
     offset=st.sampled_from([0, 0, 0, 1, 7]),  # nonzero puts the start off the slot grid
-    n=st.integers(0, 3 * _CHUNK_SLOTS + 40),
+    n=st.integers(0, 3 * CHUNK_SLOTS + 40),
     pool=st.lists(
         st.one_of(
             _SERIES_VALUES,
@@ -485,7 +524,7 @@ def test_series_json_chunk_cache_is_bounded_and_stays_correct_past_it():
     ),
     seed=st.integers(0, 2**32),
 )
-@example(slot=_CHUNK_SLOTS, interval=60, offset=0, n=2 * _CHUNK_SLOTS, pool=[0.0, 1.5], seed=1)
+@example(slot=CHUNK_SLOTS, interval=60, offset=0, n=2 * CHUNK_SLOTS, pool=[0.0, 1.5], seed=1)
 def test_chunk_cache_gives_json_dumps_bytes_cold_and_warm(slot, interval, offset, n, pool, seed):
     rng = random.Random(seed)
     start = slot * interval + offset % interval

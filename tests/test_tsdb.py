@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gridwatch.model import MetricSample
 from gridwatch.server import DEFAULT_POLL_INTERVAL_S
 from gridwatch.tsdb import (
+    CHUNK_SLOTS,
     DEFAULT_RETENTION,
     BadSpec,
     NonFiniteValue,
@@ -22,6 +23,8 @@ from gridwatch.tsdb import (
     RetentionSpec,
     Store,
     TooOld,
+    _decode,
+    _decode_chunk,
     _Series,
     mean,
     parse_retention,
@@ -544,6 +547,109 @@ def test_read_after_a_reopen_matches_the_per_slot_walk(tmp_path):
         before = [st_.read(S, *w) for w in ((1700, 2000), (1000, 2100))]
     again = Store(tmp_path)
     assert [read_as_per_slot(again, *w) for w in ((1700, 2000), (1000, 2100))] == before
+
+
+# -- the chunk cache under fetch ----------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.integers(0, 2**40).map(lambda c: 60 * c), n=st.integers(0, CHUNK_SLOTS + 3), data=st.data())
+def test_decode_gives_a_value_only_where_the_stamp_is_its_slots_time(t, n, data):
+    stamps = [t + 60 * k for k in range(n)]
+    for _ in range(data.draw(st.integers(0, 3)) if n else 0):  # a few stamps that belong to another slot, or none
+        k = data.draw(st.integers(0, n - 1))
+        stamps[k] = data.draw(st.one_of(st.sampled_from([0, stamps[k] - 1, stamps[k] + 1, stamps[k] - 60 * 700]),
+                                        st.integers(-2**63, 2**63 - 1)))
+    values = data.draw(st.lists(st.floats(), min_size=n, max_size=n))
+    raw = b"".join(struct.pack("=qd", stamp, v) for stamp, v in zip(stamps, values))
+    want = tuple(v if stamp == t + 60 * k and stamp else None for k, (stamp, v) in enumerate(zip(stamps, values)))
+    assert repr(_decode(t, 60, raw)) == repr(want)
+
+
+def test_a_second_fetch_of_an_unchanged_window_decodes_no_chunk_again():
+    st_ = store(DEMO_RETENTION)
+    edge = 60 * 20_160 * CHUNK_SLOTS // 64  # a chunk edge at the finest ring's position 0
+    t0 = 1_609_459_200 - 1_609_459_200 % edge  # so the week's whole chunks straddle no wrap
+    for k in range(7 * 1440):
+        put(st_, t0 + 60 * k, float(k % 7))
+    week = (t0, t0 + 7 * 86_400)
+    _decode_chunk.cache_clear()
+    first = st_.fetch(S, *week)
+    info = _decode_chunk.cache_info()
+    assert (info.hits, info.misses) == (0, 7 * 1440 // CHUNK_SLOTS)
+    assert st_.fetch(S, *week) == first
+    assert _decode_chunk.cache_info().misses == info.misses
+    put(st_, t0 + 60 * 300, -0.0)  # 0.0 == -0.0, but the chunk's bytes differ
+    got = st_.fetch(S, *week)
+    assert _decode_chunk.cache_info().misses == info.misses + 1
+    assert repr(got[2][300]) == "-0.0" and got[2][:300] == first[2][:300]
+
+
+COARSE = (60, 2 * CHUNK_SLOTS)  # a coarse ring of two chunks, so no chunk straddles its wrap
+
+
+def draw_run(data, latest, coverage):
+    """The first slot and length of a run of finest writes, every 10 s."""
+    if not latest:
+        return data.draw(st.integers(100_000, 200_000)) * 10, data.draw(st.integers(1, 1_600))
+    kind = data.draw(st.sampled_from(["append", "append", "backfill", "leap"]))
+    if kind == "append":  # long runs fill whole chunks and cross the finest wrap
+        return latest + 10, data.draw(st.integers(1, 1_600))
+    if kind == "backfill":  # rewrites cached slots, or is refused as too old
+        return latest - 10 * data.draw(st.integers(1, coverage // 10 + 50)), data.draw(st.integers(1, 300))
+    # A gap of about one ring, finest or coarse, give or take a chunk of its slots:
+    # the ring's window slides part way over older data, whose stamps linger.
+    ring, interval = data.draw(st.sampled_from([(coverage, 10), (COARSE[0] * COARSE[1], COARSE[0])]))
+    return latest + ring + interval * data.draw(st.integers(-CHUNK_SLOTS, CHUNK_SLOTS)), data.draw(st.integers(1, 300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fetch_through_the_chunk_cache_matches_flat_reference(data):
+    """Reads of whole chunks, some cached, between writes that backfill, leave
+    gaps, wrap the rings, flip a zero's sign or follow a reopen, each against
+    the flat reference bit for bit. A finest ring of three chunks, or of a
+    length no multiple of one, so some chunks straddle its wrap; reads from
+    before the coarse ring's window cross chunks it has slid part way over."""
+    points = data.draw(st.sampled_from([3 * CHUNK_SLOTS, 700]))
+    archives = ((10, points), COARSE)
+    coverage = 10 * points
+    ref = FlatStore(archives)
+    _decode_chunk.cache_clear()
+    with tempfile.TemporaryDirectory() as root:
+        st_ = Store(root, default_retention=RetentionSpec(archives))
+        for _ in range(data.draw(st.integers(1, 8))):
+            op = data.draw(st.sampled_from(["run", "run", "run", "zero", "reopen"]))
+            if op == "reopen" and ref.flat:
+                st_.flush()
+                st_ = Store(root, default_retention=RetentionSpec(archives))
+            elif op == "zero" and ref.flat:
+                t = ref.latest - 10 * data.draw(st.integers(0, points - 1))
+                for v in (0.0, -0.0):  # the same slot, read between the two
+                    ref.write(t, v) and put(st_, t, v)
+                    assert_fetch_matches(st_, ref, coverage)
+            else:
+                first, n = draw_run(data, ref.latest, coverage)
+                step = data.draw(st.integers(1, 40))
+                for k in range(n):
+                    t, v = first + 10 * k, (k * step % 41 - 20) / 4
+                    if ref.write(t, v):
+                        put(st_, t, v)
+                    else:
+                        with pytest.raises(TooOld):
+                            put(st_, t, v)
+            if ref.flat:
+                assert_fetch_matches(st_, ref, coverage)
+
+
+def assert_fetch_matches(st_, ref, coverage):
+    """The finest ring whole, from its slid-out slot to past the newest, and
+    from before the coarse window; compared by repr, which tells -0.0 from 0.0."""
+    latest, (step, ring) = ref.latest, COARSE
+    for from_t, to_t in [(latest - coverage + 10, latest + 10), (latest - coverage, latest + 3_000),
+                         (latest - step * (ring + 300), latest + step), (latest - step * ring - coverage, latest - coverage)]:
+        interval, want = ref.read(from_t, to_t)
+        assert repr(st_.fetch(S, from_t, to_t)) == repr(column(want, interval))
 
 
 # -- persistence --------------------------------------------------------------
